@@ -23,10 +23,7 @@ import time
 
 from . import catalog as _catalog
 from .cohomology import MAX_DEGREE_CAP, cohomology_dims
-from .deformation import (
-    classify_operator, conjugation_twist, left_residual, right_residual,
-    twist_left, twist_right,
-)
+from .deformation import classify_operator, conjugation_twist, side_spec
 from .errors import QtaError
 from .io import Report, build_quasi_twilled, parse, side_map, witness_text
 from .linfty import controlling_structure
@@ -76,8 +73,7 @@ def _cmd_validate(args):
 
 def _side_pair(q, doc, args):
     m = side_map(doc, q, args.map, args.side)
-    res = (right_residual(q, m) if args.side == "right"
-           else left_residual(q, m))
+    res = side_spec(args.side).residual(q, m)
     return m, res
 
 
@@ -96,13 +92,12 @@ def _cmd_classify(args):
 def _cmd_twist(args):
     doc, q = _load(args.file)
     m, res = _side_pair(q, doc, args)
-    tw = twist_right(q, m) if args.side == "right" else twist_left(q, m)
+    tw = side_spec(args.side).twist(q, m)
     conj_ok = tw.reassemble() == conjugation_twist(q, m, args.side)
-    comps = {}
-    for name, comp in tw.components().items():
-        comps[name] = "zero" if comp.is_zero() else "nonzero"
+    comps = {name: "zero" if comp.is_zero() else "nonzero"
+             for name, comp in tw.components().items()}
     comps["gamma"] = "zero" if tw.gamma.is_zero() else "nonzero"
-    ok = (res.is_zero() if args.side == "right" else tw.gamma.is_zero())
+    ok = res.is_zero()
     details = {
         "map": args.map, "side": args.side,
         "components": comps,

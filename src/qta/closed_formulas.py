@@ -13,12 +13,10 @@ CurvedLInftyStructure.bracket output.
 
 from __future__ import annotations
 
+from .deformation import side_spec
 from .errors import UnknownKind
 from .linfty import controlling_structure
-from .multilinear import A, APRIME, insert
-
-def _sign(k):
-    return 1 if k % 2 == 0 else -1
+from .multilinear import A, APRIME, MultilinearMap, _sign, insert
 
 
 def _pair_product(prod, f, g):
@@ -186,30 +184,33 @@ def matched_pair_coboundary(xi, eta, beta, f):
 
 # -- dispatch -----------------------------------------------------------------
 
+def _zero(q, side, arity):
+    return MultilinearMap.zero(*side_spec(side).signature(arity), q.dims)
+
+
 def _right_formula(q, k, args):
     kind = q.kind
-    s = controlling_structure(q, "right")
     if kind == "modified_direct_sum":
         if k == 0:
             return modified_l0(q)
         if k == 1:
-            return s.vdata.zero_cochain(args[0].arity + 1)
+            return _zero(q, "right", args[0].arity + 1)
         if k == 2:
             return modified_l2(q, *args)
     elif kind in ("semidirect", "semidirect_assoc"):
         if k == 0:
-            return s.vdata.zero_cochain(2)
+            return _zero(q, "right", 2)
         if k == 1:
             return action_coboundary(q.rho, q.mu, q.pi, args[0])
         if k == 2:
             if kind == "semidirect":
-                return s.vdata.zero_cochain(args[0].arity + args[1].arity)
+                return _zero(q, "right", args[0].arity + args[1].arity)
             f, g = args
             return prime_product_bracket(q.beta, f, g).scale(
                 _sign(f.arity - 1))
     elif kind == "direct_product":
         if k == 0:
-            return s.vdata.zero_cochain(2)
+            return _zero(q, "right", 2)
         if k == 1:
             return product_coboundary(q.pi, args[0])
         if k == 2:
@@ -221,12 +222,10 @@ def _right_formula(q, k, args):
 
 def _left_formula(q, k, args):
     kind = q.kind
-    s = controlling_structure(q, "left")
     if kind in ("semidirect", "abelian_extension", "reynolds"):
-        pi = q.pi
-        rho, mu = q.rho, q.mu
+        pi, rho, mu = q.pi, q.rho, q.mu
         if k == 1:
-            return s.vdata.zero_cochain(args[0].arity + 1)
+            return _zero(q, "left", args[0].arity + 1)
         if k == 2:
             if kind == "semidirect":
                 f1, f2 = args
@@ -236,7 +235,7 @@ def _left_formula(q, k, args):
         if k == 3:
             if kind == "semidirect":
                 arity = sum(a.arity for a in args) - 1
-                return s.vdata.zero_cochain(arity)
+                return _zero(q, "left", arity)
             return extension_l3(q.theta, *args)
     elif kind == "matched_pair":
         if k == 1:
@@ -247,7 +246,7 @@ def _left_formula(q, k, args):
                 _sign(f1.arity - 1))
         if k == 3:
             arity = sum(a.arity for a in args) - 1
-            return s.vdata.zero_cochain(arity)
+            return _zero(q, "left", arity)
     return None
 
 
@@ -255,6 +254,7 @@ def explicit_formula(q, side, k, args):
     """The closed formula for l_k, or UnknownKind."""
     if q.kind is None:
         raise UnknownKind("no builder provenance, no closed formula")
+    side_spec(side)  # rejects an unknown side
     out = (_right_formula if side == "right" else _left_formula)(q, k, args)
     if out is None:
         raise UnknownKind(

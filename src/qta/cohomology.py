@@ -19,57 +19,30 @@ matrices are reproducible bit for bit.
 
 from __future__ import annotations
 
-from .deformation import (
-    left_residual, right_residual, twist_left, twist_right,
-)
-from .errors import DegreeError, NotDeformationMap
+from .deformation import side_spec
+from .errors import DegreeError
 from .linalg import ExactMatrix, row_reduce
-from .multilinear import A, APRIME, MultilinearMap, insert
+from .multilinear import MultilinearMap, _label_size, _sign, insert
 from .linfty import controlling_structure
 
 MAX_DEGREE_CAP = 5
 
 
-def _require_deformation(q, m, side):
-    res = right_residual(q, m) if side == "right" else left_residual(q, m)
-    if not res.is_zero():
-        raise NotDeformationMap(
-            f"{side} residual nonzero at {res.first_witness()}")
-
-
-def _sign(k):
-    return 1 if k % 2 == 0 else -1
-
-
 def cochain_space(q, side, n):
     """(domain labels, codomain label) of C^n; C^0 is the codomain space."""
-    if side == "right":
-        return ((A,) * n, APRIME)
-    return ((APRIME,) * n, A)
+    return side_spec(side).signature(n)
 
 
 def cochain_dim(q, side, n):
-    da, dap = q.dims
-    if side == "right":
-        return dap if n == 0 else (da ** n) * dap
-    return da if n == 0 else (dap ** n) * da
-
-
-def _twisted_triple(q, m, side):
-    """(product, left action, right action) of the twisted complex."""
-    if side == "right":
-        tw = twist_right(q, m)
-        return tw.pi, tw.rho, tw.mu
-    tw = twist_left(q, m)
-    return tw.beta, tw.eta, tw.xi
+    spec = side_spec(side)
+    return _label_size(spec.slot, q.dims) ** n * _label_size(spec.cod, q.dims)
 
 
 def coboundary_apply(q, m, side, f):
     """d f via the twisted components, for f in C^n, n >= 1."""
-    prod, act_l, act_r = _twisted_triple(q, m, side)
+    prod, act_l, act_r = side_spec(side).twisted_triple(q, m)
     n = f.arity
-    dom, cod = cochain_space(q, side, n)
-    if f.domain != dom or f.codomain != cod or f.dims != q.dims:
+    if f.signature() != cochain_space(q, side, n) or f.dims != q.dims:
         raise DegreeError(f"not a {side}-side {n}-cochain")
     out = insert(act_l, f, 1)
     for i in range(1, n + 1):
@@ -83,18 +56,14 @@ def coboundary_apply_degree0(q, m, side, k):
 
     (d a)(x) = act_l(x, a) - act_r(a, x).
     """
-    prod, act_l, act_r = _twisted_triple(q, m, side)
-    dims = q.dims
+    prod, act_l, act_r = side_spec(side).twisted_triple(q, m)
     dom, cod = cochain_space(q, side, 1)
-    cod_size = MultilinearMap.zero(dom, cod, dims).cod_size
 
     def fn(t):
-        x = t[0]
-        left = act_l.value((x, k))
-        right = act_r.value((k, x))
-        return [left[j] - right[j] for j in range(cod_size)]
+        left, right = act_l.value((t[0], k)), act_r.value((k, t[0]))
+        return [a - b for a, b in zip(left, right)]
 
-    return MultilinearMap.from_function(dom, cod, dims, fn)
+    return MultilinearMap.from_function(dom, cod, q.dims, fn)
 
 
 def coboundary_apply_expanded(q, m, side, f):
@@ -103,8 +72,7 @@ def coboundary_apply_expanded(q, m, side, f):
     Must agree with coboundary_apply; matrix assembly asserts it does.
     """
     n = f.arity
-    dom, cod = cochain_space(q, side, n)
-    if f.domain != dom or f.codomain != cod or f.dims != q.dims:
+    if f.signature() != cochain_space(q, side, n) or f.dims != q.dims:
         raise DegreeError(f"not a {side}-side {n}-cochain")
     if side == "right":
         d = m
@@ -141,13 +109,6 @@ def coboundary_apply_expanded(q, m, side, f):
     return out + tail.scale(_sign(n + 1))
 
 
-def _basis_cochain(dom, cod, dims, flat_index):
-    z = MultilinearMap.zero(dom, cod, dims)
-    coeffs = list(z.coeffs)
-    coeffs[flat_index] = 1
-    return MultilinearMap(dom, cod, dims, coeffs)
-
-
 def coboundary_matrix(q, m, side, n, _checked=False):
     """Matrix of d: C^n -> C^(n+1) in the lexicographic cochain basis.
 
@@ -156,12 +117,11 @@ def coboundary_matrix(q, m, side, n, _checked=False):
     asserted equal.  Requires the map to be a deformation map.
     """
     if not _checked:
-        _require_deformation(q, m, side)
+        side_spec(side).require_deformation(q, m)
     if n < 0:
         raise DegreeError("cochain degree must be >= 0")
     rows = cochain_dim(q, side, n + 1)
     cols = cochain_dim(q, side, n)
-    entries = []
     columns = []
     if n == 0:
         for k in range(cols):
@@ -170,15 +130,14 @@ def coboundary_matrix(q, m, side, n, _checked=False):
     else:
         dom, cod = cochain_space(q, side, n)
         for j in range(cols):
-            f = _basis_cochain(dom, cod, q.dims, j)
+            f = MultilinearMap.unit(dom, cod, q.dims, j)
             img = coboundary_apply(q, m, side, f)
             expanded = coboundary_apply_expanded(q, m, side, f)
             if img != expanded:
                 raise AssertionError(
                     "structural and expanded coboundaries disagree")
             columns.append(img.coeffs)
-    for i in range(rows):
-        entries.extend(col[i] for col in columns)
+    entries = [col[i] for i in range(rows) for col in columns]
     return ExactMatrix(rows, cols, entries)
 
 
@@ -193,7 +152,7 @@ def cohomology_dims(q, m, side, max_n=3):
         raise DegreeError("max degree must be >= 0")
     if max_n > MAX_DEGREE_CAP:
         raise DegreeError(f"max degree capped at {MAX_DEGREE_CAP}")
-    _require_deformation(q, m, side)
+    side_spec(side).require_deformation(q, m)
     mats = [coboundary_matrix(q, m, side, n, _checked=True)
             for n in range(max_n + 1)]
     for n in range(max_n):
@@ -215,7 +174,7 @@ def l1_vs_d(q, m, side, f):
     This is a theorem for deformation maps, so the return value is always
     True; the function is a verification harness.
     """
-    _require_deformation(q, m, side)
+    side_spec(side).require_deformation(q, m)
     s = controlling_structure(q, side).twist(m)
     lhs = s.bracket(1, [f])
     rhs = coboundary_apply(q, m, side, f).scale(_sign(f.arity - 1))

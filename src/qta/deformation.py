@@ -11,22 +11,75 @@ test.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .errors import DimensionError, InvalidQTA, NotDeformationMap, UnknownKind
 from .algebras import AssociativeAlgebra, RepresentationPair
 from .linalg import ExactMatrix, invert
 from .multilinear import (
-    A, APRIME, TOTAL, MultilinearMap, insert, lift,
+    A, APRIME, TOTAL, MultilinearMap, SpaceLabel, insert, lift,
     linear_map_from_matrix, matrix_from_linear_map, msum, project,
 )
 from .quasitwilled import QuasiTwilledAlgebra
 
 
+class _Side(NamedTuple):
+    """What tells right maps D: A -> A' from left maps B: A' -> A."""
+
+    name: str
+    slot: SpaceLabel        # domain of the map = slot space of its cochains
+    cod: SpaceLabel         # codomain of the map and of its cochains
+    # named, not stored: looked up among the module globals at each call,
+    # so a wrapper installed over a global (the perfbench tracer) sees it
+    residual_fn: str
+    twist_fn: str
+    triple: tuple           # twisted (product, left action, right action)
+    basis: str              # attribute holding the basis of the slot space
+    max_bracket: int        # top bracket of the controlling algebra
+
+    def residual(self, q, m):
+        return globals()[self.residual_fn](q, m)
+
+    def twist(self, q, m):
+        return globals()[self.twist_fn](q, m)
+
+    def twisted_triple(self, q, m):
+        tw = self.twist(q, m)
+        return tuple(getattr(tw, name) for name in self.triple)
+
+    def require_deformation(self, q, m):
+        res = self.residual(q, m)
+        if not res.is_zero():
+            raise NotDeformationMap(
+                f"{self.name} residual nonzero at {res.first_witness()}")
+
+    def signature(self, arity):
+        """(domain labels, codomain label) of cochains of this arity."""
+        return (self.slot,) * arity, self.cod
+
+
+_SIDES = {
+    "right": _Side("right", A, APRIME, "right_residual", "twist_right",
+                   ("pi", "rho", "mu"), "basis_a", 2),
+    "left": _Side("left", APRIME, A, "left_residual", "twist_left",
+                  ("beta", "eta", "xi"), "basis_aprime", 3),
+}
+
+
+def side_spec(side):
+    """The side table's row for "right" or "left"."""
+    try:
+        return _SIDES[side]
+    except (KeyError, TypeError):
+        raise ValueError("side must be 'right' or 'left'") from None
+
+
 def _check_side_map(q, m, side):
-    want = ((A,), APRIME) if side == "right" else ((APRIME,), A)
-    if m.domain != want[0] or m.codomain != want[1]:
+    spec = side_spec(side)
+    if m.domain != (spec.slot,) or m.codomain != spec.cod:
         raise DimensionError(
             f"a {side} deformation map needs signature "
-            f"{want[0][0].value} -> {want[1].value}")
+            f"{spec.slot.value} -> {spec.cod.value}")
     if m.dims != q.dims:
         raise DimensionError("map dims do not match the ambient structure")
 
@@ -192,19 +245,20 @@ def duality_check(q, d):
     return right_residual(q, d).is_zero() == left_residual(q, b).is_zero()
 
 
+def _induced_structures(q, m, side):
+    spec = side_spec(side)
+    spec.require_deformation(q, m)
+    prod, act_l, act_r = spec.twisted_triple(q, m)
+    alg = AssociativeAlgebra(prod, getattr(q, spec.basis))
+    return alg, RepresentationPair(alg, act_l, act_r)
+
+
 def induced_right_structures(q, d):
     """(A, pi^D) and the representation (A'; rho^D, mu^D) it acts through.
 
     Requires a vanishing right residual.
     """
-    res = right_residual(q, d)
-    if not res.is_zero():
-        raise NotDeformationMap(
-            f"right residual nonzero at {res.first_witness()}")
-    tw = twist_right(q, d)
-    alg = AssociativeAlgebra(tw.pi, q.basis_a)
-    rep = RepresentationPair(alg, tw.rho, tw.mu)
-    return alg, rep
+    return _induced_structures(q, d, "right")
 
 
 def induced_left_structures(q, b):
@@ -212,14 +266,7 @@ def induced_left_structures(q, b):
 
     Requires a vanishing left residual.
     """
-    res = left_residual(q, b)
-    if not res.is_zero():
-        raise NotDeformationMap(
-            f"left residual nonzero at {res.first_witness()}")
-    tw = twist_left(q, b)
-    alg = AssociativeAlgebra(tw.beta, q.basis_aprime)
-    rep = RepresentationPair(alg, tw.eta, tw.xi)
-    return alg, rep
+    return _induced_structures(q, b, "left")
 
 
 _OPERATOR_NAMES = {
@@ -245,9 +292,7 @@ def classify_operator(q, m, side):
     """
     if q.kind is None:
         raise UnknownKind("structure was not produced by build_standard")
-    if side not in ("right", "left"):
-        raise ValueError("side must be 'right' or 'left'")
-    res = right_residual(q, m) if side == "right" else left_residual(q, m)
+    res = side_spec(side).residual(q, m)
     if not res.is_zero():
         return "not a deformation map"
     name = _OPERATOR_NAMES.get((side, q.kind))

@@ -34,8 +34,11 @@ from .algebras import (
     AssociativeAlgebra, AssociativeRepresentation, Cocycle2, MatchedPairData,
     RepresentationPair,
 )
+from .deformation import side_spec
 from .errors import DimensionError, ParseError, SchemaError, UnknownKind
-from .multilinear import A, APRIME, MultilinearMap, linear_map_from_matrix
+from .multilinear import (
+    A, APRIME, MultilinearMap, _label_size, linear_map_from_matrix,
+)
 from .quasitwilled import (
     BUILDER_KINDS, COMPONENT_SIGNATURES, QuasiTwilledAlgebra, build_standard,
 )
@@ -342,14 +345,13 @@ def side_map(doc, q, name, side):
     if name not in doc.maps:
         raise SchemaError(f"no map named {name!r} in the document")
     rows = doc.maps[name]
-    want = (q.dim_aprime, q.dim_a) if side == "right" else (q.dim_a, q.dim_aprime)
+    spec = side_spec(side)
+    want = (_label_size(spec.cod, q.dims), _label_size(spec.slot, q.dims))
     if (len(rows), len(rows[0]) if rows else 0) != want:
         raise DimensionError(
             f"map {name!r} has shape {len(rows)}x{len(rows[0])}, a {side} "
             f"map needs {want[0]}x{want[1]}")
-    if side == "right":
-        return linear_map_from_matrix(rows, A, APRIME, q.dims)
-    return linear_map_from_matrix(rows, APRIME, A, q.dims)
+    return linear_map_from_matrix(rows, spec.slot, spec.cod, q.dims)
 
 
 # -- reports ------------------------------------------------------------------

@@ -19,15 +19,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+from .deformation import side_spec
 from .errors import BlockError, DegreeError, InvalidQTA, NotMaurerCartan
 from .multilinear import (
-    A, APRIME, MultilinearMap, gerstenhaber, koszul_sign, lift, project,
-    unshuffles,
+    A, APRIME, MultilinearMap, _label_size, gerstenhaber, koszul_sign, lift,
+    project, unshuffles,
 )
 from .quasitwilled import total_product, validate
-
-RIGHT = "right"
-LEFT = "left"
 
 
 class VData:
@@ -39,13 +37,10 @@ class VData:
     """
 
     def __init__(self, q, side, _checked=False):
-        if side not in (RIGHT, LEFT):
-            raise ValueError("side must be 'right' or 'left'")
+        self.spec = side_spec(side)
         self.q = q
         self.side = side
         self.dims = q.dims
-        self.slot_label = A if side == RIGHT else APRIME
-        self.cod_label = APRIME if side == RIGHT else A
         self.delta = total_product(q)
         if not _checked:
             self._verify()
@@ -63,18 +58,18 @@ class VData:
                 raise InvalidQTA("block cochains fail to commute")
         # kernel of P closed under the bracket, spot-checked on two
         # non-F block signatures (their brackets must have no F part)
-        k1 = _basis_block_map((A, A), A, self.dims)
-        k2 = _basis_block_map((A, APRIME), APRIME, self.dims)
+        k1 = MultilinearMap.unit((A, A), A, self.dims, 0)
+        k2 = MultilinearMap.unit((A, APRIME), APRIME, self.dims, 0)
         for m1 in (k1, k2):
             for m2 in (k1, k2):
                 if not self.project(gerstenhaber(lift(m1), lift(m2))).is_zero():
                     raise InvalidQTA("kernel of P is not bracket-closed")
         # P(Delta): theta on the right, zero on the left
-        if self.side == LEFT and not self.project(self.delta).is_zero():
+        if self.side == "left" and not self.project(self.delta).is_zero():
             raise InvalidQTA("left V-data needs P(Delta) = 0")
 
     def f_signature(self, arity):
-        return ((self.slot_label,) * arity, self.cod_label)
+        return self.spec.signature(arity)
 
     def in_f(self, m):
         dom, cod = self.f_signature(m.arity)
@@ -87,27 +82,16 @@ class VData:
 
     def project(self, total_map):
         """P: restriction of a total-space cochain to the F block."""
-        dom, cod = self.f_signature(total_map.arity)
-        return project(total_map, dom, cod)
+        return project(total_map, *self.f_signature(total_map.arity))
 
     def zero_cochain(self, arity):
-        dom, cod = self.f_signature(arity)
-        return MultilinearMap.zero(dom, cod, self.dims)
+        return MultilinearMap.zero(*self.f_signature(arity), self.dims)
 
     def basis_cochain(self, arity, row, k):
         """The basis cochain sending one domain tuple to one basis vector."""
         dom, cod = self.f_signature(arity)
-        z = MultilinearMap.zero(dom, cod, self.dims)
-        coeffs = list(z.coeffs)
-        coeffs[row * z.cod_size + k] = Fraction(1)
-        return MultilinearMap(dom, cod, self.dims, coeffs)
-
-
-def _basis_block_map(domain, codomain, dims, row=0, k=0):
-    z = MultilinearMap.zero(domain, codomain, dims)
-    coeffs = list(z.coeffs)
-    coeffs[row * z.cod_size + k] = Fraction(1)
-    return MultilinearMap(domain, codomain, dims, coeffs)
+        index = row * _label_size(cod, self.dims) + k
+        return MultilinearMap.unit(dom, cod, self.dims, index)
 
 
 def vdata(q, side):
@@ -135,7 +119,7 @@ class CurvedLInftyStructure:
     def __init__(self, v, shift=None):
         self.vdata = v
         self.side = v.side
-        self.max_bracket = 2 if v.side == RIGHT else 3
+        self.max_bracket = v.spec.max_bracket
         self.shift = shift
 
     def bracket(self, k, args):

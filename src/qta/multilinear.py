@@ -110,6 +110,14 @@ class MultilinearMap:
         return cls(domain, codomain, dims, [ZERO] * (_prod(sizes) * cod))
 
     @classmethod
+    def unit(cls, domain, codomain, dims, index):
+        """The map whose flat coefficient `index` is 1 and all others 0."""
+        sizes = tuple(_label_size(lab, dims) for lab in domain)
+        coeffs = [ZERO] * (_prod(sizes) * _label_size(codomain, dims))
+        coeffs[index] = ONE
+        return cls(domain, codomain, dims, coeffs)
+
+    @classmethod
     def from_function(cls, domain, codomain, dims, fn):
         """fn(basis_tuple) -> sequence of codomain coordinates."""
         sizes = [_label_size(lab, dims) for lab in domain]
@@ -432,6 +440,10 @@ def matrix_from_linear_map(f):
 
 
 # -- graded signs ------------------------------------------------------------
+
+def _sign(k):
+    return 1 if k % 2 == 0 else -1
+
 
 def koszul_sign(sigma, degrees):
     """Koszul sign of rearranging graded elements by a permutation.

@@ -5,11 +5,15 @@ import pytest
 from qta import (
     A, APRIME, AssociativeAlgebra, DimensionError, NotDeformationMap,
     SingularMap, UnknownKind, build_standard, check_associative,
-    check_representation, classify_operator, conjugation_twist, duality_check,
-    graph_residual, induced_left_structures, induced_right_structures,
-    left_residual, random_map, regular_representation, right_residual,
-    seeded_rng, twist_left, twist_right, validate,
+    check_representation, classify_operator, coboundary_apply,
+    coboundary_apply_expanded, coboundary_matrix, cohomology_dims,
+    conjugation_twist, controlling_structure, duality_check, emit_example,
+    explicit_formula, graph_residual, induced_left_structures,
+    induced_right_structures, left_residual, mc_residual, random_map,
+    regular_representation, right_residual, seeded_rng, twist_left,
+    twist_right, validate,
 )
+from qta.io import build_quasi_twilled, parse, side_map
 
 from conftest import (
     builder_instances, dual_numbers, left_map, one_dim_algebra, right_map,
@@ -307,3 +311,35 @@ def test_classify_failures_and_unknowns():
     bare = QuasiTwilledAlgebra(q.pi, q.xi, q.eta, q.beta, q.rho, q.mu, q.theta)
     with pytest.raises(UnknownKind):
         classify_operator(bare, right_map(q, [[2]]), "right")
+
+
+# -- unknown sides ---------------------------------------------------------
+
+_SIDEWAYS_CALLS = {
+    "cohomology_dims": lambda q, doc, b: cohomology_dims(q, b, "sideways", 2),
+    "coboundary_matrix":
+        lambda q, doc, b: coboundary_matrix(q, b, "sideways", 1),
+    "coboundary_apply":
+        lambda q, doc, b: coboundary_apply(q, b, "sideways", b),
+    "coboundary_apply_expanded":
+        lambda q, doc, b: coboundary_apply_expanded(q, b, "sideways", b),
+    "conjugation_twist":
+        lambda q, doc, b: conjugation_twist(q, b, "sideways"),
+    "classify_operator":
+        lambda q, doc, b: classify_operator(q, b, "sideways"),
+    "explicit_formula":
+        lambda q, doc, b: explicit_formula(q, "sideways", 1, [b]),
+    "controlling_structure":
+        lambda q, doc, b: controlling_structure(q, "sideways"),
+    "mc_residual": lambda q, doc, b: mc_residual(q, "sideways", b),
+    "side_map": lambda q, doc, b: side_map(doc, q, "B", "sideways"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SIDEWAYS_CALLS))
+def test_unknown_side_raises_valueerror(name):
+    doc = parse(emit_example("reynolds-dim1"))
+    q = build_quasi_twilled(doc)
+    b = side_map(doc, q, "B", "left")
+    with pytest.raises(ValueError, match="side must be 'right' or 'left'"):
+        _SIDEWAYS_CALLS[name](q, doc, b)
