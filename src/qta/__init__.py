@@ -16,7 +16,7 @@ from .algebras import (
 from .catalog import catalog_names, emit_example, get_entry
 from .cohomology import (
     coboundary_apply, coboundary_apply_expanded, coboundary_matrix,
-    cohomology_dims, l1_vs_d,
+    cochain_complex, cohomology_dims, l1_vs_d,
 )
 from .closed_formulas import explicit_formula, explicit_formula_check
 from .deformation import (
@@ -31,7 +31,9 @@ from .errors import (
     UnknownKind,
 )
 from .kernel import BACKEND as KERNEL_BACKEND
-from .linalg import ExactMatrix, invert, quotient_dim, rank, row_reduce
+from .linalg import (
+    ExactMatrix, SparseMatrix, invert, quotient_dim, rank, row_reduce,
+)
 from .linfty import (
     CurvedLInftyStructure, VData, controlling_structure, derived_bracket,
     jacobi_residual, mc_residual, suspended_bracket, twist_linfty, vdata,

@@ -77,4 +77,4 @@ def axpy(target, scalar, source):
         return
     for j, v in enumerate(source):
         if v:
-            target[j] += scalar * v
+            target[j] = target[j] + scalar * v or _ZERO

@@ -43,7 +43,11 @@ def _load(path):
 
 def _degree_cap():
     raw = os.environ.get("QTA_MAX_DEGREE", "").strip()
-    cap = int(raw) if raw else 3
+    try:
+        cap = int(raw) if raw else 3
+    except ValueError:
+        raise QtaError(
+            f"QTA_MAX_DEGREE must be an integer, got {raw!r}") from None
     return max(0, min(cap, MAX_DEGREE_CAP))
 
 

@@ -1,6 +1,8 @@
 """Exact rational linear algebra: row reduction, kernels, images, quotients.
 
-Plain Gaussian elimination over fractions.Fraction.  Everything here is
+Plain Gaussian elimination over fractions.Fraction on dense matrices, and
+a sparse matrix (nonzero entries only) with product and rank for the
+large, mostly-zero coboundary matrices.  Everything here is
 basis-explicit and exact; the contracts (ranks, dimensions, membership)
 are basis-independent.
 """
@@ -84,14 +86,14 @@ class ExactMatrix:
     def matmul(self, other):
         if self.ncols != other.nrows:
             raise DimensionError("matmul shape mismatch")
-        rows = []
+        entries = []
         for i in range(self.nrows):
             ri = self.row(i)
-            rows.append([
+            entries.extend(
                 sum((ri[k] * other.entries[k * other.ncols + j]
                      for k in range(self.ncols)), ZERO)
-                for j in range(other.ncols)])
-        return ExactMatrix.from_rows(rows)
+                for j in range(other.ncols))
+        return ExactMatrix(self.nrows, other.ncols, entries)
 
     def is_zero(self):
         return not any(self.entries)
@@ -104,6 +106,94 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.nrows}x{self.ncols})"
+
+
+class SparseMatrix:
+    """Rational matrix that stores only its nonzero entries, by row.
+
+    `rows` maps a row index to {column index: nonzero Fraction}; rows
+    without entries are absent.  The constructor drops zero values, so
+    equal matrices have equal `rows`.
+    """
+
+    __slots__ = ("nrows", "ncols", "rows")
+
+    def __init__(self, nrows, ncols, rows):
+        kept = {}
+        for i, row in rows.items():
+            row = {j: v for j, v in row.items() if v}
+            if row:
+                kept[i] = row
+        self.nrows = nrows
+        self.ncols = ncols
+        self.rows = kept
+
+    @classmethod
+    def from_dense(cls, m):
+        return cls(m.nrows, m.ncols,
+                   {i: dict(enumerate(m.row(i))) for i in range(m.nrows)})
+
+    def to_dense(self):
+        entries = [ZERO] * (self.nrows * self.ncols)
+        for i, row in self.rows.items():
+            base = i * self.ncols
+            for j, v in row.items():
+                entries[base + j] = v
+        return ExactMatrix(self.nrows, self.ncols, entries)
+
+    @property
+    def nnz(self):
+        return sum(len(row) for row in self.rows.values())
+
+    def matmul(self, other):
+        if self.ncols != other.nrows:
+            raise DimensionError("matmul shape mismatch")
+        out = {}
+        for i, row in self.rows.items():
+            acc = {}
+            for k, a in row.items():
+                for j, b in other.rows.get(k, {}).items():
+                    acc[j] = acc.get(j, ZERO) + a * b
+            out[i] = acc
+        return SparseMatrix(self.nrows, other.ncols, out)
+
+    def is_zero(self):
+        return not self.rows
+
+    def rank(self):
+        """Rank by exact elimination that touches only nonzero entries.
+
+        Rows are reduced one at a time against the pivot rows found so
+        far, each kept under its leading (smallest) column with leading
+        entry 1; shorter rows go first, which keeps the fill-in small.
+        """
+        pivots = {}
+        for row in sorted(self.rows.values(), key=len):
+            row = dict(row)
+            while row:
+                lead = min(row)
+                piv = pivots.get(lead)
+                if piv is None:
+                    scale = row[lead]
+                    pivots[lead] = {j: v / scale for j, v in row.items()}
+                    break
+                f = row[lead]
+                for j, v in piv.items():
+                    w = row.get(j, ZERO) - f * v
+                    if w:
+                        row[j] = w
+                    else:
+                        del row[j]
+        return len(pivots)
+
+    def __eq__(self, other):
+        if not isinstance(other, SparseMatrix):
+            return NotImplemented
+        return (self.nrows == other.nrows and self.ncols == other.ncols
+                and self.rows == other.rows)
+
+    def __repr__(self):
+        return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
 
 
 class RowReduction(NamedTuple):

@@ -127,7 +127,7 @@ class MultilinearMap:
             row = list(fn(t))
             if len(row) != cod:
                 raise DimensionError("value of wrong dimension at %r" % (t,))
-            coeffs.extend(Fraction(v) for v in row)
+            coeffs.extend(Fraction(v) if v else ZERO for v in row)
         return cls(domain, codomain, dims, coeffs)
 
     @classmethod
@@ -198,12 +198,14 @@ class MultilinearMap:
     def __add__(self, other):
         self._check_same_signature(other)
         return MultilinearMap(self.domain, self.codomain, self.dims,
-                              [a + b for a, b in zip(self.coeffs, other.coeffs)])
+                              [a + b if b else a
+                               for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
         self._check_same_signature(other)
         return MultilinearMap(self.domain, self.codomain, self.dims,
-                              [a - b for a, b in zip(self.coeffs, other.coeffs)])
+                              [a - b if b else a
+                               for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
         return self.scale(-1)
@@ -211,7 +213,7 @@ class MultilinearMap:
     def scale(self, scalar):
         s = Fraction(scalar)
         return MultilinearMap(self.domain, self.codomain, self.dims,
-                              [s * a for a in self.coeffs])
+                              [s * a if a else a for a in self.coeffs])
 
     def __rmul__(self, scalar):
         return self.scale(scalar)

@@ -4,14 +4,21 @@ import pytest
 
 from qta import (
     A, APRIME, AssociativeAlgebra, AssociativeRepresentation, Cocycle2,
-    MatchedPairData, MultilinearMap, build_standard, linear_map_from_matrix,
-    regular_representation,
+    MatchedPairData, MultilinearMap, build_standard, catalog_names,
+    emit_example, get_entry, linear_map_from_matrix, regular_representation,
 )
+from qta.io import build_quasi_twilled, parse, side_map
 
 # 1-dim algebra e.e = e
 ONE_DIM_TABLE = [[[1]]]
 # dual numbers K[t]/(t^2), basis (1, t)
 DUAL_TABLE = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
+# truncated polynomials K[t]/(t^3), basis (1, t, t^2)
+TRUNC3_TABLE = [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+    [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+]
 
 
 def one_dim_algebra():
@@ -20,6 +27,11 @@ def one_dim_algebra():
 
 def dual_numbers():
     return AssociativeAlgebra.from_table(DUAL_TABLE, 2, basis_names=["1", "t"])
+
+
+def trunc3():
+    return AssociativeAlgebra.from_table(TRUNC3_TABLE, 3,
+                                         basis_names=["1", "t", "t2"])
 
 
 @pytest.fixture
@@ -90,3 +102,27 @@ def builder_instances(alg):
         "matched_pair": build_standard(
             "matched_pair", matched_pair=regular_matched_pair(alg)),
     }
+
+
+def deformation_map_cases():
+    """(label, structure, map, side) for every deformation map of the
+    catalog, plus two on K[t]/(t^3) at dims (3,3): the derivation
+    D(t) = t + t^2, D(t^2) = 2 t^2 of the semidirect product with the
+    regular representation (right) and the Reynolds operator B = -id
+    (left)."""
+    alg = trunc3()
+    semi = build_standard("semidirect", rep=regular_representation(alg))
+    rey = build_standard("reynolds", algebra=alg)
+    out = [
+        ("trunc3-derivation", semi,
+         right_map(semi, [[0, 0, 0], [0, 1, 0], [0, 1, 2]]), "right"),
+        ("trunc3-reynolds", rey, left_map(rey, scaled_identity_rows(3, -1)),
+         "left"),
+    ]
+    for name in catalog_names():
+        doc = parse(emit_example(name))
+        q = build_quasi_twilled(doc)
+        for map_name, side in get_entry(name).deformation_maps:
+            out.append((f"{name} {map_name}", q,
+                        side_map(doc, q, map_name, side), side))
+    return out

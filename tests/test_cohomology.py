@@ -1,13 +1,20 @@
+from fractions import Fraction
+
 import pytest
 
+import qta.deformation
 from qta import (
-    A, APRIME, DegreeError, ExactMatrix, NotDeformationMap, build_standard,
-    coboundary_apply, coboundary_apply_expanded, coboundary_matrix,
-    cohomology_dims, l1_vs_d, quotient_dim, random_map,
-    regular_representation, row_reduce, seeded_rng,
+    A, APRIME, DegreeError, ExactMatrix, MultilinearMap, NotDeformationMap,
+    build_standard, coboundary_apply, coboundary_apply_expanded,
+    coboundary_matrix, cochain_complex, cohomology_dims, l1_vs_d,
+    quotient_dim, random_map, regular_representation, row_reduce, seeded_rng,
 )
+from qta.cohomology import cochain_space
+from qta.deformation import side_spec
 
-from conftest import dual_numbers, left_map, one_dim_algebra, right_map
+from conftest import (
+    deformation_map_cases, dual_numbers, left_map, one_dim_algebra, right_map,
+)
 
 
 def semidirect_one():
@@ -135,3 +142,83 @@ def test_degree_cap():
         cohomology_dims(q, right_map(q, [[0]]), "right", 6)
     with pytest.raises(DegreeError):
         cohomology_dims(q, right_map(q, [[0]]), "right", -1)
+
+
+def _degree0_column(q, m, side, k):
+    """(d a)(x) = act_l(x, a) - act_r(a, x) for the k-th basis vector a."""
+    _, act_l, act_r = side_spec(side).twisted_triple(q, m)
+    out = []
+    for x in range(act_l.slot_sizes[0]):
+        out.extend(u - v for u, v in zip(act_l.value((x, k)),
+                                          act_r.value((k, x))))
+    return out
+
+
+@pytest.mark.parametrize("label,q,m,side", [
+    pytest.param(*case, id=f"{case[0]} {case[3]}")
+    for case in deformation_map_cases()])
+def test_coboundary_columns_equal_the_slow_paths(label, q, m, side):
+    # every column of the sparse assembly, against d applied to the basis
+    # cochain through dense insertion, twisted and expanded
+    for n in range(4):
+        mat = coboundary_matrix(q, m, side, n)
+        if n == 0:
+            for k in range(mat.ncols):
+                assert mat.column(k) == _degree0_column(q, m, side, k)
+            continue
+        dom, cod = cochain_space(q, side, n)
+        for j in range(mat.ncols):
+            f = MultilinearMap.unit(dom, cod, q.dims, j)
+            col = mat.column(j)
+            assert col == list(coboundary_apply(q, m, side, f).coeffs)
+            assert col == list(
+                coboundary_apply_expanded(q, m, side, f).coeffs)
+
+
+def test_ranks_and_tables_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    qq = sympy.QQ
+    for label, q, m, side in deformation_map_cases():
+        mats = cochain_complex(q, m, side, 5)
+        ranks = []
+        for mat in mats:
+            rows = {i: {j: qq(v.numerator, v.denominator)
+                        for j, v in row.items()}
+                    for i, row in mat.rows.items()}
+            oracle = DomainMatrix(rows, (mat.nrows, mat.ncols), qq).rank()
+            assert mat.rank() == oracle, (label, mat)
+            ranks.append(oracle)
+        table = [mat.ncols - r - prev for mat, r, prev
+                 in zip(mats, ranks, [0] + ranks)]
+        assert cohomology_dims(q, m, side, 5) == table, label
+        if label.startswith("trunc3"):
+            assert table == [3, 2, 2, 2, 2, 2], label
+
+
+@pytest.mark.parametrize("side,twist_name,component", [
+    ("right", "twist_right", "pi"),
+    ("left", "twist_left", "xi"),
+])
+def test_perturbed_twist_fails_the_expanded_check(monkeypatch, side,
+                                                  twist_name, component):
+    q = build_standard("semidirect",
+                       rep=regular_representation(dual_numbers()))
+    m = (right_map(q, [[0, 0], [0, 1]]) if side == "right"
+         else left_map(q, [[0, 0], [0, 0]]))
+    assert cohomology_dims(q, m, side, 2)
+    honest = getattr(qta.deformation, twist_name)
+
+    def perturbed(q, m):
+        tw = honest(q, m)
+        g = getattr(tw, component)
+        coeffs = list(g.coeffs)
+        coeffs[0] += Fraction(1)
+        setattr(tw, component, MultilinearMap(g.domain, g.codomain, g.dims,
+                                              coeffs))
+        return tw
+
+    monkeypatch.setattr(qta.deformation, twist_name, perturbed)
+    with pytest.raises(AssertionError,
+                       match="structural and expanded coboundaries disagree"):
+        cohomology_dims(q, m, side, 2)

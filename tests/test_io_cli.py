@@ -223,6 +223,20 @@ def test_cli_cohomology_env_cap(tmp_path, capsys, monkeypatch):
     assert payload["details"]["capped"] is True
 
 
+def test_cli_cohomology_bad_env_cap_exit_2(tmp_path, capsys, monkeypatch):
+    path = _write_example(tmp_path, "semidirect-dim1")
+    monkeypatch.setenv("QTA_MAX_DEGREE", "abc")
+    argv = ["cohomology", "--map", "D", "--side", "right", path]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("QtaError: ") and "QTA_MAX_DEGREE" in err
+    assert "invalid literal" not in err
+    assert cli_main(argv + ["--json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "error" and payload["exit_status"] == 2
+    assert "QTA_MAX_DEGREE" in payload["details"]["error"]
+
+
 def test_cli_cohomology_nondeformation_exit_2(tmp_path, capsys):
     entry = get_entry("modified-lambda4-dim1")
     raw = json.loads(json.dumps(entry.document))

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from qta import (
-    ContainmentViolation, ExactMatrix, SingularMap, invert, quotient_dim,
-    rank, row_reduce,
+    ContainmentViolation, DimensionError, ExactMatrix, SingularMap,
+    SparseMatrix, invert,
+    quotient_dim, rank, row_reduce,
 )
 
 
@@ -104,3 +105,48 @@ def test_rref_idempotent():
         again = row_reduce(ExactMatrix.from_rows(red.rref))
         assert again.rref == red.rref
         assert again.rank == red.rank
+
+
+def _random_sparse_dense(rng, nr, nc, density):
+    return ExactMatrix(nr, nc, [
+        Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+        if rng.random() < density else 0 for _ in range(nr * nc)])
+
+
+def test_sparse_product_and_rank_equal_dense():
+    rng = random.Random(2024)
+    shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (4, 4, 4)]
+    shapes += [(rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7))
+               for _ in range(40)]
+    for nr, inner, nc in shapes:
+        for density in (0.0, 0.3, 1.0):
+            left = _random_sparse_dense(rng, nr, inner, density)
+            right = _random_sparse_dense(rng, inner, nc, density)
+            sl, sr = SparseMatrix.from_dense(left), SparseMatrix.from_dense(right)
+            assert sl.to_dense() == left
+            assert sl.nnz == sum(1 for e in left.entries if e)
+            product = sl.matmul(sr)
+            assert product.to_dense() == left.matmul(right)
+            assert product == SparseMatrix.from_dense(left.matmul(right))
+            assert product.is_zero() == left.matmul(right).is_zero()
+            assert sl.rank() == row_reduce(left).rank
+            assert sr.rank() == row_reduce(right).rank
+
+
+def test_sparse_rank_of_dependent_rows():
+    # rows built as combinations of a few, so the elimination must cancel
+    rng = random.Random(5)
+    for _ in range(20):
+        base = [[Fraction(rng.randint(-2, 2)) for _ in range(6)]
+                for _ in range(rng.randint(1, 3))]
+        rows = [[sum((c * b[j] for c, b in zip(coef, base)), Fraction(0))
+                 for j in range(6)]
+                for coef in ([Fraction(rng.randint(-2, 2), rng.choice([1, 3]))
+                              for _ in base] for _ in range(5))]
+        dense = ExactMatrix.from_rows(rows)
+        assert SparseMatrix.from_dense(dense).rank() == row_reduce(dense).rank
+
+
+def test_sparse_shape_mismatch():
+    with pytest.raises(DimensionError):
+        SparseMatrix(2, 3, {}).matmul(SparseMatrix(2, 3, {}))
