@@ -9,12 +9,17 @@ two agree (it always should -- a False is a sign bug somewhere).
 All formula evaluators take block cochains (the F-side signature of the
 structure) and return block cochains, so results compare directly with
 CurvedLInftyStructure.bracket output.
+
+`explicit_formula` reads one table keyed by (builder kind, side) that maps
+each k either to a formula or to "zero"; the (kind, side) pairs it covers
+are exactly those the builder-kind table in `qta.quasitwilled` names an
+operator for.
 """
 
 from __future__ import annotations
 
 from .deformation import side_spec
-from .errors import UnknownKind
+from .errors import DegreeError, UnknownKind
 from .linfty import controlling_structure
 from .multilinear import A, APRIME, MultilinearMap, _sign, insert
 
@@ -182,84 +187,72 @@ def matched_pair_coboundary(xi, eta, beta, f):
     return out
 
 
-# -- dispatch -----------------------------------------------------------------
+# -- the table ----------------------------------------------------------------
+#
+# (kind, side) -> {k: formula(q, *args) or _ZERO}.  The formulas call the
+# public functions above through their module-global names at call time,
+# so a wrapper installed over one of them (the perfbench tracer) sees the
+# call.  A zero l_k on cochains of arities a_1..a_k has arity
+# a_1 + ... + a_k - k + 2.
 
-def _zero(q, side, arity):
-    return MultilinearMap.zero(*side_spec(side).signature(arity), q.dims)
-
-
-def _right_formula(q, k, args):
-    kind = q.kind
-    if kind == "modified_direct_sum":
-        if k == 0:
-            return modified_l0(q)
-        if k == 1:
-            return _zero(q, "right", args[0].arity + 1)
-        if k == 2:
-            return modified_l2(q, *args)
-    elif kind in ("semidirect", "semidirect_assoc"):
-        if k == 0:
-            return _zero(q, "right", 2)
-        if k == 1:
-            return action_coboundary(q.rho, q.mu, q.pi, args[0])
-        if k == 2:
-            if kind == "semidirect":
-                return _zero(q, "right", args[0].arity + args[1].arity)
-            f, g = args
-            return prime_product_bracket(q.beta, f, g).scale(
-                _sign(f.arity - 1))
-    elif kind == "direct_product":
-        if k == 0:
-            return _zero(q, "right", 2)
-        if k == 1:
-            return product_coboundary(q.pi, args[0])
-        if k == 2:
-            f, g = args
-            return prime_product_bracket(q.beta, f, g).scale(
-                _sign(f.arity - 1))
-    return None
+_ZERO = "zero"
 
 
-def _left_formula(q, k, args):
-    kind = q.kind
-    if kind in ("semidirect", "abelian_extension", "reynolds"):
-        pi, rho, mu = q.pi, q.rho, q.mu
-        if k == 1:
-            return _zero(q, "left", args[0].arity + 1)
-        if k == 2:
-            if kind == "semidirect":
-                f1, f2 = args
-                return oop_bracket(pi, rho, mu, f1, f2).scale(
-                    _sign(f1.arity - 1))
-            return extension_l2(pi, rho, mu, *args)
-        if k == 3:
-            if kind == "semidirect":
-                arity = sum(a.arity for a in args) - 1
-                return _zero(q, "left", arity)
-            return extension_l3(q.theta, *args)
-    elif kind == "matched_pair":
-        if k == 1:
-            return matched_pair_coboundary(q.xi, q.eta, q.beta, args[0])
-        if k == 2:
-            f1, f2 = args
-            return oop_bracket(q.pi, q.rho, q.mu, f1, f2).scale(
-                _sign(f1.arity - 1))
-        if k == 3:
-            arity = sum(a.arity for a in args) - 1
-            return _zero(q, "left", arity)
-    return None
+def _action_d(q, f):
+    return action_coboundary(q.rho, q.mu, q.pi, f)
+
+
+def _prime_bracket(q, f, g):
+    return prime_product_bracket(q.beta, f, g).scale(_sign(f.arity - 1))
+
+
+def _oop(q, f1, f2):
+    return oop_bracket(q.pi, q.rho, q.mu, f1, f2).scale(_sign(f1.arity - 1))
+
+
+_EXTENSION = {
+    1: _ZERO,
+    2: lambda q, f1, f2: extension_l2(q.pi, q.rho, q.mu, f1, f2),
+    3: lambda q, f1, f2, f3: extension_l3(q.theta, f1, f2, f3),
+}
+
+_FORMULAS = {
+    ("modified_direct_sum", "right"): {
+        0: lambda q: modified_l0(q),
+        1: _ZERO,
+        2: lambda q, f, g: modified_l2(q, f, g)},
+    ("semidirect", "right"): {0: _ZERO, 1: _action_d, 2: _ZERO},
+    ("semidirect_assoc", "right"): {
+        0: _ZERO, 1: _action_d, 2: _prime_bracket},
+    ("direct_product", "right"): {
+        0: _ZERO,
+        1: lambda q, f: product_coboundary(q.pi, f),
+        2: _prime_bracket},
+    ("semidirect", "left"): {1: _ZERO, 2: _oop, 3: _ZERO},
+    ("abelian_extension", "left"): _EXTENSION,
+    ("reynolds", "left"): _EXTENSION,
+    ("matched_pair", "left"): {
+        1: lambda q, f: matched_pair_coboundary(q.xi, q.eta, q.beta, f),
+        2: _oop,
+        3: _ZERO},
+}
 
 
 def explicit_formula(q, side, k, args):
     """The closed formula for l_k, or UnknownKind."""
     if q.kind is None:
         raise UnknownKind("no builder provenance, no closed formula")
-    side_spec(side)  # rejects an unknown side
-    out = (_right_formula if side == "right" else _left_formula)(q, k, args)
-    if out is None:
+    spec = side_spec(side)  # rejects an unknown side
+    if len(args) != k:
+        raise DegreeError(f"l_{k} needs {k} arguments, got {len(args)}")
+    formula = _FORMULAS.get((q.kind, side), {}).get(k)
+    if formula is None:
         raise UnknownKind(
             f"no closed formula for kind={q.kind}, side={side}, k={k}")
-    return out
+    if formula is _ZERO:
+        arity = sum(a.arity for a in args) - k + 2
+        return MultilinearMap.zero(*spec.signature(arity), q.dims)
+    return formula(q, *args)
 
 
 def explicit_formula_check(q, side, k, args):

@@ -18,7 +18,10 @@ asserted equal entry for entry, and d_(n+1) d_n = 0 is asserted as a
 sparse product.  Ranks come from sparse exact elimination.  The dense
 `coboundary_apply` (twisted components) and `coboundary_apply_expanded`
 (the same sum spelled out) apply d to one cochain; they are the slow
-oracles the sparse assembly is tested against.
+oracles the sparse assembly is tested against.  Each form of d is written
+once, as a (left, inner, right) table of plugged binary maps that both
+the sparse assembly and the dense evaluator read.  Degrees are capped at
+MAX_DEGREE_CAP, for one matrix as for a complex.
 
 Basis order of C^n: lexicographic over domain basis tuples, crossed with
 the codomain index (the flat coefficient layout of MultilinearMap), so
@@ -30,7 +33,7 @@ from __future__ import annotations
 from .deformation import side_spec
 from .errors import DegreeError
 from .linalg import ZERO, SparseMatrix
-from .multilinear import _label_size, _sign, insert
+from .multilinear import _label_size, _sign, insert, msum
 from .linfty import controlling_structure
 
 MAX_DEGREE_CAP = 5
@@ -41,61 +44,44 @@ def cochain_space(q, side, n):
     return side_spec(side).signature(n)
 
 
-def coboundary_apply(q, m, side, f):
-    """d f via the twisted components, for f in C^n, n >= 1."""
-    prod, act_l, act_r = side_spec(side).twisted_triple(q, m)
+def _check_cochain(q, side, f):
     n = f.arity
     if f.signature() != cochain_space(q, side, n) or f.dims != q.dims:
         raise DegreeError(f"not a {side}-side {n}-cochain")
-    out = insert(act_l, f, 1)
-    for i in range(1, n + 1):
-        out = out + insert(f, prod, i - 1).scale(_sign(i))
-    out = out + insert(act_r, f, 0).scale(_sign(n + 1))
-    return out
+
+
+def coboundary_apply(q, m, side, f):
+    """d f via the twisted components, for f in C^n, n >= 1."""
+    terms = _structural_terms(q, m, side)
+    _check_cochain(q, side, f)
+    return _evaluate(terms, f)
 
 
 def coboundary_apply_expanded(q, m, side, f):
     """d f spelled out through the original components and the map.
 
-    Must agree with coboundary_apply; `_expanded_terms` is the same sum in
-    the form the sparse assembly reads.
+    Must agree with coboundary_apply.  Both evaluate a term table with
+    `_evaluate`, and the sparse assembly reads the same tables.
     """
+    _check_cochain(q, side, f)
+    return _evaluate(_expanded_terms(q, m, side), f)
+
+
+def _evaluate(terms, f):
+    """d f, evaluated densely from the (left, inner, right) terms of
+    `_assemble`."""
+    left, inner, right = terms
     n = f.arity
-    if f.signature() != cochain_space(q, side, n) or f.dims != q.dims:
-        raise DegreeError(f"not a {side}-side {n}-cochain")
-    if side == "right":
-        d = m
-        # action from the left: rho(x1, f(...)) + beta(D x1, f(...)) - D(xi(x1, f(...)))
-        out = (insert(q.rho, f, 1)
-               + insert(insert(q.beta, d, 0), f, 1)
-               - insert(d, insert(q.xi, f, 1), 0))
-        for i in range(1, n + 1):
-            mid = (insert(f, q.pi, i - 1)
-                   + insert(f, insert(q.eta, d, 0), i - 1)
-                   + insert(f, insert(q.xi, d, 1), i - 1))
-            out = out + mid.scale(_sign(i))
-        tail = (insert(q.mu, f, 0)
-                + insert(insert(q.beta, d, 1), f, 0)
-                - insert(d, insert(q.eta, f, 0), 0))
-        return out + tail.scale(_sign(n + 1))
-    b = m
-    # action from the left: eta(u1, f(...)) + pi(B u1, f(...))
-    #   - B(mu(u1, f(...))) - B(theta(B u1, f(...)))
-    out = (insert(q.eta, f, 1)
-           + insert(insert(q.pi, b, 0), f, 1)
-           - insert(b, insert(q.mu, f, 1), 0)
-           - insert(b, insert(insert(q.theta, b, 0), f, 1), 0))
-    for i in range(1, n + 1):
-        mid = (insert(f, q.beta, i - 1)
-               + insert(f, insert(q.rho, b, 0), i - 1)
-               + insert(f, insert(q.mu, b, 1), i - 1)
-               + insert(f, insert(insert(q.theta, b, 0), b, 1), i - 1))
-        out = out + mid.scale(_sign(i))
-    tail = (insert(q.xi, f, 0)
-            + insert(insert(q.pi, b, 1), f, 0)
-            - insert(b, insert(q.rho, f, 0), 0)
-            - insert(b, insert(insert(q.theta, b, 1), f, 0), 0))
-    return out + tail.scale(_sign(n + 1))
+
+    def post(p, m):
+        return m if p is None else insert(p, m, 0)
+
+    return msum(
+        [post(p, insert(g, f, 1)).scale(s) for g, s, p in left]
+        + [insert(f, g, i - 1).scale(_sign(i))
+           for i in range(1, n + 1) for g in inner]
+        + [post(p, insert(g, f, 0)).scale(s * _sign(n + 1))
+           for g, s, p in right])
 
 
 def _structural_terms(q, m, side):
@@ -105,7 +91,8 @@ def _structural_terms(q, m, side):
 
 
 def _expanded_terms(q, m, side):
-    """d as coboundary_apply_expanded spells it out, summand by summand.
+    """d spelled out summand by summand: the terms of
+    coboundary_apply_expanded.
 
     Built from the seven original components and the map alone; the
     twist is never computed.
@@ -234,11 +221,14 @@ def coboundary_matrix(q, m, side, n):
     """Matrix of d: C^n -> C^(n+1) in the lexicographic cochain basis.
 
     The dense export of the sparse matrix, asserted equal to its expanded
-    form.  Requires the map to be a deformation map.
+    form.  Requires the map to be a deformation map; n is hard-capped at 5,
+    like the degrees of `cochain_complex`.
     """
     side_spec(side).require_deformation(q, m)
     if n < 0:
         raise DegreeError("cochain degree must be >= 0")
+    if n > MAX_DEGREE_CAP:
+        raise DegreeError(f"cochain degree capped at {MAX_DEGREE_CAP}")
     return _coboundaries(q, m, side, [n])[0].to_dense()
 
 

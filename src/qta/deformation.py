@@ -20,7 +20,7 @@ from .multilinear import (
     A, APRIME, TOTAL, MultilinearMap, SpaceLabel, insert, lift,
     linear_map_from_matrix, matrix_from_linear_map, msum, project,
 )
-from .quasitwilled import QuasiTwilledAlgebra
+from .quasitwilled import _KINDS, QuasiTwilledAlgebra
 
 
 class _Side(NamedTuple):
@@ -269,35 +269,21 @@ def induced_left_structures(q, b):
     return _induced_structures(q, b, "left")
 
 
-_OPERATOR_NAMES = {
-    ("right", "modified_direct_sum"):
-        "modified Rota-Baxter operator of weight {weight}",
-    ("right", "semidirect"): "derivation",
-    ("right", "semidirect_assoc"): "crossed homomorphism",
-    ("right", "direct_product"): "associative algebra homomorphism",
-    ("left", "semidirect"): "relative Rota-Baxter operator of weight 0",
-    ("left", "abelian_extension"): "twisted Rota-Baxter operator",
-    ("left", "reynolds"): "Reynolds operator",
-    ("left", "matched_pair"): "deformation map of a matched pair",
-}
-
-
 def classify_operator(q, m, side):
     """Name of the operator the map realizes, keyed on builder provenance.
 
     Returns "not a deformation map" when the residual is nonzero, the
-    classical operator name when (builder kind, side) has one, and the
-    generic side name otherwise.  Hand-built structures (no provenance)
-    raise UnknownKind.
+    classical operator name when the builder kind's row (in
+    `qta.quasitwilled`) names one for the side, and the generic side name
+    otherwise.  Hand-built structures (no provenance) raise UnknownKind.
     """
     if q.kind is None:
         raise UnknownKind("structure was not produced by build_standard")
     res = side_spec(side).residual(q, m)
     if not res.is_zero():
         return "not a deformation map"
-    name = _OPERATOR_NAMES.get((side, q.kind))
+    row = _KINDS.get(q.kind)
+    name = getattr(row, side, None)
     if name is None:
         return f"{side} deformation map"
-    if "{weight}" in name:
-        name = name.format(weight=q.ingredients.get("weight"))
-    return name
+    return name.format(**{key: q.ingredients.get(key) for key in row.scalars})

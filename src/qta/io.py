@@ -6,9 +6,9 @@ An input document is a single JSON object:
       "field": "rational",
       "spaces": {"A":      {"dim": 2, "basis": ["1", "t"]},
                  "Aprime": {"dim": 2, "basis": ["1'", "t'"]}},
-      "builder": {"kind": "semidirect",
+      "builder": {"kind": ...,              # one of BUILDER_KINDS
                   "tables": {"product": ..., "rho": ..., "mu": ...},
-                  "weight": "4"},          # modified_direct_sum only
+                  "weight": "4"},          # the kind's scalars, if any
       "components": {"pi": ..., "theta": ...},   # alternative to builder
       "maps": {"D": [["0", "0"], ["0", "1"]]}
     }
@@ -22,6 +22,13 @@ image of the j-th domain basis vector.
 
 Exactly one of "builder" / "components" must be present.  Missing
 component tables in the "components" form default to zero.
+
+The tables and scalars a builder kind takes, how they become
+`build_standard` ingredients and whether dim A' must equal dim A are read
+from the kind's row of the builder-kind table in `qta.quasitwilled`.  A
+builder table has the shape of the component it fills: `product` is pi,
+`product_prime` is beta, `omega` is theta, and rho, mu, eta, xi keep
+their names.
 """
 
 from __future__ import annotations
@@ -30,39 +37,28 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebras import (
-    AssociativeAlgebra, AssociativeRepresentation, Cocycle2, MatchedPairData,
-    RepresentationPair,
-)
 from .deformation import side_spec
 from .errors import DimensionError, ParseError, SchemaError, UnknownKind
-from .multilinear import (
-    A, APRIME, MultilinearMap, _label_size, linear_map_from_matrix,
-)
+from .multilinear import MultilinearMap, _label_size, linear_map_from_matrix
 from .quasitwilled import (
-    BUILDER_KINDS, COMPONENT_SIGNATURES, QuasiTwilledAlgebra, build_standard,
+    _KINDS, BUILDER_KINDS, COMPONENT_SIGNATURES, QuasiTwilledAlgebra,
+    build_standard,
 )
 
-_BUILDER_TABLES = {
-    "modified_direct_sum": ("product",),
-    "semidirect": ("product", "rho", "mu"),
-    "semidirect_assoc": ("product", "product_prime", "rho", "mu"),
-    "direct_product": ("product", "product_prime"),
-    "abelian_extension": ("product", "rho", "mu", "omega"),
-    "reynolds": ("product",),
-    "matched_pair": ("product", "product_prime", "rho", "mu", "eta", "xi"),
-}
+# builder tables that are components under another name; the rest
+# (rho, mu, eta, xi) keep their component names
+_TABLE_COMPONENTS = {"product": "pi", "product_prime": "beta",
+                     "omega": "theta"}
 
-# (slot labels, codomain label) of each builder table, in a/ap letters
-_TABLE_SIGNATURES = {
-    "product": ("a", "a", "a"),
-    "product_prime": ("p", "p", "p"),
-    "rho": ("a", "p", "p"),
-    "mu": ("p", "a", "p"),
-    "eta": ("p", "a", "a"),
-    "xi": ("a", "p", "a"),
-    "omega": ("a", "a", "p"),
-}
+
+def _signature(name):
+    """(domain labels, codomain label) of a builder table or a component."""
+    return COMPONENT_SIGNATURES[_TABLE_COMPONENTS.get(name, name)]
+
+
+def _shape(name, dims):
+    dom, cod = _signature(name)
+    return tuple(_label_size(label, dims) for label in (*dom, cod))
 
 
 def parse_fraction(text, path):
@@ -113,7 +109,7 @@ class InputDocument:
     dim_aprime: int
     basis_a: list
     basis_aprime: list
-    builder: dict | None = None      # {"kind", "tables", maybe "weight"}
+    builder: dict | None = None      # {"kind", "tables", scalars}
     components: dict | None = None   # name -> nested Fraction table
     maps: dict = field(default_factory=dict)  # name -> row-major Fractions
 
@@ -121,10 +117,6 @@ class InputDocument:
         if not isinstance(other, InputDocument):
             return NotImplemented
         return self.to_dict() == other.to_dict()
-
-
-def _space_sizes(doc, letters):
-    return tuple(doc.dim_a if c == "a" else doc.dim_aprime for c in letters)
 
 
 def parse(text):
@@ -162,6 +154,7 @@ def parse(text):
     dim_a, basis_a = space("A")
     dim_ap, basis_ap = space("Aprime")
     doc = InputDocument(dim_a, dim_ap, basis_a, basis_ap)
+    dims = (dim_a, dim_ap)
 
     has_builder = "builder" in raw
     has_components = "components" in raw
@@ -175,9 +168,9 @@ def parse(text):
         kind = b.get("kind")
         if kind not in BUILDER_KINDS:
             raise SchemaError(f"builder.kind must be one of {BUILDER_KINDS}")
-        wanted = _BUILDER_TABLES[kind]
-        allowed_keys = {"kind", "tables"} | (
-            {"weight"} if kind == "modified_direct_sum" else set())
+        row = _KINDS[kind]
+        wanted = row.tables
+        allowed_keys = {"kind", "tables", *row.scalars}
         if set(b) - allowed_keys:
             raise SchemaError(
                 f"builder: unknown keys {sorted(set(b) - allowed_keys)}")
@@ -187,15 +180,13 @@ def parse(text):
                 f"builder.tables for {kind} must be exactly {sorted(wanted)}")
         tables = {}
         for name in wanted:
-            shape = _space_sizes(doc, _TABLE_SIGNATURES[name])
-            tables[name] = _parse_table(tables_node[name], shape,
+            tables[name] = _parse_table(tables_node[name], _shape(name, dims),
                                         f"builder.tables.{name}")
         builder = {"kind": kind, "tables": tables}
-        if kind == "modified_direct_sum":
-            if "weight" not in b:
-                raise SchemaError("builder.weight required for "
-                                  "modified_direct_sum")
-            builder["weight"] = parse_fraction(b["weight"], "builder.weight")
+        for key in row.scalars:
+            if key not in b:
+                raise SchemaError(f"builder.{key} required for {kind}")
+            builder[key] = parse_fraction(b[key], f"builder.{key}")
         doc.builder = builder
     else:
         c = raw["components"]
@@ -204,13 +195,9 @@ def parse(text):
         extra = set(c) - set(COMPONENT_SIGNATURES)
         if extra:
             raise SchemaError(f"components: unknown names {sorted(extra)}")
-        comps = {}
-        letters = {"pi": "aaa", "xi": "apa", "eta": "paa", "beta": "ppp",
-                   "rho": "app", "mu": "pap", "theta": "aap"}
-        for name, node in c.items():
-            shape = _space_sizes(doc, letters[name])
-            comps[name] = _parse_table(node, shape, f"components.{name}")
-        doc.components = comps
+        doc.components = {
+            name: _parse_table(node, _shape(name, dims), f"components.{name}")
+            for name, node in c.items()}
 
     maps_node = raw.get("maps", {})
     if not isinstance(maps_node, dict):
@@ -243,9 +230,8 @@ def to_dict(doc):
         },
     }
     if doc.builder is not None:
-        b = {"kind": doc.builder["kind"]}
-        if "weight" in doc.builder:
-            b["weight"] = format_fraction(doc.builder["weight"])
+        b = {key: value if key == "kind" else format_fraction(value)
+             for key, value in doc.builder.items() if key != "tables"}
         b["tables"] = {name: _format_table(t)
                        for name, t in sorted(doc.builder["tables"].items())}
         out["builder"] = b
@@ -269,54 +255,23 @@ def build_quasi_twilled(doc):
     """Assemble the split structure a document describes."""
     dims = (doc.dim_a, doc.dim_aprime)
     if doc.components is not None:
-        comps = {}
-        for name, table in doc.components.items():
-            dom, cod = COMPONENT_SIGNATURES[name]
-            comps[name] = MultilinearMap.from_table(table, dom, cod, dims)
+        comps = {name: MultilinearMap.from_table(t, *_signature(name), dims)
+                 for name, t in doc.components.items()}
         return QuasiTwilledAlgebra.from_components(
             dims, basis_a=doc.basis_a, basis_aprime=doc.basis_aprime, **comps)
 
     kind = doc.builder["kind"]
-    tables = doc.builder["tables"]
-
-    def bmap(name):
-        letters = _TABLE_SIGNATURES[name]
-        lab = tuple(A if c == "a" else APRIME for c in letters)
-        return MultilinearMap.from_table(tables[name], lab[:2], lab[2], dims)
-
-    def algebra_a():
-        return AssociativeAlgebra(bmap("product"), doc.basis_a)
-
-    if kind in ("modified_direct_sum", "reynolds"):
-        if doc.dim_a != doc.dim_aprime:
-            raise SchemaError(f"{kind} needs dim A == dim Aprime")
-    if kind == "modified_direct_sum":
-        q = build_standard(kind, algebra=algebra_a(),
-                           weight=doc.builder["weight"])
-    elif kind == "semidirect":
-        rep = RepresentationPair(algebra_a(), bmap("rho"), bmap("mu"))
-        q = build_standard(kind, rep=rep)
-    elif kind == "semidirect_assoc":
-        ar = AssociativeRepresentation(algebra_a(), bmap("rho"), bmap("mu"),
-                                       bmap("product_prime"))
-        q = build_standard(kind, assoc_rep=ar)
-    elif kind == "direct_product":
-        q = build_standard(kind, algebra=algebra_a(),
-                           algebra_prime=AssociativeAlgebra(
-                               bmap("product_prime"), doc.basis_aprime))
-    elif kind == "abelian_extension":
-        rep = RepresentationPair(algebra_a(), bmap("rho"), bmap("mu"))
-        q = build_standard(kind, cocycle=Cocycle2(rep, bmap("omega")))
-    elif kind == "reynolds":
-        q = build_standard(kind, algebra=algebra_a())
-    elif kind == "matched_pair":
-        mp = MatchedPairData(
-            algebra_a(),
-            AssociativeAlgebra(bmap("product_prime"), doc.basis_aprime),
-            bmap("rho"), bmap("mu"), bmap("eta"), bmap("xi"))
-        q = build_standard(kind, matched_pair=mp)
-    else:
+    if kind not in BUILDER_KINDS:
         raise UnknownKind(kind)
+    row = _KINDS[kind]
+    if row.same_dims and doc.dim_a != doc.dim_aprime:
+        raise SchemaError(f"{kind} needs dim A == dim Aprime")
+    maps = {name: MultilinearMap.from_table(t, *_signature(name), dims)
+            for name, t in doc.builder["tables"].items()}
+    ingredients = row.from_tables(maps, doc.basis_a, doc.basis_aprime)
+    for key in row.scalars:
+        ingredients[key] = doc.builder[key]
+    q = build_standard(kind, **ingredients)
     q.basis_a = list(doc.basis_a)
     q.basis_aprime = list(doc.basis_aprime)
     return q

@@ -36,14 +36,13 @@ class VData:
     block projection.
     """
 
-    def __init__(self, q, side, _checked=False):
+    def __init__(self, q, side):
         self.spec = side_spec(side)
         self.q = q
         self.side = side
         self.dims = q.dims
         self.delta = total_product(q)
-        if not _checked:
-            self._verify()
+        self._verify()
 
     def _verify(self):
         if not validate(self.q).is_zero():

@@ -22,9 +22,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebras import (
-    AssociativeAlgebra, Cocycle2, check_associative,
-    check_associative_representation, check_matched_pair,
-    check_representation, regular_representation,
+    AssociativeAlgebra, AssociativeRepresentation, Cocycle2, MatchedPairData,
+    RepresentationPair, check_associative, check_associative_representation,
+    check_matched_pair, check_representation, regular_representation,
 )
 from .errors import DimensionError, IngredientError, UnknownKind
 from .multilinear import (
@@ -43,11 +43,6 @@ COMPONENT_SIGNATURES = {
 }
 
 COMPONENT_NAMES = tuple(COMPONENT_SIGNATURES)
-
-BUILDER_KINDS = (
-    "modified_direct_sum", "semidirect", "semidirect_assoc", "direct_product",
-    "abelian_extension", "reynolds", "matched_pair",
-)
 
 
 class QuasiTwilledAlgebra:
@@ -228,39 +223,33 @@ def _require_assoc(alg, what):
 def build_standard(kind, **ingredients):
     """Instantiate one of the stock split structures.
 
+    The kind's row of `_KINDS` (the builder-kind table at the end of this
+    module) names the builder and the keywords it reads, in order; other
+    keywords are ignored and the result records the kind as `q.kind`.
+
     kinds and ingredients:
       modified_direct_sum   algebra, weight
-      semidirect            algebra, rep
-      semidirect_assoc      algebra, assoc_rep
+      semidirect            rep
+      semidirect_assoc      assoc_rep
       direct_product        algebra, algebra_prime
-      abelian_extension     algebra, rep, cocycle
+      abelian_extension     cocycle
       reynolds              algebra
       matched_pair          matched_pair (MatchedPairData)
 
     Ingredients are checked first (IngredientError on failure); the output
     then satisfies the structure equations.
     """
-    if kind == "modified_direct_sum":
-        return _build_modified(ingredients["algebra"],
-                               Fraction(ingredients["weight"]))
-    if kind == "semidirect":
-        return _build_semidirect(ingredients["rep"])
-    if kind == "semidirect_assoc":
-        return _build_semidirect_assoc(ingredients["assoc_rep"])
-    if kind == "direct_product":
-        return _build_direct_product(ingredients["algebra"],
-                                     ingredients["algebra_prime"])
-    if kind == "abelian_extension":
-        return _build_abelian_extension(ingredients["cocycle"])
-    if kind == "reynolds":
-        return _build_reynolds(ingredients["algebra"])
-    if kind == "matched_pair":
-        return _build_matched_pair(ingredients["matched_pair"])
-    raise UnknownKind(f"unknown builder kind {kind!r}")
+    if kind not in BUILDER_KINDS:
+        raise UnknownKind(f"unknown builder kind {kind!r}")
+    row = _KINDS[kind]
+    q = row.build(*(ingredients[k] for k in row.keywords))
+    q.kind = kind
+    return q
 
 
 def _build_modified(alg, weight):
     """A + A with (x,u)(y,v) = (x.v + u.y, weight*(x.y) + u.v)."""
+    weight = Fraction(weight)
     _require_assoc(alg, "algebra")
     d = alg.dim
     dims = (d, d)
@@ -271,7 +260,6 @@ def _build_modified(alg, weight):
         eta=prod.relabel((APRIME, A), A),
         beta=prod.relabel((APRIME, APRIME), APRIME),
         theta=prod.relabel((A, A), APRIME).scale(weight),
-        kind="modified_direct_sum",
         ingredients={"algebra": alg, "weight": weight},
         basis_a=alg.basis_names,
         basis_aprime=[n + "'" for n in alg.basis_names])
@@ -286,7 +274,6 @@ def _build_semidirect(rep):
         dims,
         pi=rep.algebra.product.with_dims(dims),
         rho=rep.rho, mu=rep.mu,
-        kind="semidirect",
         ingredients={"algebra": rep.algebra, "rep": rep},
         basis_a=rep.algebra.basis_names)
 
@@ -303,7 +290,6 @@ def _build_semidirect_assoc(ar):
         pi=ar.algebra.product.with_dims(dims),
         beta=ar.prime_product,
         rho=ar.rho, mu=ar.mu,
-        kind="semidirect_assoc",
         ingredients={"algebra": ar.algebra, "assoc_rep": ar},
         basis_a=ar.algebra.basis_names)
 
@@ -317,7 +303,6 @@ def _build_direct_product(alg, alg_prime):
         dims,
         pi=alg.product.with_dims(dims),
         beta=alg_prime.product.relabel((APRIME, APRIME), APRIME, dims),
-        kind="direct_product",
         ingredients={"algebra": alg, "algebra_prime": alg_prime},
         basis_a=alg.basis_names,
         basis_aprime=alg_prime.basis_names)
@@ -339,7 +324,6 @@ def _build_abelian_extension(cocycle):
         pi=rep.algebra.product.with_dims(dims),
         rho=rep.rho, mu=rep.mu,
         theta=cocycle.omega,
-        kind="abelian_extension",
         ingredients={"algebra": rep.algebra, "rep": rep,
                      "omega": cocycle.omega},
         basis_a=rep.algebra.basis_names)
@@ -358,7 +342,6 @@ def _build_reynolds(alg):
     q = _build_abelian_extension(Cocycle2(rep, omega))
     return QuasiTwilledAlgebra(
         q.pi, q.xi, q.eta, q.beta, q.rho, q.mu, q.theta,
-        kind="reynolds",
         ingredients={"algebra": alg, "rep": rep, "omega": omega},
         basis_a=alg.basis_names,
         basis_aprime=[n + "'" for n in alg.basis_names])
@@ -379,7 +362,97 @@ def _build_matched_pair(mp):
         pi=mp.alg_a.product.with_dims(dims),
         beta=mp.alg_prime.product.with_dims(dims),
         rho=mp.rho, mu=mp.mu, eta=mp.eta, xi=mp.xi,
-        kind="matched_pair",
         ingredients={"matched_pair": mp},
         basis_a=mp.alg_a.basis_names,
         basis_aprime=mp.alg_prime.basis_names)
+
+
+# -- the catalogue of builder kinds -------------------------------------------
+#
+# Ingredient functions turn a document's builder tables (as maps, keyed by
+# table name) and its two bases into `build_standard` keywords.
+
+
+def _doc_algebra(t, basis_a, basis_aprime):
+    return {"algebra": AssociativeAlgebra(t["product"], basis_a)}
+
+
+def _doc_rep(t, basis_a):
+    return RepresentationPair(AssociativeAlgebra(t["product"], basis_a),
+                              t["rho"], t["mu"])
+
+
+def _doc_semidirect(t, basis_a, basis_aprime):
+    return {"rep": _doc_rep(t, basis_a)}
+
+
+def _doc_semidirect_assoc(t, basis_a, basis_aprime):
+    return {"assoc_rep": AssociativeRepresentation(
+        AssociativeAlgebra(t["product"], basis_a), t["rho"], t["mu"],
+        t["product_prime"])}
+
+
+def _doc_direct_product(t, basis_a, basis_aprime):
+    return {**_doc_algebra(t, basis_a, basis_aprime),
+            "algebra_prime": AssociativeAlgebra(t["product_prime"],
+                                                basis_aprime)}
+
+
+def _doc_abelian_extension(t, basis_a, basis_aprime):
+    return {"cocycle": Cocycle2(_doc_rep(t, basis_a), t["omega"])}
+
+
+def _doc_matched_pair(t, basis_a, basis_aprime):
+    return {"matched_pair": MatchedPairData(
+        AssociativeAlgebra(t["product"], basis_a),
+        AssociativeAlgebra(t["product_prime"], basis_aprime),
+        t["rho"], t["mu"], t["eta"], t["xi"])}
+
+
+class _Kind(NamedTuple):
+    """One row of the paper's catalogue: a builder kind and its data."""
+
+    build: object           # the _build_* function
+    keywords: tuple         # build_standard ingredients, in `build` order
+    tables: tuple           # builder tables of a document
+    from_tables: object     # (table maps, basis_a, basis_aprime) -> keywords
+    scalars: tuple          # scalar ingredients, top-level builder keys
+    same_dims: bool         # whether dim A' must equal dim A
+    right: str | None       # name of its right deformation maps and
+    left: str | None        # of its left ones; {scalar} fields filled in
+
+
+_KINDS = {
+    "modified_direct_sum": _Kind(
+        _build_modified, ("algebra", "weight"), ("product",),
+        _doc_algebra, ("weight",), True,
+        "modified Rota-Baxter operator of weight {weight}", None),
+    "semidirect": _Kind(
+        _build_semidirect, ("rep",), ("product", "rho", "mu"),
+        _doc_semidirect, (), False,
+        "derivation", "relative Rota-Baxter operator of weight 0"),
+    "semidirect_assoc": _Kind(
+        _build_semidirect_assoc, ("assoc_rep",),
+        ("product", "product_prime", "rho", "mu"),
+        _doc_semidirect_assoc, (), False, "crossed homomorphism", None),
+    "direct_product": _Kind(
+        _build_direct_product, ("algebra", "algebra_prime"),
+        ("product", "product_prime"),
+        _doc_direct_product, (), False,
+        "associative algebra homomorphism", None),
+    "abelian_extension": _Kind(
+        _build_abelian_extension, ("cocycle",),
+        ("product", "rho", "mu", "omega"),
+        _doc_abelian_extension, (), False,
+        None, "twisted Rota-Baxter operator"),
+    "reynolds": _Kind(
+        _build_reynolds, ("algebra",), ("product",),
+        _doc_algebra, (), True, None, "Reynolds operator"),
+    "matched_pair": _Kind(
+        _build_matched_pair, ("matched_pair",),
+        ("product", "product_prime", "rho", "mu", "eta", "xi"),
+        _doc_matched_pair, (), False,
+        None, "deformation map of a matched pair"),
+}
+
+BUILDER_KINDS = tuple(_KINDS)

@@ -1,7 +1,7 @@
 import pytest
 
 from qta import (
-    A, APRIME, UnknownKind, build_standard, controlling_structure,
+    A, APRIME, DegreeError, UnknownKind, build_standard, controlling_structure,
     explicit_formula, explicit_formula_check, random_map, seeded_rng,
 )
 from qta.closed_formulas import modified_l0
@@ -66,3 +66,22 @@ def test_formula_unknown_kind():
     bare = QuasiTwilledAlgebra(q.pi, q.xi, q.eta, q.beta, q.rho, q.mu, q.theta)
     with pytest.raises(UnknownKind):
         explicit_formula(bare, "left", 2, _args(seeded_rng(2), q, "left", 2))
+
+
+@pytest.mark.parametrize("kind, side, k", [
+    ("semidirect", "right", 2),        # a zero bracket
+    ("semidirect", "right", 1),        # a formula
+    ("reynolds", "left", 3),
+])
+def test_formula_argument_count(kind, side, k):
+    """explicit_formula, like the derived bracket, needs exactly k
+    arguments; a zero bracket would otherwise take its arity from the
+    arguments it was given."""
+    q = builder_instances(one_dim_algebra())[kind]
+    rng = seeded_rng(3)
+    for count in (k - 1, k + 1):
+        args = _args(rng, q, side, count)
+        with pytest.raises(DegreeError):
+            explicit_formula(q, side, k, args)
+        with pytest.raises(DegreeError):
+            controlling_structure(q, side).bracket(k, args)

@@ -7,10 +7,12 @@ from qta import (
     A, APRIME, DegreeError, ExactMatrix, MultilinearMap, NotDeformationMap,
     build_standard, coboundary_apply, coboundary_apply_expanded,
     coboundary_matrix, cochain_complex, cohomology_dims, l1_vs_d,
-    quotient_dim, random_map, regular_representation, row_reduce, seeded_rng,
+    emit_example, quotient_dim, random_map, regular_representation,
+    row_reduce, seeded_rng,
 )
-from qta.cohomology import cochain_space
+from qta.cohomology import MAX_DEGREE_CAP, cochain_space
 from qta.deformation import side_spec
+from qta.io import build_quasi_twilled, parse, side_map
 
 from conftest import (
     deformation_map_cases, dual_numbers, left_map, one_dim_algebra, right_map,
@@ -142,6 +144,17 @@ def test_degree_cap():
         cohomology_dims(q, right_map(q, [[0]]), "right", 6)
     with pytest.raises(DegreeError):
         cohomology_dims(q, right_map(q, [[0]]), "right", -1)
+
+
+def test_coboundary_matrix_degree_cap():
+    """coboundary_matrix refuses degrees above the cap, like cochain_complex,
+    instead of assembling and densely exporting d_n."""
+    doc = parse(emit_example("reynolds-dim1"))
+    q = build_quasi_twilled(doc)
+    b = side_map(doc, q, "B", "left")
+    assert coboundary_matrix(q, b, "left", MAX_DEGREE_CAP).nrows == 1
+    with pytest.raises(DegreeError):
+        coboundary_matrix(q, b, "left", MAX_DEGREE_CAP + 1)
 
 
 def _degree0_column(q, m, side, k):
