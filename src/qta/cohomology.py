@@ -120,11 +120,10 @@ def _nonzeros(g):
     """(a, b, l, v) for every nonzero coefficient v of e_l in g(e_a, e_b)."""
     second, cod = g.slot_sizes[1], g.cod_size
     out = []
-    for idx, v in enumerate(g.coeffs):
-        if v:
-            row, l = divmod(idx, cod)
-            a, b = divmod(row, second)
-            out.append((a, b, l, v))
+    for idx in sorted(g.store):
+        row, l = divmod(idx, cod)
+        a, b = divmod(row, second)
+        out.append((a, b, l, g.store[idx]))
     return out
 
 

@@ -1,29 +1,97 @@
-"""Kernel backend selection.
+"""Sparse coefficient kernel.
 
-The compiled extension (_fastkernel, Cython) is preferred when present;
-the pure-Python twin (_purekernel) is the fallback.  Set QTA_KERNEL to
-"c" or "python" to force a backend; forcing "c" without the extension
-installed raises.  Both backends produce bit-identical coefficients.
+The two entry points below are the inner loops of every bracket, residual
+and coboundary computation: `insert` composes two coefficient stores (plug
+map g into one slot of map f), `axpy` accumulates a scaled store into
+another.  Both cost time in proportion to the nonzero entries they read,
+never to the size of the index space.
+
+Coefficient layout: a map with slot sizes (d1, ..., dm) and codomain size
+c has the flat index space range(d1*...*dm*c); the entry for basis tuple
+(t1, ..., tm) and output index k sits at (((t1*d2 + t2)*d3 + ...) )*c + k.
+A store is a dict {flat index: value} that holds only the nonzero entries:
+both functions drop an entry whose sum cancels to zero, so a store never
+holds a zero.
 """
 
-import os
+from fractions import Fraction
+from math import gcd
 
-_requested = os.environ.get("QTA_KERNEL", "").strip().lower()
 
-if _requested in ("", "c", "fast"):
-    try:
-        from . import _fastkernel as _impl
-        BACKEND = "c"
-    except ImportError:
-        if _requested in ("c", "fast"):
-            raise
-        from . import _purekernel as _impl
-        BACKEND = "python"
-elif _requested in ("py", "python", "pure"):
-    from . import _purekernel as _impl
-    BACKEND = "python"
-else:
-    raise ValueError(f"QTA_KERNEL={_requested!r}: expected 'c' or 'python'")
+def _over_common_denominator(store):
+    """(den, [(index, integer)]) with store[index] = integer / den."""
+    den = 1
+    for v in store.values():
+        d = v.denominator
+        if den % d:
+            den = den // gcd(den, d) * d
+    return den, [(i, v.numerator * (den // v.denominator))
+                 for i, v in store.items()]
 
-insert = _impl.insert
-axpy = _impl.axpy
+
+def insert(f, f_sizes, f_cod, g, g_sizes, g_cod, slot):
+    """Store of h = f with g inserted at `slot` (0-based).
+
+    h(x_1,...,x_{s}, y_1,...,y_n, x_{s+2},...,x_m)
+        = f(x_1,...,x_s, g(y_1,...,y_n), x_{s+2},...,x_m)
+
+    Requires f_sizes[slot] == g_cod.  No signs here; callers weave in the
+    insertion signs of the circle product.  The sums run over integers:
+    each store is written over one common denominator, and each entry of h
+    becomes one Fraction at the end, so h is exact and equals the sum of
+    the Fraction products entry for entry.
+    """
+    g_rows = 1
+    for d in g_sizes:
+        g_rows *= d
+    post = 1
+    for d in f_sizes[slot + 1:]:
+        post *= d
+    # With block = post*f_cod, an f index is
+    #     (pre*k_size + k)*block + low,        low = tail*f_cod + c,
+    # and the h index it feeds through g's row grow is
+    #     (pre*g_rows + grow)*block + low.
+    block = post * f_cod
+    f_stride = f_sizes[slot] * block
+    h_stride = g_rows * block
+
+    # g's nonzeros grouped by codomain index, as (offset in h, numerator)
+    g_den, g_num = _over_common_denominator(g)
+    by_k = [[] for _ in range(g_cod)]
+    for gi, gv in g_num:
+        grow, k = divmod(gi, g_cod)
+        by_k[k].append((grow * block, gv))
+
+    f_den, f_num = _over_common_denominator(f)
+    out = {}
+    get = out.get
+    for fi, fv in f_num:
+        pre, rem = divmod(fi, f_stride)
+        k, low = divmod(rem, block)
+        base = pre * h_stride + low
+        for off, gv in by_k[k]:
+            oi = base + off
+            out[oi] = get(oi, 0) + gv * fv
+    den = g_den * f_den
+    return {i: Fraction(v, den) for i, v in out.items() if v}
+
+
+def axpy(target, scalar, source):
+    """target += scalar * source, in place; returns target."""
+    if not scalar:
+        return target
+    unit = scalar == 1
+    get = target.get
+    for j, v in source.items():
+        if not unit:
+            v = scalar * v
+        w = get(j)
+        if w is None:
+            target[j] = v
+        else:
+            w += v
+            if w:
+                target[j] = w
+            else:
+                del target[j]
+    return target

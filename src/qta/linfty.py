@@ -16,6 +16,7 @@ matching side.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from fractions import Fraction
 from math import factorial
 
@@ -28,12 +29,20 @@ from .multilinear import (
 from .quasitwilled import total_product, validate
 
 
+# Passing V-data verdicts, keyed by (side, the seven component maps): the
+# key is the contents, since a structure's attributes can be reassigned.
+# A failure is never stored, so it is raised again on every attempt.
+_VERIFIED = OrderedDict()
+_VERIFIED_MAX = 64
+
+
 class VData:
     """Graded Lie algebra + abelian subalgebra + projection + square-zero element.
 
     The ambient structure provides everything: Delta is the total product,
     F is the block of one-sided cochains selected by `side`, and P is the
-    block projection.
+    block projection.  The verification runs once per distinct structure
+    and side (see `_VERIFIED`).
     """
 
     def __init__(self, q, side):
@@ -42,7 +51,14 @@ class VData:
         self.side = side
         self.dims = q.dims
         self.delta = total_product(q)
+        key = (side, tuple(q.components().values()))
+        if key in _VERIFIED:
+            _VERIFIED.move_to_end(key)
+            return
         self._verify()
+        _VERIFIED[key] = True
+        if len(_VERIFIED) > _VERIFIED_MAX:
+            _VERIFIED.popitem(last=False)
 
     def _verify(self):
         if not validate(self.q).is_zero():

@@ -6,8 +6,11 @@ Conventions used throughout the library:
 * A map with arity n+1 has degree n.  All signs are computed from degrees.
 * The total space A + A' has basis: the A basis (indices 0..dimA-1)
   followed by the A' basis (indices dimA..dimA+dimA'-1).
-* Coefficients are dense, indexed by (domain basis tuple, codomain index);
-  see _purekernel for the exact flat layout.
+* Coefficients are indexed by (domain basis tuple, codomain index) through
+  one flat index (see qta.kernel for the layout).  A map stores only its
+  nonzero coefficients, as {flat index: value}; every operation below costs
+  time in proportion to the nonzeros it reads.  `MultilinearMap.coeffs` is
+  the dense export of the same coefficients.
 
 The circle product is the insertion sum
 
@@ -52,30 +55,49 @@ def _prod(values):
 
 
 class MultilinearMap:
-    """Dense multilinear map between tensor powers of the labeled spaces.
+    """Multilinear map between tensor powers of the labeled spaces.
 
     Immutable.  `dims = (dimA, dimAprime)` fixes the sizes of all three
     labels; maps taking part in one computation must agree on dims.
+
+    `coeffs` is either the dense table (a sequence over the whole flat
+    index space, see qta.kernel) or a dict {flat index: value}; zero
+    entries are dropped either way.  The map keeps only the nonzeros, in
+    `store`, which must not be mutated; `coeffs` exports the dense table.
     """
 
-    __slots__ = ("domain", "codomain", "dims", "coeffs")
+    __slots__ = ("domain", "codomain", "dims", "store", "slot_sizes",
+                 "cod_size")
 
     def __init__(self, domain, codomain, dims, coeffs):
         domain = tuple(domain)
         if not domain:
             raise ArityError("maps must have arity >= 1")
         dims = (int(dims[0]), int(dims[1]))
-        sizes = tuple(_label_size(lab, dims) for lab in domain)
+        sizes = tuple([_label_size(lab, dims) for lab in domain])
         cod = _label_size(codomain, dims)
-        coeffs = tuple(coeffs)
-        if len(coeffs) != _prod(sizes) * cod:
-            raise DimensionError(
-                f"coefficient table has {len(coeffs)} entries, "
-                f"expected {_prod(sizes) * cod}")
+        size = cod
+        for s in sizes:
+            size *= s
+        if isinstance(coeffs, dict):
+            store = {i: v for i, v in coeffs.items() if v}
+            if store and (min(store) < 0 or max(store) >= size):
+                raise DimensionError(
+                    f"coefficient index outside range({size})")
+        else:
+            if not hasattr(coeffs, "__len__"):
+                coeffs = tuple(coeffs)
+            if len(coeffs) != size:
+                raise DimensionError(
+                    f"coefficient table has {len(coeffs)} entries, "
+                    f"expected {size}")
+            store = {i: v for i, v in enumerate(coeffs) if v}
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "store", store)
+        object.__setattr__(self, "slot_sizes", sizes)
+        object.__setattr__(self, "cod_size", cod)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultilinearMap is immutable")
@@ -90,45 +112,44 @@ class MultilinearMap:
     def degree(self):
         return len(self.domain) - 1
 
-    @property
-    def slot_sizes(self):
-        return tuple(_label_size(lab, self.dims) for lab in self.domain)
-
-    @property
-    def cod_size(self):
-        return _label_size(self.codomain, self.dims)
-
     def signature(self):
         return (self.domain, self.codomain)
+
+    @property
+    def coeffs(self):
+        """The dense coefficient table, a tuple over the flat index space."""
+        out = [ZERO] * (_prod(self.slot_sizes) * self.cod_size)
+        for i, v in self.store.items():
+            out[i] = v
+        return tuple(out)
 
     # -- construction ---------------------------------------------------
 
     @classmethod
     def zero(cls, domain, codomain, dims):
-        sizes = tuple(_label_size(lab, dims) for lab in domain)
-        cod = _label_size(codomain, dims)
-        return cls(domain, codomain, dims, [ZERO] * (_prod(sizes) * cod))
+        return cls(domain, codomain, dims, {})
 
     @classmethod
     def unit(cls, domain, codomain, dims, index):
         """The map whose flat coefficient `index` is 1 and all others 0."""
-        sizes = tuple(_label_size(lab, dims) for lab in domain)
-        coeffs = [ZERO] * (_prod(sizes) * _label_size(codomain, dims))
-        coeffs[index] = ONE
-        return cls(domain, codomain, dims, coeffs)
+        return cls(domain, codomain, dims, {index: ONE})
 
     @classmethod
     def from_function(cls, domain, codomain, dims, fn):
         """fn(basis_tuple) -> sequence of codomain coordinates."""
         sizes = [_label_size(lab, dims) for lab in domain]
         cod = _label_size(codomain, dims)
-        coeffs = []
+        store = {}
+        base = 0
         for t in iterproduct(*[range(s) for s in sizes]):
             row = list(fn(t))
             if len(row) != cod:
                 raise DimensionError("value of wrong dimension at %r" % (t,))
-            coeffs.extend(Fraction(v) if v else ZERO for v in row)
-        return cls(domain, codomain, dims, coeffs)
+            for k, v in enumerate(row):
+                if v:
+                    store[base + k] = Fraction(v)
+            base += cod
+        return cls(domain, codomain, dims, store)
 
     @classmethod
     def from_table(cls, table, domain, codomain, dims):
@@ -154,14 +175,12 @@ class MultilinearMap:
     @classmethod
     def identity(cls, label, dims):
         n = _label_size(label, dims)
-        return cls((label,), label, dims,
-                   [ONE if i == k else ZERO
-                    for i in range(n) for k in range(n)])
+        return cls((label,), label, dims, {i * n + i: ONE for i in range(n)})
 
     def relabel(self, domain, codomain, dims=None):
         """Same coefficients under a new signature of identical sizes."""
         dims = self.dims if dims is None else dims
-        out = MultilinearMap(domain, codomain, dims, self.coeffs)
+        out = MultilinearMap(domain, codomain, dims, self.store)
         if out.slot_sizes != self.slot_sizes or out.cod_size != self.cod_size:
             raise DimensionError("relabel changes slot sizes")
         return out
@@ -182,10 +201,11 @@ class MultilinearMap:
         """Codomain coordinates of the image of a domain basis tuple."""
         cod = self.cod_size
         base = self._row(tuple(t)) * cod
-        return self.coeffs[base:base + cod]
+        get = self.store.get
+        return tuple(get(base + k, ZERO) for k in range(cod))
 
     def entry(self, t, k):
-        return self.coeffs[self._row(tuple(t)) * self.cod_size + k]
+        return self.store.get(self._row(tuple(t)) * self.cod_size + k, ZERO)
 
     # -- linear structure --------------------------------------------------
 
@@ -195,59 +215,60 @@ class MultilinearMap:
             raise DimensionError("signature mismatch: %s vs %s"
                                  % (self.signature(), other.signature()))
 
+    def _with_store(self, store):
+        return MultilinearMap(self.domain, self.codomain, self.dims, store)
+
     def __add__(self, other):
         self._check_same_signature(other)
-        return MultilinearMap(self.domain, self.codomain, self.dims,
-                              [a + b if b else a
-                               for a, b in zip(self.coeffs, other.coeffs)])
+        return self._with_store(kernel.axpy(dict(self.store), ONE,
+                                            other.store))
 
     def __sub__(self, other):
         self._check_same_signature(other)
-        return MultilinearMap(self.domain, self.codomain, self.dims,
-                              [a - b if b else a
-                               for a, b in zip(self.coeffs, other.coeffs)])
+        return self._with_store(kernel.axpy(dict(self.store), -ONE,
+                                            other.store))
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, scalar):
         s = Fraction(scalar)
-        return MultilinearMap(self.domain, self.codomain, self.dims,
-                              [s * a if a else a for a in self.coeffs])
+        if not s:
+            return self._with_store({})
+        return self._with_store({i: s * v for i, v in self.store.items()})
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return not self.store
 
     def __eq__(self, other):
         if not isinstance(other, MultilinearMap):
             return NotImplemented
         return (self.domain == other.domain and self.codomain == other.codomain
-                and self.dims == other.dims and self.coeffs == other.coeffs)
+                and self.dims == other.dims and self.store == other.store)
 
     def __hash__(self):
-        return hash((self.domain, self.codomain, self.dims, self.coeffs))
+        return hash((self.domain, self.codomain, self.dims,
+                     frozenset(self.store.items())))
 
     def first_witness(self):
         """First (basis tuple, codomain index, value) with nonzero value."""
-        sizes = self.slot_sizes
-        cod = self.cod_size
-        for i, v in enumerate(self.coeffs):
-            if v:
-                row, k = divmod(i, cod)
-                t = []
-                for s in reversed(sizes):
-                    row, r = divmod(row, s)
-                    t.append(r)
-                return tuple(reversed(t)), k, v
-        return None
+        if not self.store:
+            return None
+        i = min(self.store)
+        row, k = divmod(i, self.cod_size)
+        t = []
+        for s in reversed(self.slot_sizes):
+            row, r = divmod(row, s)
+            t.append(r)
+        return tuple(reversed(t)), k, self.store[i]
 
     def __repr__(self):
         doms = ",".join(lab.value for lab in self.domain)
         return (f"MultilinearMap({doms}->{self.codomain.value}, "
-                f"dims={self.dims}, nnz={sum(1 for c in self.coeffs if c)})")
+                f"dims={self.dims}, nnz={len(self.store)})")
 
 
 def _label_size(label, dims):
@@ -267,11 +288,11 @@ def msum(maps, zero=None):
         if zero is None:
             raise ValueError("msum of nothing needs an explicit zero")
         return zero
-    acc = list(maps[0].coeffs)
+    acc = dict(maps[0].store)
     for m in maps[1:]:
         maps[0]._check_same_signature(m)
-        kernel.axpy(acc, ONE, m.coeffs)
-    return MultilinearMap(maps[0].domain, maps[0].codomain, maps[0].dims, acc)
+        kernel.axpy(acc, ONE, m.store)
+    return maps[0]._with_store(acc)
 
 
 # -- insertion calculus ----------------------------------------------------
@@ -290,9 +311,9 @@ def insert(f, g, slot):
             f"cannot plug {g.codomain.value}-valued map into a "
             f"{f.domain[slot].value} slot")
     domain = f.domain[:slot] + g.domain + f.domain[slot + 1:]
-    coeffs = kernel.insert(f.coeffs, f.slot_sizes, f.cod_size,
-                           g.coeffs, g.slot_sizes, g.cod_size, slot)
-    return MultilinearMap(domain, f.codomain, f.dims, coeffs)
+    store = kernel.insert(f.store, f.slot_sizes, f.cod_size,
+                          g.store, g.slot_sizes, g.cod_size, slot)
+    return MultilinearMap(domain, f.codomain, f.dims, store)
 
 
 def _check_closed(f, name):
@@ -308,15 +329,12 @@ def circle(f, g):
     if f.codomain != g.codomain or f.dims != g.dims:
         raise DimensionError("circle needs maps on the same space")
     n = g.arity
-    acc = None
-    for i in range(f.arity):
+    term = insert(f, g, 0)
+    acc = dict(term.store)
+    for i in range(1, f.arity):
         term = insert(f, g, i)
-        sign = -1 if (i * (n - 1)) % 2 else 1
-        if acc is None:
-            acc = list(term.coeffs) if sign == 1 else [-c for c in term.coeffs]
-        else:
-            kernel.axpy(acc, Fraction(sign), term.coeffs)
-    return MultilinearMap(term.domain, f.codomain, f.dims, acc)
+        kernel.axpy(acc, -ONE if (i * (n - 1)) % 2 else ONE, term.store)
+    return term._with_store(acc)
 
 
 def circle_parts(f, g):
@@ -336,49 +354,50 @@ def gerstenhaber(f, g):
     fg = circle(f, g)
     gf = circle(g, f)
     sign = -1 if (f.degree * g.degree) % 2 else 1
-    acc = list(fg.coeffs)
-    kernel.axpy(acc, Fraction(-sign), gf.coeffs)
-    return MultilinearMap(fg.domain, fg.codomain, fg.dims, acc)
+    return fg._with_store(kernel.axpy(dict(fg.store), Fraction(-sign),
+                                      gf.store))
 
 
 # -- lift / project ---------------------------------------------------------
 
-def _block_index(label, total_index, dims):
-    """Block-local index of a total-space basis vector, or None."""
-    da = dims[0]
-    if label is SpaceLabel.A:
-        return total_index if total_index < da else None
-    if label is SpaceLabel.APRIME:
-        return total_index - da if total_index >= da else None
-    return total_index
+def _reindex(f, domain, codomain, windows):
+    """f's nonzeros moved into the signature (domain, codomain).
+
+    `windows` holds one (lo, hi, shift) per slot of f and one for its
+    codomain: a basis index r of that slot with lo <= r < hi becomes
+    r + shift, and an entry with any index outside its window is dropped.
+    """
+    dims = f.dims
+    old = f.slot_sizes + (f.cod_size,)
+    new = [_label_size(lab, dims) for lab in domain]
+    new.append(_label_size(codomain, dims))
+    strides = []
+    stride = 1
+    for s in reversed(new):
+        strides.append(stride)
+        stride *= s
+    plan = list(zip(reversed(old), reversed(windows), strides))
+    out = {}
+    for idx, v in f.store.items():
+        at = 0
+        for size, (lo, hi, shift), stride in plan:
+            idx, r = divmod(idx, size)
+            if not lo <= r < hi:
+                break
+            at += (r + shift) * stride
+        else:
+            out[at] = v
+    return MultilinearMap(domain, codomain, dims, out)
 
 
 def lift(f):
     """Extend a block map by zero to the whole total space."""
     if any(lab is TOTAL for lab in f.domain) or f.codomain is TOTAL:
         raise BlockError("lift expects a map between the A / A' blocks")
-    dims = f.dims
-    dt = dims[0] + dims[1]
-    cod_off = 0 if f.codomain is A else dims[0]
-    cod_size = f.cod_size
-    out = [ZERO] * (dt ** f.arity * dt)
-    labels = f.domain
-    for t in iterproduct(*[range(dt)] * f.arity):
-        local = []
-        for lab, v in zip(labels, t):
-            b = _block_index(lab, v, dims)
-            if b is None:
-                break
-            local.append(b)
-        else:
-            row = 0
-            for v in t:
-                row = row * dt + v
-            vals = f.value(local)
-            base = row * dt + cod_off
-            for k in range(cod_size):
-                out[base + k] = vals[k]
-    return MultilinearMap((TOTAL,) * f.arity, TOTAL, dims, out)
+    da = f.dims[0]
+    windows = [(0, da if lab is A else f.dims[1], 0 if lab is A else da)
+               for lab in f.domain + (f.codomain,)]
+    return _reindex(f, (TOTAL,) * f.arity, TOTAL, windows)
 
 
 def project(f, domain, codomain):
@@ -398,24 +417,16 @@ def project(f, domain, codomain):
     if f.codomain is not TOTAL and f.codomain != codomain:
         raise BlockError("codomain %s cannot be viewed as %s"
                          % (f.codomain.value, codomain.value))
-    dims = f.dims
-    sizes = [_label_size(lab, dims) for lab in domain]
-    cod_size = _label_size(codomain, dims)
-    cod_off = 0
-    if f.codomain is TOTAL and codomain is APRIME:
-        cod_off = dims[0]
-
-    def fn(t):
-        src = []
-        for lab, have, v in zip(domain, f.domain, t):
-            if have is TOTAL:
-                src.append(v + (dims[0] if lab is APRIME else 0))
-            else:
-                src.append(v)
-        vals = f.value(src)
-        return vals[cod_off:cod_off + cod_size]
-
-    return MultilinearMap.from_function(domain, codomain, dims, fn)
+    da, dt = f.dims[0], f.dims[0] + f.dims[1]
+    windows = []
+    for want, have in zip(domain + (codomain,), f.domain + (f.codomain,)):
+        if have is not TOTAL or want is TOTAL:
+            windows.append((0, _label_size(want, f.dims), 0))
+        elif want is A:
+            windows.append((0, da, 0))
+        else:
+            windows.append((da, dt, -da))
+    return _reindex(f, domain, codomain, windows)
 
 
 def linear_map_from_matrix(rows, domain_label, codomain_label, dims):
@@ -489,9 +500,12 @@ def random_fraction(rng, bound=3, denominators=(1, 1, 2)):
 def random_map(rng, domain, codomain, dims, bound=3):
     sizes = [_label_size(lab, dims) for lab in domain]
     cod = _label_size(codomain, dims)
-    total = _prod(sizes) * cod
-    return MultilinearMap(domain, codomain, dims,
-                          [random_fraction(rng, bound) for _ in range(total)])
+    store = {}
+    for i in range(_prod(sizes) * cod):
+        v = random_fraction(rng, bound)
+        if v:
+            store[i] = v
+    return MultilinearMap(domain, codomain, dims, store)
 
 
 def seeded_rng(seed):

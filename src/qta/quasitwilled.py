@@ -224,8 +224,9 @@ def build_standard(kind, **ingredients):
     """Instantiate one of the stock split structures.
 
     The kind's row of `_KINDS` (the builder-kind table at the end of this
-    module) names the builder and the keywords it reads, in order; other
-    keywords are ignored and the result records the kind as `q.kind`.
+    module) names the builder and the keywords it reads, in order; a
+    missing or unknown keyword raises IngredientError naming it, and the
+    result records the kind as `q.kind`.
 
     kinds and ingredients:
       modified_direct_sum   algebra, weight
@@ -242,6 +243,14 @@ def build_standard(kind, **ingredients):
     if kind not in BUILDER_KINDS:
         raise UnknownKind(f"unknown builder kind {kind!r}")
     row = _KINDS[kind]
+    unknown = [k for k in ingredients if k not in row.keywords]
+    if unknown:
+        raise IngredientError(
+            f"{kind} takes no ingredient {unknown[0]!r}; "
+            f"it takes {', '.join(row.keywords)}")
+    missing = [k for k in row.keywords if k not in ingredients]
+    if missing:
+        raise IngredientError(f"{kind} needs the ingredient {missing[0]!r}")
     q = row.build(*(ingredients[k] for k in row.keywords))
     q.kind = kind
     return q

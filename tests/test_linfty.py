@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from qta import linfty
 from qta import (
     A, APRIME, BlockError, DegreeError, InvalidQTA, MultilinearMap,
     NotMaurerCartan, QuasiTwilledAlgebra, build_standard, controlling_structure,
     derived_bracket, gerstenhaber, left_residual, lift, insert,
-    random_map, regular_representation, right_residual, seeded_rng, vdata,
+    random_map, regular_representation, right_residual, seeded_rng, validate,
+    vdata,
 )
 
 from conftest import (
@@ -46,6 +48,41 @@ def test_vdata_rejects_invalid_structure():
                                q.theta)
     with pytest.raises(InvalidQTA):
         vdata(qbad, "right")
+
+
+def _count_validate(monkeypatch):
+    calls = []
+
+    def counting(q):
+        calls.append(q)
+        return validate(q)
+
+    monkeypatch.setattr(linfty, "validate", counting)
+    return calls
+
+
+def test_equal_structure_is_verified_once(monkeypatch):
+    q = build_standard("reynolds", algebra=dual_numbers())
+    controlling_structure(q, "left")
+    calls = _count_validate(monkeypatch)
+    again = build_standard("reynolds", algebra=dual_numbers())
+    assert again is not q
+    s = controlling_structure(again, "left")
+    assert calls == []
+    assert s.vdata.q is again
+
+
+def test_bumped_structure_is_verified_again(monkeypatch):
+    q = build_standard("reynolds", algebra=dual_numbers())
+    controlling_structure(q, "right")
+    coeffs = list(q.pi.coeffs)
+    coeffs[1] += 1
+    q.pi = MultilinearMap(q.pi.domain, q.pi.codomain, q.pi.dims, coeffs)
+    calls = _count_validate(monkeypatch)
+    for _ in range(2):  # a failing verdict is never remembered
+        with pytest.raises(InvalidQTA):
+            controlling_structure(q, "right")
+    assert len(calls) == 2
 
 
 def test_f_block_abelian_exhaustive_low_arity():

@@ -123,6 +123,18 @@ def test_builder_rejects_bad_ingredients():
         build_standard("modified_direct_sum", algebra=bad, weight=1)
 
 
+def test_builder_rejects_unknown_ingredient():
+    with pytest.raises(IngredientError, match="'weight'"):
+        build_standard("reynolds", algebra=one_dim_algebra(), weight=3)
+
+
+def test_builder_rejects_missing_ingredient():
+    with pytest.raises(IngredientError, match="'algebra'"):
+        build_standard("reynolds")
+    with pytest.raises(IngredientError, match="'weight'"):
+        build_standard("modified_direct_sum", algebra=one_dim_algebra())
+
+
 def test_modified_direct_sum_any_weight():
     for alg in (one_dim_algebra(), dual_numbers()):
         for lam in (0, 1, Fraction(-7, 3), 12):
