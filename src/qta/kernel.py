@@ -14,20 +14,6 @@ both functions drop an entry whose sum cancels to zero, so a store never
 holds a zero.
 """
 
-from fractions import Fraction
-from math import gcd
-
-
-def _over_common_denominator(store):
-    """(den, [(index, integer)]) with store[index] = integer / den."""
-    den = 1
-    for v in store.values():
-        d = v.denominator
-        if den % d:
-            den = den // gcd(den, d) * d
-    return den, [(i, v.numerator * (den // v.denominator))
-                 for i, v in store.items()]
-
 
 def insert(f, f_sizes, f_cod, g, g_sizes, g_cod, slot):
     """Store of h = f with g inserted at `slot` (0-based).
@@ -36,10 +22,7 @@ def insert(f, f_sizes, f_cod, g, g_sizes, g_cod, slot):
         = f(x_1,...,x_s, g(y_1,...,y_n), x_{s+2},...,x_m)
 
     Requires f_sizes[slot] == g_cod.  No signs here; callers weave in the
-    insertion signs of the circle product.  The sums run over integers:
-    each store is written over one common denominator, and each entry of h
-    becomes one Fraction at the end, so h is exact and equals the sum of
-    the Fraction products entry for entry.
+    insertion signs of the circle product.
     """
     g_rows = 1
     for d in g_sizes:
@@ -55,25 +38,30 @@ def insert(f, f_sizes, f_cod, g, g_sizes, g_cod, slot):
     f_stride = f_sizes[slot] * block
     h_stride = g_rows * block
 
-    # g's nonzeros grouped by codomain index, as (offset in h, numerator)
-    g_den, g_num = _over_common_denominator(g)
+    # g's nonzeros grouped by codomain index, as (offset in h, value)
     by_k = [[] for _ in range(g_cod)]
-    for gi, gv in g_num:
+    for gi, gv in g.items():
         grow, k = divmod(gi, g_cod)
         by_k[k].append((grow * block, gv))
 
-    f_den, f_num = _over_common_denominator(f)
     out = {}
     get = out.get
-    for fi, fv in f_num:
+    for fi, fv in f.items():
         pre, rem = divmod(fi, f_stride)
         k, low = divmod(rem, block)
         base = pre * h_stride + low
         for off, gv in by_k[k]:
             oi = base + off
-            out[oi] = get(oi, 0) + gv * fv
-    den = g_den * f_den
-    return {i: Fraction(v, den) for i, v in out.items() if v}
+            v = get(oi)
+            if v is None:
+                out[oi] = gv * fv
+            else:
+                v += gv * fv
+                if v:
+                    out[oi] = v
+                else:
+                    del out[oi]
+    return out
 
 
 def axpy(target, scalar, source):

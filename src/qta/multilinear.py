@@ -66,19 +66,16 @@ class MultilinearMap:
     `store`, which must not be mutated; `coeffs` exports the dense table.
     """
 
-    __slots__ = ("domain", "codomain", "dims", "store", "slot_sizes",
-                 "cod_size")
+    __slots__ = ("domain", "codomain", "dims", "store")
 
     def __init__(self, domain, codomain, dims, coeffs):
         domain = tuple(domain)
         if not domain:
             raise ArityError("maps must have arity >= 1")
         dims = (int(dims[0]), int(dims[1]))
-        sizes = tuple([_label_size(lab, dims) for lab in domain])
-        cod = _label_size(codomain, dims)
-        size = cod
-        for s in sizes:
-            size *= s
+        size = _label_size(codomain, dims)
+        for lab in domain:
+            size *= _label_size(lab, dims)
         if isinstance(coeffs, dict):
             store = {i: v for i, v in coeffs.items() if v}
             if store and (min(store) < 0 or max(store) >= size):
@@ -96,8 +93,6 @@ class MultilinearMap:
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "store", store)
-        object.__setattr__(self, "slot_sizes", sizes)
-        object.__setattr__(self, "cod_size", cod)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultilinearMap is immutable")
@@ -111,6 +106,14 @@ class MultilinearMap:
     @property
     def degree(self):
         return len(self.domain) - 1
+
+    @property
+    def slot_sizes(self):
+        return tuple(_label_size(lab, self.dims) for lab in self.domain)
+
+    @property
+    def cod_size(self):
+        return _label_size(self.codomain, self.dims)
 
     def signature(self):
         return (self.domain, self.codomain)
