@@ -25,14 +25,11 @@ from .deformation import (
     left_residual, right_residual, twist_left, twist_right,
 )
 from .errors import (
-    ArityError, BlockError, ContainmentViolation, DegreeError, DimensionError,
-    IngredientError, InvalidQTA, NotDeformationMap, NotMaurerCartan,
-    ParseError, QtaError, SchemaError, SingularMap, UnknownExample,
-    UnknownKind,
+    ArityError, BlockError, DegreeError, DimensionError, IngredientError,
+    InvalidQTA, NotDeformationMap, NotMaurerCartan, ParseError, QtaError,
+    SchemaError, SingularMap, UnknownExample, UnknownKind,
 )
-from .linalg import (
-    ExactMatrix, SparseMatrix, invert, quotient_dim, rank, row_reduce,
-)
+from .linalg import ExactMatrix, SparseMatrix, invert
 from .linfty import (
     CurvedLInftyStructure, VData, controlling_structure, derived_bracket,
     jacobi_residual, mc_residual, suspended_bracket, twist_linfty, vdata,

@@ -17,6 +17,7 @@ degree (default 3, hard maximum 5).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -193,7 +194,10 @@ def _cmd_example(args):
     return rep
 
 
+@functools.cache
 def make_parser():
+    """The argument parser, built once per process and shared by every
+    `main` call; callers must not change it."""
     p = argparse.ArgumentParser(
         prog="qta",
         description="exact-arithmetic calculator for split associative "
@@ -220,25 +224,20 @@ def make_parser():
     sp = sub.add_parser("validate", help="check the structure equations")
     add_json(sp)
     sp.add_argument("file", metavar="FILE")
-    sp.set_defaults(fn=_cmd_validate)
 
     sp = sub.add_parser("classify", help="name the operator a map realizes")
     add_common(sp)
-    sp.set_defaults(fn=_cmd_classify)
 
     sp = sub.add_parser("twist", help="twist the structure by a linear map")
     add_common(sp)
-    sp.set_defaults(fn=_cmd_twist)
 
     sp = sub.add_parser("mc", help="Maurer-Cartan residual of a map")
     add_common(sp)
-    sp.set_defaults(fn=_cmd_mc)
 
     sp = sub.add_parser("cohomology",
                         help="cohomology table of a deformation map")
     add_common(sp)
     sp.add_argument("--max-degree", type=int, default=3)
-    sp.set_defaults(fn=_cmd_cohomology)
 
     sp = sub.add_parser("jacobi",
                         help="sample the generalized Jacobi identity")
@@ -248,23 +247,23 @@ def make_parser():
     sp.add_argument("--samples", type=int, default=10)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("file", metavar="FILE")
-    sp.set_defaults(fn=_cmd_jacobi)
 
     sp = sub.add_parser("example", help="print a built-in example document")
     add_json(sp)
     sp.add_argument("name", nargs="?", default=None)
     sp.add_argument("--list", action="store_true")
-    sp.set_defaults(fn=_cmd_example)
 
     return p
 
 
 def main(argv=None):
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
+    # looked up on each call rather than bound into the cached parser, so
+    # a `_cmd_*` function replaced at run time (by a tracer) is the one run
+    command = globals()[f"_cmd_{args.command}"]
     start = time.perf_counter()
     try:
-        report = args.fn(args)
+        report = command(args)
     except (QtaError, ValueError) as exc:
         # ValueError covers bad fraction strings surfaced by the parser
         msg = f"{type(exc).__name__}: {exc}"

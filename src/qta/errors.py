@@ -25,10 +25,6 @@ class DegreeError(QtaError):
     """A graded element has the wrong degree for an operation."""
 
 
-class ContainmentViolation(QtaError):
-    """Span of the candidate boundary space is not contained in the cycle space."""
-
-
 class SingularMap(QtaError):
     """A linear map that was required to be invertible is singular."""
 

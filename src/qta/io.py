@@ -125,6 +125,9 @@ def parse(text):
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("cannot parse: JSON arrays or objects nested "
+                         "too deeply") from exc
     if not isinstance(raw, dict):
         raise SchemaError("top level must be a JSON object")
     allowed = {"field", "spaces", "builder", "components", "maps"}

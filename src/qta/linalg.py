@@ -1,18 +1,19 @@
-"""Exact rational linear algebra: row reduction, kernels, images, quotients.
+"""Exact rational linear algebra: sparse rank and inverse, dense export.
 
-Plain Gaussian elimination over fractions.Fraction on dense matrices, and
-a sparse matrix (nonzero entries only) with product and rank for the
-large, mostly-zero coboundary matrices.  Everything here is
-basis-explicit and exact; the contracts (ranks, dimensions, membership)
-are basis-independent.
+One exact elimination, `_echelon`, works on sparse rows (nonzero entries
+only) over fractions.Fraction.  `SparseMatrix.rank` counts its pivots
+for the large, mostly-zero coboundary matrices, and `invert` runs it on
+[M | I] and back-substitutes.  `ExactMatrix` is the dense form that
+`coboundary_matrix` exports and `invert` takes and returns.  Everything
+here is basis-explicit and exact; the contracts (ranks, dimensions) are
+basis-independent.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
-from .errors import ContainmentViolation, DimensionError, SingularMap
+from .errors import DimensionError, SingularMap
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -39,29 +40,6 @@ class ExactMatrix:
             raise DimensionError("ragged rows")
         return cls(nrows, ncols, [e for r in rows for e in r])
 
-    @classmethod
-    def from_columns(cls, columns, nrows=None):
-        if not columns:
-            if nrows is None:
-                raise DimensionError("empty column list needs explicit nrows")
-            return cls(nrows, 0, [])
-        nrows = len(columns[0])
-        rows = [[col[i] for col in columns] for i in range(nrows)]
-        return cls.from_rows(rows)
-
-    @classmethod
-    def zero(cls, nrows, ncols):
-        return cls(nrows, ncols, [ZERO] * (nrows * ncols))
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, [ONE if i == j else ZERO
-                          for i in range(n) for j in range(n)])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.ncols + j]
-
     def row(self, i):
         return self.entries[i * self.ncols:(i + 1) * self.ncols]
 
@@ -70,18 +48,6 @@ class ExactMatrix:
 
     def column(self, j):
         return [self.entries[i * self.ncols + j] for i in range(self.nrows)]
-
-    def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
-
-    def transpose(self):
-        return ExactMatrix.from_rows(self.columns())
-
-    def hstack(self, other):
-        if self.nrows != other.nrows:
-            raise DimensionError("hstack needs equal row counts")
-        return ExactMatrix.from_rows(
-            [self.row(i) + other.row(i) for i in range(self.nrows)])
 
     def matmul(self, other):
         if self.ncols != other.nrows:
@@ -161,30 +127,8 @@ class SparseMatrix:
         return not self.rows
 
     def rank(self):
-        """Rank by exact elimination that touches only nonzero entries.
-
-        Rows are reduced one at a time against the pivot rows found so
-        far, each kept under its leading (smallest) column with leading
-        entry 1; shorter rows go first, which keeps the fill-in small.
-        """
-        pivots = {}
-        for row in sorted(self.rows.values(), key=len):
-            row = dict(row)
-            while row:
-                lead = min(row)
-                piv = pivots.get(lead)
-                if piv is None:
-                    scale = row[lead]
-                    pivots[lead] = {j: v / scale for j, v in row.items()}
-                    break
-                f = row[lead]
-                for j, v in piv.items():
-                    w = row.get(j, ZERO) - f * v
-                    if w:
-                        row[j] = w
-                    else:
-                        del row[j]
-        return len(pivots)
+        """Number of pivots of the exact elimination `_echelon`."""
+        return len(_echelon(self.rows.values()))
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
@@ -196,85 +140,62 @@ class SparseMatrix:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
 
 
-class RowReduction(NamedTuple):
-    rank: int
-    kernel_basis: list      # column vectors spanning the null space
-    image_basis: list       # pivot columns of the original matrix
-    pivots: tuple           # pivot column indices
-    rref: list              # reduced row echelon rows
+def _echelon(rows):
+    """Exact echelon form of sparse rows ({column: nonzero Fraction}).
 
-
-def row_reduce(m: ExactMatrix) -> RowReduction:
-    """Reduced row echelon form with rank, kernel and image bases.
-
-    rank + len(kernel_basis) == ncols; every kernel vector v satisfies
-    m.v == 0 exactly; image_basis consists of the pivot columns of m.
+    Returns {lead column: pivot row}, each pivot row scaled to leading
+    entry 1.  Rows are reduced one at a time against the pivot rows
+    found so far, shorter rows first, which keeps the fill-in small; the
+    lead of a row is its smallest column.  Only nonzero entries are
+    touched, and the order is fixed, so the result is reproducible bit
+    for bit.
     """
-    rows = [r[:] for r in m.rows()]
-    nr, nc = m.nrows, m.ncols
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        p = None
-        for i in range(r, nr):
-            if rows[i][c]:
-                p = i
+    pivots = {}
+    for row in sorted(rows, key=len):
+        row = dict(row)
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                scale = row[lead]
+                pivots[lead] = {j: v / scale for j, v in row.items()}
                 break
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    rank = len(pivots)
-    pivot_set = set(pivots)
-    kernel = []
-    for fc in range(nc):
-        if fc in pivot_set:
-            continue
-        v = [ZERO] * nc
-        v[fc] = ONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][fc]
-        kernel.append(v)
-    image = [m.column(c) for c in pivots]
-    return RowReduction(rank, kernel, image, tuple(pivots), rows)
-
-
-def rank(m: ExactMatrix) -> int:
-    return row_reduce(m).rank
-
-
-def quotient_dim(z: ExactMatrix, b: ExactMatrix) -> int:
-    """dim(span of z's columns) - dim(span of b's columns).
-
-    Raises ContainmentViolation unless every column of b lies in the
-    column span of z.
-    """
-    if z.nrows != b.nrows:
-        raise DimensionError("subspaces of different ambient dimension")
-    rank_z = rank(z)
-    if b.ncols:
-        if rank(z.hstack(b)) != rank_z:
-            raise ContainmentViolation("columns of b do not lie in span(z)")
-    return rank_z - rank(b)
+            f = row[lead]
+            for j, v in piv.items():
+                w = row.get(j, ZERO) - f * v
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+    return pivots
 
 
 def invert(m: ExactMatrix) -> ExactMatrix:
-    """Exact inverse; raises SingularMap if m is not invertible."""
+    """Exact inverse; raises SingularMap if m is not invertible.
+
+    The echelon form of [m | I] has its leads at 0..n-1 exactly when m is
+    invertible; back-substitution from the last lead up then leaves the
+    inverse in the right block.
+    """
     if m.nrows != m.ncols:
         raise SingularMap("only square matrices can be inverted")
     n = m.nrows
-    aug = m.hstack(ExactMatrix.identity(n))
-    red = row_reduce(aug)
-    if red.rank != n or red.pivots != tuple(range(n)):
+    aug = []
+    for i in range(n):
+        row = {j: v for j, v in enumerate(m.row(i)) if v}
+        row[n + i] = ONE
+        aug.append(row)
+    pivots = _echelon(aug)
+    if any(c not in pivots for c in range(n)):
         raise SingularMap("matrix is singular")
-    return ExactMatrix.from_rows([row[n:] for row in red.rref[:n]])
+    inverse = [None] * n
+    for c in reversed(range(n)):
+        row = pivots[c]
+        out = {j - n: v for j, v in row.items() if j >= n}
+        for j, f in row.items():
+            if c < j < n:
+                for k, v in inverse[j].items():
+                    out[k] = out.get(k, ZERO) - f * v
+        inverse[c] = out
+    return ExactMatrix.from_rows([[r.get(k, ZERO) for k in range(n)]
+                                  for r in inverse])

@@ -1,4 +1,9 @@
-"""Shared instances: the stock algebras and one structure per builder kind."""
+"""Shared instances: the stock algebras and one structure per builder kind,
+and the literal dense elimination that the library's sparse one is checked
+against."""
+
+from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -126,3 +131,73 @@ def deformation_map_cases():
             out.append((f"{name} {map_name}", q,
                         side_map(doc, q, map_name, side), side))
     return out
+
+
+# -- dense elimination oracle --------------------------------------------------
+
+class RowReduction(NamedTuple):
+    rank: int
+    kernel_basis: list      # vectors spanning the null space
+    image_basis: list       # pivot columns of the original matrix
+    pivots: tuple           # pivot column indices
+    rref: list              # reduced row echelon rows
+
+
+def row_reduce(rows, ncols=None):
+    """Literal Gauss-Jordan elimination of a matrix given as a row list.
+
+    rank + len(kernel_basis) == ncols; every kernel vector v satisfies
+    m.v == 0 exactly; image_basis consists of the pivot columns of m.
+    ncols is needed only when there are no rows.
+    """
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    original = [[Fraction(x) for x in r] for r in rows]
+    assert all(len(r) == ncols for r in original), "ragged rows"
+    rows = [r[:] for r in original]
+    nr, nc = len(rows), ncols
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        p = None
+        for i in range(r, nr):
+            if rows[i][c]:
+                p = i
+                break
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        pv = rows[r][c]
+        if pv != 1:
+            rows[r] = [x / pv for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    pivot_set = set(pivots)
+    kernel = []
+    for fc in range(nc):
+        if fc in pivot_set:
+            continue
+        v = [Fraction(0)] * nc
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -rows[i][fc]
+        kernel.append(v)
+    image = [[row[c] for row in original] for c in pivots]
+    return RowReduction(len(pivots), kernel, image, tuple(pivots), rows)
+
+
+def quotient_dim(z, b):
+    """dim span(z) - dim span(b) for two lists of vectors.
+
+    Fails with AssertionError unless every vector of b lies in span(z).
+    """
+    rank_z = row_reduce(z).rank
+    if b:
+        assert row_reduce(z + b).rank == rank_z, "b does not lie in span(z)"
+    return rank_z - row_reduce(b).rank

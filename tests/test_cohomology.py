@@ -4,18 +4,18 @@ import pytest
 
 import qta.deformation
 from qta import (
-    A, APRIME, DegreeError, ExactMatrix, MultilinearMap, NotDeformationMap,
+    A, APRIME, DegreeError, MultilinearMap, NotDeformationMap,
     build_standard, coboundary_apply, coboundary_apply_expanded,
     coboundary_matrix, cochain_complex, cohomology_dims, l1_vs_d,
-    emit_example, quotient_dim, random_map, regular_representation,
-    row_reduce, seeded_rng,
+    emit_example, random_map, regular_representation, seeded_rng,
 )
 from qta.cohomology import MAX_DEGREE_CAP, cochain_space
 from qta.deformation import side_spec
 from qta.io import build_quasi_twilled, parse, side_map
 
 from conftest import (
-    deformation_map_cases, dual_numbers, left_map, one_dim_algebra, right_map,
+    deformation_map_cases, dual_numbers, left_map, one_dim_algebra,
+    quotient_dim, right_map, row_reduce,
 )
 
 
@@ -78,39 +78,35 @@ def test_d_squared_zero_catalog_style():
 
 
 def test_cohomology_two_path_agreement():
-    # rank subtraction vs kernel/image quotient through quotient_dim
+    # rank subtraction vs kernel/image quotient through the dense oracle
     q = build_standard("reynolds", algebra=one_dim_algebra())
     b = left_map(q, [[-1]])
     dims = cohomology_dims(q, b, "left", 2)
     mats = [coboundary_matrix(q, b, "left", n) for n in range(3)]
     for n in range(3):
-        red = row_reduce(mats[n])
-        z = ExactMatrix.from_columns(red.kernel_basis, nrows=mats[n].ncols)
+        z = row_reduce(mats[n].rows(), mats[n].ncols).kernel_basis
         if n == 0:
-            b_cols = ExactMatrix(mats[n].ncols, 0, [])
+            b_vecs = []
         else:
-            prev = row_reduce(mats[n - 1])
-            b_cols = ExactMatrix.from_columns(prev.image_basis,
-                                              nrows=mats[n].ncols)
-        assert quotient_dim(z, b_cols) == dims[n]
+            b_vecs = row_reduce(mats[n - 1].rows(),
+                                mats[n - 1].ncols).image_basis
+        assert quotient_dim(z, b_vecs) == dims[n]
 
 
 def test_euler_derivation_cohomology():
     # frozen from the rank computation, cross-verified by the independent
-    # kernel/image quotient path (see two-path test below)
+    # kernel/image quotient path (see two-path test above)
     q = build_standard("semidirect",
                        rep=regular_representation(dual_numbers()))
     d = right_map(q, [[0, 0], [0, 1]])
     assert cohomology_dims(q, d, "right", 3) == [2, 1, 1, 1]
     mats = [coboundary_matrix(q, d, "right", n) for n in range(4)]
     for n in range(4):
-        red = row_reduce(mats[n])
-        z = ExactMatrix.from_columns(red.kernel_basis, nrows=mats[n].ncols)
+        z = row_reduce(mats[n].rows(), mats[n].ncols).kernel_basis
         if n == 0:
-            b = ExactMatrix(mats[n].ncols, 0, [])
+            b = []
         else:
-            b = ExactMatrix.from_columns(row_reduce(mats[n - 1]).image_basis,
-                                         nrows=mats[n].ncols)
+            b = row_reduce(mats[n - 1].rows(), mats[n - 1].ncols).image_basis
         assert quotient_dim(z, b) == [2, 1, 1, 1][n]
 
 

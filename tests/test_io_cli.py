@@ -4,6 +4,7 @@ import pytest
 
 from qta import ParseError, SchemaError, validate
 from qta.catalog import catalog_names, emit_example, get_entry
+import qta.cli
 from qta.cli import main as cli_main
 from qta.errors import UnknownExample
 from qta.io import (
@@ -50,6 +51,22 @@ def test_bad_fraction_raises_valueerror():
 def test_malformed_json_is_parse_error():
     with pytest.raises(ParseError):
         parse("{not json")
+
+
+def test_deeply_nested_json_is_parse_error(tmp_path, capsys):
+    deep = "[" * 100000 + "]" * 100000
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse(deep)
+    p = tmp_path / "deep.json"
+    p.write_text(deep, encoding="utf-8")
+    for argv in (["validate", str(p)],
+                 ["cohomology", "--map", "D", "--side", "right", str(p)]):
+        assert cli_main(["--json"] + argv) == 2
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["exit_status"] == 2
+        assert report["details"]["error"].startswith("ParseError: ")
+        assert "Traceback" not in captured.out + captured.err
 
 
 def test_schema_errors_name_offender():
@@ -299,3 +316,42 @@ def test_cli_twist_left_side(tmp_path, capsys):
     p.write_text(json.dumps(raw), encoding="utf-8")
     assert cli_main(["twist", "--map", "B", "--side", "left", str(p)]) == 1
     capsys.readouterr()
+
+
+def _reports(argvs, capsys):
+    out = []
+    for argv in argvs:
+        code = cli_main(argv)
+        text = capsys.readouterr().out
+        if "--json" in argv:
+            report = json.loads(text)
+            report.pop("timing_ms", None)
+            text = json.dumps(report)
+        else:
+            text = "\n".join(line for line in text.splitlines()
+                              if not line.startswith("time "))
+        out.append((code, text))
+    return out
+
+
+def test_cached_parser_gives_the_reports_of_fresh_parsers(
+        tmp_path, capsys, monkeypatch):
+    assert qta.cli.make_parser() is qta.cli.make_parser()
+    path = _write_example(tmp_path, "reynolds-dual-numbers")
+    # flags given on one call must not carry over to the next
+    argvs = [
+        ["--json", "cohomology", "--map", "B", "--side", "left",
+         "--max-degree", "1", path],
+        ["cohomology", "--map", "B", "--side", "left", path],
+        ["validate", path],
+        ["--json", "jacobi", "--side", "left", "--arity", "2",
+         "--samples", "2", "--seed", "3", path],
+        ["jacobi", "--side", "right", "--arity", "1", path],
+        ["--json", "example", "--list"],
+        ["twist", "--json", "--map", "B", "--side", "left", path],
+        ["--json", "validate", path],
+    ]
+    cached = _reports(argvs, capsys)
+    monkeypatch.setattr(qta.cli, "make_parser", qta.cli.make_parser.__wrapped__)
+    fresh = _reports(argvs, capsys)
+    assert cached == fresh
