@@ -29,7 +29,7 @@ from .errors import (
     InvalidQTA, NotDeformationMap, NotMaurerCartan, ParseError, QtaError,
     SchemaError, SingularMap, UnknownExample, UnknownKind,
 )
-from .linalg import ExactMatrix, SparseMatrix, invert
+from .linalg import ExactMatrix, invert
 from .linfty import (
     CurvedLInftyStructure, VData, controlling_structure, derived_bracket,
     jacobi_residual, mc_residual, suspended_bracket, twist_linfty, vdata,

@@ -15,7 +15,8 @@ action, an inner product or a right action.  Two checks stay on for
 every degree computed: each d_n is assembled a second time from the
 expanded sum (the original components and the map, never the twist) and
 asserted equal entry for entry, and d_(n+1) d_n = 0 is asserted as a
-sparse product.  Ranks come from sparse exact elimination.  The dense
+sparse product.  Each d_n is a `linalg.ExactMatrix`, which keeps only its
+nonzeros; ranks come from its exact elimination.  The dense
 `coboundary_apply` (twisted components) and `coboundary_apply_expanded`
 (the same sum spelled out) apply d to one cochain; they are the slow
 oracles the sparse assembly is tested against.  Each form of d is written
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from .deformation import side_spec
 from .errors import DegreeError
-from .linalg import ZERO, SparseMatrix
+from .linalg import ZERO, ExactMatrix
 from .multilinear import _label_size, _sign, insert, msum
 from .linfty import controlling_structure
 
@@ -192,11 +193,18 @@ def _assemble(terms, n, d, c):
                         row = (((pre * d + a) * d + b) * lo + suf) * c
                         for k in range(c):
                             add(row + k, col + k, val)
-    return SparseMatrix(dn * d * c, dn * c, rows)
+    return ExactMatrix(dn * d * c, dn * c, rows)
+
+
+def _check_degree(n):
+    if n < 0:
+        raise DegreeError("max degree must be >= 0")
+    if n > MAX_DEGREE_CAP:
+        raise DegreeError(f"max degree capped at {MAX_DEGREE_CAP}")
 
 
 def _coboundaries(q, m, side, degrees):
-    """Sparse d_n for each n in `degrees`, checked against the expanded form.
+    """d_n for each n in `degrees`, checked against the expanded form.
 
     The twisted triple is computed once.  Each d_n is assembled from it
     and, independently, from the expanded terms; the two must be equal
@@ -219,28 +227,21 @@ def _coboundaries(q, m, side, degrees):
 def coboundary_matrix(q, m, side, n):
     """Matrix of d: C^n -> C^(n+1) in the lexicographic cochain basis.
 
-    The dense export of the sparse matrix, asserted equal to its expanded
-    form.  Requires the map to be a deformation map; n is hard-capped at 5,
-    like the degrees of `cochain_complex`.
+    The d_n of `cochain_complex`, asserted equal to its expanded form.
+    Requires the map to be a deformation map; n is hard-capped at 5.
     """
+    _check_degree(n)
     side_spec(side).require_deformation(q, m)
-    if n < 0:
-        raise DegreeError("cochain degree must be >= 0")
-    if n > MAX_DEGREE_CAP:
-        raise DegreeError(f"cochain degree capped at {MAX_DEGREE_CAP}")
-    return _coboundaries(q, m, side, [n])[0].to_dense()
+    return _coboundaries(q, m, side, [n])[0]
 
 
 def cochain_complex(q, m, side, max_n=3):
-    """Sparse d_0 .. d_max_n of a deformation map.
+    """d_0 .. d_max_n of a deformation map.
 
     Every d_n is asserted equal to its expanded form, and d_(n+1) d_n to
     be zero for every consecutive pair.  max_n is hard-capped at 5.
     """
-    if max_n < 0:
-        raise DegreeError("max degree must be >= 0")
-    if max_n > MAX_DEGREE_CAP:
-        raise DegreeError(f"max degree capped at {MAX_DEGREE_CAP}")
+    _check_degree(max_n)
     side_spec(side).require_deformation(q, m)
     mats = _coboundaries(q, m, side, range(max_n + 1))
     for n in range(max_n):
@@ -252,8 +253,8 @@ def cochain_complex(q, m, side, max_n=3):
 def cohomology_dims(q, m, side, max_n=3):
     """Dimensions of H^0 .. H^max_n for a deformation map.
 
-    dim H^n = dim ker(d_n) - rank(d_{n-1}), with the ranks taken by sparse
-    exact elimination on the checked complex of `cochain_complex`.
+    dim H^n = dim ker(d_n) - rank(d_{n-1}), with the ranks taken by exact
+    elimination on the checked complex of `cochain_complex`.
     max_n defaults to 3 and is hard-capped at 5 (the matrix at degree n
     has dim^n * dim' columns).
     """

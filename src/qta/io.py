@@ -61,20 +61,37 @@ def _shape(name, dims):
     return tuple(_label_size(label, dims) for label in (*dom, cod))
 
 
+# an error report quotes at most this many characters of an offending string
+_ECHO_CAP = 40
+
+
 def parse_fraction(text, path):
-    """Strict fraction-string parser, canonicalizing via Fraction."""
+    """Strict fraction-string parser, canonicalizing via Fraction.
+
+    Takes "p" or "p/q" in ASCII digits, with optional signs and spaces;
+    the "_" separators and non-ASCII digits that int() would accept are
+    refused.
+    """
     if isinstance(text, bool) or not isinstance(text, str):
         raise SchemaError(f"{path}: rationals must be strings, got "
                           f"{type(text).__name__}")
     s = text.strip()
     try:
+        if not text.isascii() or "_" in text:
+            raise ValueError("expected ASCII digits without '_'")
         if "/" in s:
             num, den = s.split("/", 1)
             value = Fraction(int(num.strip()), int(den.strip()))
         else:
             value = Fraction(int(s))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"{path}: bad fraction string {text!r}: {exc}") from exc
+        shown, reason = repr(text), str(exc)
+        if len(text) > _ECHO_CAP:
+            # a long string is quoted in part, and so is int()'s echo of it
+            shown = f"{text[:_ECHO_CAP]!r}... ({len(text)} characters)"
+            if len(reason) > _ECHO_CAP:
+                reason = reason[:_ECHO_CAP] + "..."
+        raise ValueError(f"{path}: bad fraction string {shown}: {reason}") from exc
     return value
 
 
@@ -123,7 +140,8 @@ def parse(text):
     """Parse and validate a document; diagnostics name the offending path."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal over int()'s digit limit
         raise ParseError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError("cannot parse: JSON arrays or objects nested "

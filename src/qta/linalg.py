@@ -1,10 +1,10 @@
-"""Exact rational linear algebra: sparse rank and inverse, dense export.
+"""Exact rational linear algebra: one sparse matrix, its rank and inverse.
 
-One exact elimination, `_echelon`, works on sparse rows (nonzero entries
-only) over fractions.Fraction.  `SparseMatrix.rank` counts its pivots
-for the large, mostly-zero coboundary matrices, and `invert` runs it on
-[M | I] and back-substitutes.  `ExactMatrix` is the dense form that
-`coboundary_matrix` exports and `invert` takes and returns.  Everything
+`ExactMatrix` keeps only the nonzero entries of a matrix over
+fractions.Fraction, by row, like the store of a MultilinearMap.  One
+exact elimination, `_echelon`, works on those rows: `ExactMatrix.rank`
+counts its pivots, and `invert` runs it on [M | I] and back-substitutes.
+`from_rows` and `rows` are the one dense way in and out.  Everything
 here is basis-explicit and exact; the contracts (ranks, dimensions) are
 basis-independent.
 """
@@ -20,17 +20,24 @@ ONE = Fraction(1)
 
 
 class ExactMatrix:
-    """Dense rational matrix, stored row-major."""
+    """Rational matrix that stores only its nonzero entries, by row.
 
-    __slots__ = ("nrows", "ncols", "entries")
+    `store` maps a row index to {column index: nonzero Fraction}; rows
+    without entries are absent.  The constructor drops zero values, so
+    equal matrices have equal stores.
+    """
 
-    def __init__(self, nrows, ncols, entries):
-        entries = [Fraction(e) for e in entries]
-        if len(entries) != nrows * ncols:
-            raise DimensionError("entries length != nrows * ncols")
+    __slots__ = ("nrows", "ncols", "store")
+
+    def __init__(self, nrows, ncols, store):
+        kept = {}
+        for i, row in store.items():
+            row = {j: v for j, v in row.items() if v}
+            if row:
+                kept[i] = row
         self.nrows = nrows
         self.ncols = ncols
-        self.entries = entries
+        self.store = kept
 
     @classmethod
     def from_rows(cls, rows):
@@ -38,106 +45,47 @@ class ExactMatrix:
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise DimensionError("ragged rows")
-        return cls(nrows, ncols, [e for r in rows for e in r])
-
-    def row(self, i):
-        return self.entries[i * self.ncols:(i + 1) * self.ncols]
+        return cls(nrows, ncols, {i: {j: Fraction(e) for j, e in enumerate(r)}
+                                  for i, r in enumerate(rows)})
 
     def rows(self):
-        return [self.row(i) for i in range(self.nrows)]
-
-    def column(self, j):
-        return [self.entries[i * self.ncols + j] for i in range(self.nrows)]
-
-    def matmul(self, other):
-        if self.ncols != other.nrows:
-            raise DimensionError("matmul shape mismatch")
-        entries = []
-        for i in range(self.nrows):
-            ri = self.row(i)
-            entries.extend(
-                sum((ri[k] * other.entries[k * other.ncols + j]
-                     for k in range(self.ncols)), ZERO)
-                for j in range(other.ncols))
-        return ExactMatrix(self.nrows, other.ncols, entries)
-
-    def is_zero(self):
-        return not any(self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return (self.nrows == other.nrows and self.ncols == other.ncols
-                and self.entries == other.entries)
-
-    def __repr__(self):
-        return f"ExactMatrix({self.nrows}x{self.ncols})"
-
-
-class SparseMatrix:
-    """Rational matrix that stores only its nonzero entries, by row.
-
-    `rows` maps a row index to {column index: nonzero Fraction}; rows
-    without entries are absent.  The constructor drops zero values, so
-    equal matrices have equal `rows`.
-    """
-
-    __slots__ = ("nrows", "ncols", "rows")
-
-    def __init__(self, nrows, ncols, rows):
-        kept = {}
-        for i, row in rows.items():
-            row = {j: v for j, v in row.items() if v}
-            if row:
-                kept[i] = row
-        self.nrows = nrows
-        self.ncols = ncols
-        self.rows = kept
-
-    @classmethod
-    def from_dense(cls, m):
-        return cls(m.nrows, m.ncols,
-                   {i: dict(enumerate(m.row(i))) for i in range(m.nrows)})
-
-    def to_dense(self):
-        entries = [ZERO] * (self.nrows * self.ncols)
-        for i, row in self.rows.items():
-            base = i * self.ncols
+        out = [[ZERO] * self.ncols for _ in range(self.nrows)]
+        for i, row in self.store.items():
             for j, v in row.items():
-                entries[base + j] = v
-        return ExactMatrix(self.nrows, self.ncols, entries)
+                out[i][j] = v
+        return out
 
     @property
     def nnz(self):
-        return sum(len(row) for row in self.rows.values())
+        return sum(len(row) for row in self.store.values())
 
     def matmul(self, other):
         if self.ncols != other.nrows:
             raise DimensionError("matmul shape mismatch")
         out = {}
-        for i, row in self.rows.items():
+        for i, row in self.store.items():
             acc = {}
             for k, a in row.items():
-                for j, b in other.rows.get(k, {}).items():
+                for j, b in other.store.get(k, {}).items():
                     acc[j] = acc.get(j, ZERO) + a * b
             out[i] = acc
-        return SparseMatrix(self.nrows, other.ncols, out)
+        return ExactMatrix(self.nrows, other.ncols, out)
 
     def is_zero(self):
-        return not self.rows
+        return not self.store
 
     def rank(self):
         """Number of pivots of the exact elimination `_echelon`."""
-        return len(_echelon(self.rows.values()))
+        return len(_echelon(self.store.values()))
 
     def __eq__(self, other):
-        if not isinstance(other, SparseMatrix):
+        if not isinstance(other, ExactMatrix):
             return NotImplemented
         return (self.nrows == other.nrows and self.ncols == other.ncols
-                and self.rows == other.rows)
+                and self.store == other.store)
 
     def __repr__(self):
-        return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
+        return f"ExactMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
 
 
 def _echelon(rows):
@@ -180,15 +128,11 @@ def invert(m: ExactMatrix) -> ExactMatrix:
     if m.nrows != m.ncols:
         raise SingularMap("only square matrices can be inverted")
     n = m.nrows
-    aug = []
-    for i in range(n):
-        row = {j: v for j, v in enumerate(m.row(i)) if v}
-        row[n + i] = ONE
-        aug.append(row)
+    aug = [{**m.store.get(i, {}), n + i: ONE} for i in range(n)]
     pivots = _echelon(aug)
     if any(c not in pivots for c in range(n)):
         raise SingularMap("matrix is singular")
-    inverse = [None] * n
+    inverse = {}
     for c in reversed(range(n)):
         row = pivots[c]
         out = {j - n: v for j, v in row.items() if j >= n}
@@ -197,5 +141,4 @@ def invert(m: ExactMatrix) -> ExactMatrix:
                 for k, v in inverse[j].items():
                     out[k] = out.get(k, ZERO) - f * v
         inverse[c] = out
-    return ExactMatrix.from_rows([[r.get(k, ZERO) for k in range(n)]
-                                  for r in inverse])
+    return ExactMatrix(n, n, inverse)

@@ -28,7 +28,7 @@ from .algebras import (
 )
 from .errors import DimensionError, IngredientError, UnknownKind
 from .multilinear import (
-    A, APRIME, MultilinearMap, circle, circle_parts, gerstenhaber,
+    A, APRIME, MultilinearMap, circle, gerstenhaber, insert,
     lift, msum, project,
 )
 
@@ -137,11 +137,11 @@ def structure_residuals(q):
     pi, xi, eta = lift(q.pi), lift(q.xi), lift(q.eta)
     beta, rho, mu, theta = lift(q.beta), lift(q.rho), lift(q.mu), lift(q.theta)
 
-    def p1(f, g):
-        return circle_parts(f, g)[0]
+    def p1(f, g):       # (f o g)_1(x1,x2,x3) = f(g(x1,x2),x3)
+        return insert(f, g, 0)
 
-    def p2(f, g):
-        return circle_parts(f, g)[1]
+    def p2(f, g):       # (f o g)_2(x1,x2,x3) = f(x1,g(x2,x3))
+        return insert(f, g, 1)
 
     half = circle  # (1/2)[f,f] = f o f for binary f
 

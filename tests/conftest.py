@@ -1,6 +1,6 @@
 """Shared instances: the stock algebras and one structure per builder kind,
-and the literal dense elimination that the library's sparse one is checked
-against."""
+and the literal dense elimination and product that the library's sparse
+ones are checked against."""
 
 from fractions import Fraction
 from typing import NamedTuple
@@ -133,7 +133,7 @@ def deformation_map_cases():
     return out
 
 
-# -- dense elimination oracle --------------------------------------------------
+# -- dense elimination and product oracles ------------------------------------
 
 class RowReduction(NamedTuple):
     rank: int
@@ -190,6 +190,15 @@ def row_reduce(rows, ncols=None):
         kernel.append(v)
     image = [[row[c] for row in original] for c in pivots]
     return RowReduction(len(pivots), kernel, image, tuple(pivots), rows)
+
+
+def matmul_rows(left, right, ncols):
+    """Literal product of two matrices given as row lists.
+
+    ncols is the column count of `right`, needed when it has no rows.
+    """
+    return [[sum((row[k] * right[k][j] for k in range(len(right))),
+                 Fraction(0)) for j in range(ncols)] for row in left]
 
 
 def quotient_dim(z, b):

@@ -69,6 +69,53 @@ def test_deeply_nested_json_is_parse_error(tmp_path, capsys):
         assert "Traceback" not in captured.out + captured.err
 
 
+def _one_dim_document(scalar):
+    return json.dumps({
+        "field": "rational",
+        "spaces": {"A": {"dim": 1}, "Aprime": {"dim": 1}},
+        "components": {"pi": [[[scalar]]]},
+    })
+
+
+def test_oversized_json_integer_is_parse_error(tmp_path, capsys):
+    # json.loads refuses integer literals over int()'s 4300-digit limit
+    text = '{"field": ' + "9" * 5000 + "}"
+    with pytest.raises(ParseError):
+        parse(text)
+    p = tmp_path / "bigint.json"
+    p.write_text(text, encoding="utf-8")
+    assert cli_main(["--json", "validate", str(p)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["exit_status"] == 2
+    assert report["details"]["error"].startswith("ParseError: ")
+
+
+def test_bad_fraction_report_is_bounded(tmp_path, capsys):
+    for scalar in ("7" * 5000, "1" * 3000 + "/0", "x" * 5000):
+        with pytest.raises(ValueError) as info:
+            parse(_one_dim_document(scalar))
+        assert len(str(info.value)) < 250
+        assert f"({len(scalar)} characters)" in str(info.value)
+        p = tmp_path / "big.json"
+        p.write_text(_one_dim_document(scalar), encoding="utf-8")
+        assert cli_main(["--json", "validate", str(p)]) == 2
+        error = json.loads(capsys.readouterr().out)["details"]["error"]
+        assert error.startswith("ValueError: ") and len(error) < 250
+    # strings under the cap are echoed whole, as before
+    with pytest.raises(ValueError) as info:
+        parse_fraction("1/0", "builder.tables.product[0][0][0]")
+    assert str(info.value) == ("builder.tables.product[0][0][0]: bad "
+                               "fraction string '1/0': Fraction(1, 0)")
+
+
+def test_fraction_strings_are_ascii_digits():
+    for text in ("1_000", "1/2_0", "\u0663", "1/\u0663", "\uff11"):
+        with pytest.raises(ValueError, match="bad fraction string"):
+            parse_fraction(text, "x")
+    assert parse_fraction(" -2/4 ", "x") == parse_fraction("-1/2", "x")
+    assert parse_fraction("+3", "x") == 3
+
+
 def test_schema_errors_name_offender():
     base = {
         "field": "rational",

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import quotient_dim, row_reduce
-from qta import DimensionError, ExactMatrix, SingularMap, SparseMatrix, invert
+from conftest import matmul_rows, quotient_dim, row_reduce
+from qta import DimensionError, ExactMatrix, SingularMap, invert
 from qta.linalg import _echelon
 
 
@@ -99,10 +99,17 @@ def test_rref_idempotent():
 
 # -- the sparse elimination: rank and inverse ---------------------------------
 
+def _matrix(rows, ncols):
+    """ExactMatrix of a row list; unlike from_rows, keeps ncols when there
+    are no rows."""
+    return ExactMatrix(len(rows), ncols,
+                       {i: dict(enumerate(r)) for i, r in enumerate(rows)})
+
+
 def _random_sparse_dense(rng, nr, nc, density):
-    return ExactMatrix(nr, nc, [
-        Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
-        if rng.random() < density else 0 for _ in range(nr * nc)])
+    entries = [Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+               if rng.random() < density else 0 for _ in range(nr * nc)]
+    return _matrix([entries[i * nc:(i + 1) * nc] for i in range(nr)], nc)
 
 
 def test_echelon_pivot_order():
@@ -122,15 +129,14 @@ def test_rank_equals_transpose_rank():
     shapes += [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(40)]
     for nr, nc in shapes:
         for density in (0.0, 0.3, 1.0):
-            m = SparseMatrix.from_dense(_random_sparse_dense(rng, nr, nc,
-                                                             density))
+            m = _random_sparse_dense(rng, nr, nc, density)
             transposed = {}
-            for i, row in m.rows.items():
+            for i, row in m.store.items():
                 for j, v in row.items():
                     transposed.setdefault(j, {})[i] = v
-            mt = SparseMatrix(nc, nr, transposed)
+            mt = ExactMatrix(nc, nr, transposed)
             assert m.rank() == mt.rank()
-            assert m.rank() == row_reduce(m.to_dense().rows(), nc).rank
+            assert m.rank() == row_reduce(m.rows(), nc).rank
 
 
 def _square_cases(seed):
@@ -170,7 +176,7 @@ def test_invert_against_sympy():
         inv = invert(m)
         assert (inv.nrows, inv.ncols) == (n, n)
         assert inv.rows() == expected
-        assert all(type(e) is Fraction for e in inv.entries)
+        assert all(type(e) is Fraction for row in inv.rows() for e in row)
         regular += 1
     assert singular >= 20 and regular >= 50
 
@@ -180,17 +186,18 @@ def test_invert_times_matrix_is_identity():
         try:
             inv = invert(m)
         except SingularMap:
-            assert SparseMatrix.from_dense(m).rank() < m.nrows
+            assert m.rank() < m.nrows
             continue
         ident = ExactMatrix.from_rows(_identity_rows(m.nrows))
         assert m.matmul(inv) == ident
         assert inv.matmul(m) == ident
+        assert matmul_rows(m.rows(), inv.rows(), m.nrows) == ident.rows()
 
 
 def test_invert_rejects_non_square():
     for nr, nc in ((2, 3), (3, 2), (0, 2), (2, 0)):
         with pytest.raises(SingularMap):
-            invert(ExactMatrix(nr, nc, [1] * (nr * nc)))
+            invert(_matrix([[1] * nc for _ in range(nr)], nc))
 
 
 def test_invert_and_singular():
@@ -212,15 +219,19 @@ def test_sparse_product_and_rank_equal_dense():
         for density in (0.0, 0.3, 1.0):
             left = _random_sparse_dense(rng, nr, inner, density)
             right = _random_sparse_dense(rng, inner, nc, density)
-            sl, sr = SparseMatrix.from_dense(left), SparseMatrix.from_dense(right)
-            assert sl.to_dense() == left
-            assert sl.nnz == sum(1 for e in left.entries if e)
-            product = sl.matmul(sr)
-            assert product.to_dense() == left.matmul(right)
-            assert product == SparseMatrix.from_dense(left.matmul(right))
-            assert product.is_zero() == left.matmul(right).is_zero()
-            assert sl.rank() == row_reduce(left.rows(), left.ncols).rank
-            assert sr.rank() == row_reduce(right.rows(), right.ncols).rank
+            dense = left.rows()
+            assert len(dense) == nr and all(len(r) == inner for r in dense)
+            assert _matrix(dense, inner) == left
+            if nr:
+                assert ExactMatrix.from_rows(dense) == left
+            assert left.nnz == sum(1 for r in dense for e in r if e)
+            product = left.matmul(right)
+            oracle = matmul_rows(dense, right.rows(), nc)
+            assert product.rows() == oracle
+            assert product == _matrix(oracle, nc)
+            assert product.is_zero() == all(e == 0 for r in oracle for e in r)
+            assert left.rank() == row_reduce(dense, inner).rank
+            assert right.rank() == row_reduce(right.rows(), nc).rank
 
 
 def test_sparse_rank_of_dependent_rows():
@@ -233,10 +244,62 @@ def test_sparse_rank_of_dependent_rows():
                  for j in range(6)]
                 for coef in ([Fraction(rng.randint(-2, 2), rng.choice([1, 3]))
                               for _ in base] for _ in range(5))]
-        dense = ExactMatrix.from_rows(rows)
-        assert SparseMatrix.from_dense(dense).rank() == row_reduce(rows).rank
+        assert ExactMatrix.from_rows(rows).rank() == row_reduce(rows).rank
 
 
 def test_sparse_shape_mismatch():
     with pytest.raises(DimensionError):
-        SparseMatrix(2, 3, {}).matmul(SparseMatrix(2, 3, {}))
+        ExactMatrix(2, 3, {}).matmul(ExactMatrix(2, 3, {}))
+
+
+def _unimodular(rng, n):
+    """L U for random unitriangular L (lower) and U (upper): invertible,
+    with an integral inverse."""
+    def unitriangular(below):
+        return ExactMatrix.from_rows([
+            [1 if i == j else rng.randint(-2, 2) if (i > j) == below else 0
+             for j in range(n)] for i in range(n)])
+    return unitriangular(True).matmul(unitriangular(False))
+
+
+def _oracle_inverse(rows):
+    """Inverse by Gauss-Jordan on [m | I], or None if m is singular."""
+    n = len(rows)
+    aug = [list(r) + [int(i == j) for j in range(n)]
+           for i, r in enumerate(rows)]
+    red = row_reduce(aug, 2 * n)
+    if red.pivots[:n] != tuple(range(n)):
+        return None
+    return [r[n:] for r in red.rref[:n]]
+
+
+def test_change_of_basis_keeps_rank_and_inverse():
+    # P M Q has the rank of M, and (P M)^-1 = M^-1 P^-1 exactly, with
+    # SingularMap on exactly the singular M
+    rng = random.Random(31)
+    singular = regular = 0
+    for m in _square_cases(31):
+        n = m.nrows
+        p, q = _unimodular(rng, n), _unimodular(rng, n)
+        pm = p.matmul(m)
+        assert pm.matmul(q).rank() == m.rank()
+        assert m.rank() == row_reduce(m.rows(), n).rank
+        oracle = _oracle_inverse(m.rows())
+        if oracle is None:
+            with pytest.raises(SingularMap):
+                invert(m)
+            with pytest.raises(SingularMap):
+                invert(pm)
+            singular += 1
+            continue
+        inv_m = invert(m)
+        assert inv_m.rows() == oracle
+        assert invert(pm) == inv_m.matmul(invert(p))
+        assert invert(pm).rows() == _oracle_inverse(pm.rows())
+        regular += 1
+    assert singular >= 10 and regular >= 50
+    for _ in range(20):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        m = _random_sparse_dense(rng, nr, nc, rng.choice((0.3, 1.0)))
+        pmq = _unimodular(rng, nr).matmul(m).matmul(_unimodular(rng, nc))
+        assert pmq.rank() == m.rank() == row_reduce(m.rows(), nc).rank
