@@ -24,7 +24,7 @@ import time
 
 from . import catalog as _catalog
 from .cohomology import MAX_DEGREE_CAP, cohomology_dims
-from .deformation import classify_operator, conjugation_twist, side_spec
+from .deformation import conjugation_twist, operator_name, side_spec
 from .errors import QtaError
 from .io import Report, build_quasi_twilled, parse, side_map, witness_text
 from .linfty import controlling_structure
@@ -84,8 +84,8 @@ def _side_pair(q, doc, args):
 
 def _cmd_classify(args):
     doc, q = _load(args.file)
-    m, res = _side_pair(q, doc, args)
-    name = classify_operator(q, m, args.side)
+    _, res = _side_pair(q, doc, args)
+    name = operator_name(q, args.side, res)
     ok = name != "not a deformation map"
     details = {"map": args.map, "side": args.side, "operator": name,
                "residual": "zero" if res.is_zero() else
@@ -96,8 +96,10 @@ def _cmd_classify(args):
 
 def _cmd_twist(args):
     doc, q = _load(args.file)
-    m, res = _side_pair(q, doc, args)
-    tw = side_spec(args.side).twist(q, m)
+    m = side_map(doc, q, args.map, args.side)
+    spec = side_spec(args.side)
+    tw = spec.twist(q, m)
+    res = getattr(tw, spec.residual_part)
     conj_ok = tw.reassemble() == conjugation_twist(q, m, args.side)
     comps = {name: "zero" if comp.is_zero() else "nonzero"
              for name, comp in tw.components().items()}
@@ -132,7 +134,7 @@ def _cmd_mc(args):
 
 def _cmd_cohomology(args):
     doc, q = _load(args.file)
-    m, _res = _side_pair(q, doc, args)
+    m = side_map(doc, q, args.map, args.side)
     cap = _degree_cap()
     max_n = min(args.max_degree, cap)
     dims = cohomology_dims(q, m, args.side, max_n)

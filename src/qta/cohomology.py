@@ -9,14 +9,19 @@ Right side of a deformation map D: C^0 = A', C^n = Hom((x)^n A, A'), with
 built from the twisted components; the left side mirrors this with
 (beta^B; eta^B, xi^B) on C^n = Hom((x)^n A', A), C^0 = A.
 
-The matrices d_n are assembled sparsely: the twist is computed once, and
-each entry comes from one nonzero structure constant plugged in as a left
-action, an inner product or a right action.  Two checks stay on for
-every degree computed: each d_n is assembled a second time from the
-expanded sum (the original components and the map, never the twist) and
-asserted equal entry for entry, and d_(n+1) d_n = 0 is asserted as a
-sparse product.  Each d_n is a `linalg.ExactMatrix`, which keeps only its
-nonzeros; ranks come from its exact elimination.  The dense
+The matrices d_n are assembled sparsely: the twist is computed once per
+call, and each entry comes from one nonzero structure constant plugged in
+as a left action, an inner product or a right action.  The map is a
+deformation map exactly when the twist's residual component (theta^D on
+the right, gamma^B on the left) vanishes, so the deformation check reads
+that component of the same twist (`checked_twist` of the side table)
+instead of computing the residual again.  The nonzeros of every term
+table are extracted once per call and read for every degree.  Two checks
+stay on for every degree computed: each d_n is assembled a second time
+from the expanded sum (the original components and the map, never the
+twist) and asserted equal entry for entry, and d_(n+1) d_n = 0 is
+asserted as a sparse product.  Each d_n is a `linalg.ExactMatrix`, which
+keeps only its nonzeros; ranks come from its exact elimination.  The dense
 `coboundary_apply` (twisted components) and `coboundary_apply_expanded`
 (the same sum spelled out) apply d to one cochain; they are the slow
 oracles the sparse assembly is tested against.  Each form of d is written
@@ -53,7 +58,8 @@ def _check_cochain(q, side, f):
 
 def coboundary_apply(q, m, side, f):
     """d f via the twisted components, for f in C^n, n >= 1."""
-    terms = _structural_terms(q, m, side)
+    spec = side_spec(side)
+    terms = _structural_terms(spec, spec.twist(q, m))
     _check_cochain(q, side, f)
     return _evaluate(terms, f)
 
@@ -85,9 +91,9 @@ def _evaluate(terms, f):
            for g, s, p in right])
 
 
-def _structural_terms(q, m, side):
-    """d from the twisted (product, left action, right action)."""
-    prod, act_l, act_r = side_spec(side).twisted_triple(q, m)
+def _structural_terms(spec, tw):
+    """d from the (product, left action, right action) of the twist tw."""
+    prod, act_l, act_r = spec.induced(tw)
     return ((act_l, 1, None),), (prod,), ((act_r, 1, None),)
 
 
@@ -136,11 +142,33 @@ def _images(post, c):
             for l in range(post.slot_sizes[0])]
 
 
-def _assemble(terms, n, d, c):
-    """Sparse matrix of the coboundary C^n -> C^(n+1) given by `terms`.
+def _extract(terms, c):
+    """The nonzeros `_assemble` reads from a (left, inner, right) table.
 
-    `terms` = (left, inner, right) writes d as binary maps plugged around
-    a cochain f:
+    Each plug (g, s, post) of left and right becomes the list of
+    (a, b, l', s v w): a nonzero v of e_l in g(e_a, e_b) carried to e_l'
+    by post(e_l) = sum w e_l'.  Each inner g becomes `_nonzeros(g)`.
+    Done once per call, for every degree.
+    """
+    left, inner, right = terms
+
+    def plugged(plugs):
+        out = []
+        for g, coef, post in plugs:
+            images = _images(post, c)
+            out.append([(a, b, l2, coef * v * w)
+                        for a, b, l, v in _nonzeros(g)
+                        for l2, w in images[l]])
+        return out
+
+    return plugged(left), [_nonzeros(g) for g in inner], plugged(right)
+
+
+def _assemble(table, n, d, c):
+    """Sparse matrix of the coboundary C^n -> C^(n+1) given by a term table.
+
+    `table` is `_extract` of a term table (left, inner, right), which
+    writes d as binary maps plugged around a cochain f:
 
         d f(x_1, ..., x_{n+1})
             = sum over (g, s, post) in left of s post(g(x_1, f(x_2, ...)))
@@ -157,7 +185,7 @@ def _assemble(terms, n, d, c):
     slot, nonzero structure constant); degree 0 is the same formula with
     the empty tuple.
     """
-    left, inner, right = terms
+    left, inner, right = table
     rows = {}
 
     def add(i, j, v):
@@ -170,19 +198,17 @@ def _assemble(terms, n, d, c):
     dn = d ** n
     for plugs, sign, on_left in ((left, 1, True),
                                  (right, _sign(n + 1), False)):
-        for g, coef, post in plugs:
-            images = _images(post, c)
-            for a, b, l, v in _nonzeros(g):
-                for l2, w in images[l]:
-                    val = sign * coef * v * w
-                    if on_left:                 # g(e_a, f(S) = e_b)
-                        for s in range(dn):
-                            add((a * dn + s) * c + l2, s * c + b, val)
-                    else:                       # g(f(S) = e_a, e_b)
-                        for s in range(dn):
-                            add((s * d + b) * c + l2, s * c + a, val)
-    for g in inner:
-        for a, b, p, v in _nonzeros(g):
+        for entries in plugs:
+            for a, b, l2, v in entries:
+                val = sign * v
+                if on_left:                     # g(e_a, f(S) = e_b)
+                    for s in range(dn):
+                        add((a * dn + s) * c + l2, s * c + b, val)
+                else:                           # g(f(S) = e_a, e_b)
+                    for s in range(dn):
+                        add((s * d + b) * c + l2, s * c + a, val)
+    for entries in inner:
+        for a, b, p, v in entries:
             for i in range(1, n + 1):
                 # column tuple (pre, p, suf) -> row tuple (pre, a, b, suf)
                 lo = d ** (n - i)
@@ -206,14 +232,16 @@ def _check_degree(n):
 def _coboundaries(q, m, side, degrees):
     """d_n for each n in `degrees`, checked against the expanded form.
 
-    The twisted triple is computed once.  Each d_n is assembled from it
-    and, independently, from the expanded terms; the two must be equal
-    entry for entry.
+    The twist is computed once, and raises NotDeformationMap unless m is
+    a deformation map (`checked_twist`).  Both term tables are extracted
+    once; each d_n is assembled from the twisted one and, independently,
+    from the expanded one, and the two must be equal entry for entry.
     """
     spec = side_spec(side)
+    tw = spec.checked_twist(q, m)
     d, c = _label_size(spec.slot, q.dims), _label_size(spec.cod, q.dims)
-    structural = _structural_terms(q, m, side)
-    expanded = _expanded_terms(q, m, side)
+    structural = _extract(_structural_terms(spec, tw), c)
+    expanded = _extract(_expanded_terms(q, m, side), c)
     mats = []
     for n in degrees:
         mat = _assemble(structural, n, d, c)
@@ -231,7 +259,6 @@ def coboundary_matrix(q, m, side, n):
     Requires the map to be a deformation map; n is hard-capped at 5.
     """
     _check_degree(n)
-    side_spec(side).require_deformation(q, m)
     return _coboundaries(q, m, side, [n])[0]
 
 
@@ -242,7 +269,6 @@ def cochain_complex(q, m, side, max_n=3):
     be zero for every consecutive pair.  max_n is hard-capped at 5.
     """
     _check_degree(max_n)
-    side_spec(side).require_deformation(q, m)
     mats = _coboundaries(q, m, side, range(max_n + 1))
     for n in range(max_n):
         if not mats[n + 1].matmul(mats[n]).is_zero():
@@ -273,8 +299,10 @@ def l1_vs_d(q, m, side, f):
     This is a theorem for deformation maps, so the return value is always
     True; the function is a verification harness.
     """
-    side_spec(side).require_deformation(q, m)
+    spec = side_spec(side)
+    terms = _structural_terms(spec, spec.checked_twist(q, m))
     s = controlling_structure(q, side).twist(m)
     lhs = s.bracket(1, [f])
-    rhs = coboundary_apply(q, m, side, f).scale(_sign(f.arity - 1))
+    _check_cochain(q, side, f)
+    rhs = _evaluate(terms, f).scale(_sign(f.arity - 1))
     return lhs == rhs

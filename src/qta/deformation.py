@@ -33,6 +33,7 @@ class _Side(NamedTuple):
     # so a wrapper installed over a global (the perfbench tracer) sees it
     residual_fn: str
     twist_fn: str
+    residual_part: str      # twisted component equal to the residual
     triple: tuple           # twisted (product, left action, right action)
     basis: str              # attribute holding the basis of the slot space
     max_bracket: int        # top bracket of the controlling algebra
@@ -43,15 +44,24 @@ class _Side(NamedTuple):
     def twist(self, q, m):
         return globals()[self.twist_fn](q, m)
 
-    def twisted_triple(self, q, m):
-        tw = self.twist(q, m)
-        return tuple(getattr(tw, name) for name in self.triple)
+    def checked_twist(self, q, m):
+        """The twist by m, raising NotDeformationMap unless m is a
+        deformation map of this side.
 
-    def require_deformation(self, q, m):
-        res = self.residual(q, m)
+        The check reads the twist's residual component (theta^D on the
+        right, gamma^B on the left), which is the residual itself, so the
+        residual is computed once.
+        """
+        tw = self.twist(q, m)
+        res = getattr(tw, self.residual_part)
         if not res.is_zero():
             raise NotDeformationMap(
                 f"{self.name} residual nonzero at {res.first_witness()}")
+        return tw
+
+    def induced(self, tw):
+        """The twisted (product, left action, right action) of tw."""
+        return tuple(getattr(tw, name) for name in self.triple)
 
     def signature(self, arity):
         """(domain labels, codomain label) of cochains of this arity."""
@@ -60,9 +70,9 @@ class _Side(NamedTuple):
 
 _SIDES = {
     "right": _Side("right", A, APRIME, "right_residual", "twist_right",
-                   ("pi", "rho", "mu"), "basis_a", 2),
+                   "theta", ("pi", "rho", "mu"), "basis_a", 2),
     "left": _Side("left", APRIME, A, "left_residual", "twist_left",
-                  ("beta", "eta", "xi"), "basis_aprime", 3),
+                  "gamma", ("beta", "eta", "xi"), "basis_aprime", 3),
 }
 
 
@@ -247,8 +257,7 @@ def duality_check(q, d):
 
 def _induced_structures(q, m, side):
     spec = side_spec(side)
-    spec.require_deformation(q, m)
-    prod, act_l, act_r = spec.twisted_triple(q, m)
+    prod, act_l, act_r = spec.induced(spec.checked_twist(q, m))
     alg = AssociativeAlgebra(prod, getattr(q, spec.basis))
     return alg, RepresentationPair(alg, act_l, act_r)
 
@@ -272,18 +281,31 @@ def induced_left_structures(q, b):
 def classify_operator(q, m, side):
     """Name of the operator the map realizes, keyed on builder provenance.
 
+    `operator_name` of the map's residual.  Hand-built structures (no
+    provenance) raise UnknownKind before the residual is computed.
+    """
+    _kind_row(q)
+    return operator_name(q, side, side_spec(side).residual(q, m))
+
+
+def operator_name(q, side, residual):
+    """The name `classify_operator` gives a map with this residual.
+
     Returns "not a deformation map" when the residual is nonzero, the
     classical operator name when the builder kind's row (in
     `qta.quasitwilled`) names one for the side, and the generic side name
     otherwise.  Hand-built structures (no provenance) raise UnknownKind.
     """
-    if q.kind is None:
-        raise UnknownKind("structure was not produced by build_standard")
-    res = side_spec(side).residual(q, m)
-    if not res.is_zero():
+    row = _kind_row(q)
+    if not residual.is_zero():
         return "not a deformation map"
-    row = _KINDS.get(q.kind)
     name = getattr(row, side, None)
     if name is None:
         return f"{side} deformation map"
     return name.format(**{key: q.ingredients.get(key) for key in row.scalars})
+
+
+def _kind_row(q):
+    if q.kind is None:
+        raise UnknownKind("structure was not produced by build_standard")
+    return _KINDS.get(q.kind)

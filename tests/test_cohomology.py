@@ -1,14 +1,19 @@
+import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import qta.cohomology
 import qta.deformation
 from qta import (
     A, APRIME, DegreeError, MultilinearMap, NotDeformationMap,
     build_standard, coboundary_apply, coboundary_apply_expanded,
     coboundary_matrix, cochain_complex, cohomology_dims, l1_vs_d,
-    emit_example, random_map, regular_representation, seeded_rng,
+    emit_example, induced_left_structures, induced_right_structures,
+    random_map, regular_representation, seeded_rng,
 )
+from qta.cli import main as cli_main
 from qta.cohomology import MAX_DEGREE_CAP, cochain_space
 from qta.deformation import side_spec
 from qta.io import build_quasi_twilled, parse, side_map
@@ -134,6 +139,87 @@ def test_nondeformation_map_rejected():
         coboundary_matrix(q, right_map(q, [[1]]), "right", 1)
 
 
+# (catalog example, map) that is not a deformation map of the side
+NOT_DEFORMATION = {"right": ("modified-lambda4-dim1", "Dinv"),
+                   "left": ("euler-derivation-dual-numbers", "D")}
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_nondeformation_message_names_the_first_witness(side, tmp_path,
+                                                         capsys):
+    name, map_name = NOT_DEFORMATION[side]
+    doc = parse(emit_example(name))
+    q = build_quasi_twilled(doc)
+    m = side_map(doc, q, map_name, side)
+    residual = (qta.deformation.right_residual if side == "right"
+                else qta.deformation.left_residual)
+    witness = residual(q, m).first_witness()
+    assert witness is not None
+    message = f"{side} residual nonzero at {witness}"
+    induced = {"right": induced_right_structures,
+               "left": induced_left_structures}[side]
+    f = MultilinearMap.unit(*cochain_space(q, side, 1), q.dims, 0)
+    for call in (lambda: cohomology_dims(q, m, side, 2),
+                 lambda: cochain_complex(q, m, side, 0),
+                 lambda: coboundary_matrix(q, m, side, 1),
+                 lambda: l1_vs_d(q, m, side, f),
+                 lambda: induced(q, m)):
+        with pytest.raises(NotDeformationMap) as info:
+            call()
+        assert str(info.value) == message
+    path = tmp_path / "doc.json"
+    path.write_text(emit_example(name))
+    argv = ["cohomology", "--map", map_name, "--side", side, str(path)]
+    assert cli_main(["--json"] + argv) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["details"]["error"] == f"NotDeformationMap: {message}"
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == f"NotDeformationMap: {message}\n"
+
+
+def _count_calls(monkeypatch, module, names):
+    """Counter of calls to the named module functions, wrapped in place."""
+    calls = Counter()
+    for fn_name in names:
+        def counted(*args, _fn=getattr(module, fn_name), _name=fn_name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, fn_name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_one_twist_and_one_residual_per_call(monkeypatch, side):
+    """The deformation check reads the twist's residual component, and
+    the term tables are extracted once per call, whatever the degree;
+    the induced structures take the same checked twist."""
+    q = build_standard("semidirect",
+                       rep=regular_representation(dual_numbers()))
+    m = (right_map(q, [[0, 0], [0, 1]]) if side == "right"
+         else left_map(q, [[0, 0], [0, 0]]))
+    twist = {"right": "twist_right", "left": "twist_left"}[side]
+    residual = {"right": "right_residual", "left": "left_residual"}[side]
+    calls = _count_calls(monkeypatch, qta.deformation,
+                         ["right_residual", "left_residual",
+                          "twist_right", "twist_left"])
+    nonzeros = _count_calls(monkeypatch, qta.cohomology, ["_nonzeros"])
+    extracted = {}
+    for max_n in (0, 5):
+        for fn in (cohomology_dims, cochain_complex, coboundary_matrix):
+            calls.clear()
+            nonzeros.clear()
+            fn(q, m, side, max_n)
+            assert calls == {twist: 1, residual: 1}, (fn.__name__, max_n)
+            extracted.setdefault(fn.__name__, []).append(
+                nonzeros["_nonzeros"])
+    for fn_name, (at0, at5) in extracted.items():
+        assert at0 == at5 > 0, fn_name
+    calls.clear()
+    {"right": induced_right_structures,
+     "left": induced_left_structures}[side](q, m)
+    assert calls == {twist: 1, residual: 1}
+
+
 def test_degree_cap():
     q = semidirect_one()
     with pytest.raises(DegreeError):
@@ -155,7 +241,8 @@ def test_coboundary_matrix_degree_cap():
 
 def _degree0_column(q, m, side, k):
     """(d a)(x) = act_l(x, a) - act_r(a, x) for the k-th basis vector a."""
-    _, act_l, act_r = side_spec(side).twisted_triple(q, m)
+    spec = side_spec(side)
+    _, act_l, act_r = spec.induced(spec.twist(q, m))
     out = []
     for x in range(act_l.slot_sizes[0]):
         out.extend(u - v for u, v in zip(act_l.value((x, k)),

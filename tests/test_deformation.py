@@ -4,15 +4,16 @@ import pytest
 
 from qta import (
     A, APRIME, AssociativeAlgebra, DimensionError, NotDeformationMap,
-    SingularMap, UnknownKind, build_standard, check_associative,
-    check_representation, classify_operator, coboundary_apply,
-    coboundary_apply_expanded, coboundary_matrix, cohomology_dims,
-    conjugation_twist, controlling_structure, duality_check, emit_example,
-    explicit_formula, graph_residual, induced_left_structures,
-    induced_right_structures, left_residual, mc_residual, random_map,
-    regular_representation, right_residual, seeded_rng, twist_left,
-    twist_right, validate,
+    SingularMap, UnknownKind, build_standard, catalog_names,
+    check_associative, check_representation, classify_operator,
+    coboundary_apply, coboundary_apply_expanded, coboundary_matrix,
+    cohomology_dims, conjugation_twist, controlling_structure,
+    duality_check, emit_example, explicit_formula, graph_residual,
+    induced_left_structures, induced_right_structures, left_residual,
+    mc_residual, random_map, regular_representation, right_residual,
+    seeded_rng, twist_left, twist_right, validate,
 )
+from qta.deformation import operator_name
 from qta.io import build_quasi_twilled, parse, side_map
 
 from conftest import (
@@ -311,6 +312,27 @@ def test_classify_failures_and_unknowns():
     bare = QuasiTwilledAlgebra(q.pi, q.xi, q.eta, q.beta, q.rho, q.mu, q.theta)
     with pytest.raises(UnknownKind):
         classify_operator(bare, right_map(q, [[2]]), "right")
+
+
+def test_operator_name_is_classify_given_the_residual():
+    for name in catalog_names():
+        doc = parse(emit_example(name))
+        q = build_quasi_twilled(doc)
+        for map_name in doc.maps:
+            for side, residual in (("right", right_residual),
+                                   ("left", left_residual)):
+                m = side_map(doc, q, map_name, side)
+                assert operator_name(q, side, residual(q, m)) == \
+                    classify_operator(q, m, side), (name, map_name, side)
+    # provenance is checked before the residual: a hand-built structure
+    # with a map of the wrong side raises UnknownKind, not DimensionError
+    from qta import QuasiTwilledAlgebra
+    q = build_standard("reynolds", algebra=one_dim_algebra())
+    bare = QuasiTwilledAlgebra(q.pi, q.xi, q.eta, q.beta, q.rho, q.mu, q.theta)
+    with pytest.raises(UnknownKind):
+        classify_operator(bare, left_map(q, [[2]]), "right")
+    with pytest.raises(UnknownKind):
+        operator_name(bare, "left", left_residual(q, left_map(q, [[-1]])))
 
 
 # -- unknown sides ---------------------------------------------------------
