@@ -70,7 +70,8 @@ class AssociativeAlgebra:
 
     @classmethod
     def from_table(cls, table, dim, basis_names=None, label=A, dims=None):
-        dims = dims if dims is not None else (dim, 0)
+        if dims is None:
+            dims = (0, dim) if label is APRIME else (dim, 0)
         product = MultilinearMap.from_table(table, (label, label), label, dims)
         return cls(product, basis_names)
 

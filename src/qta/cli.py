@@ -165,6 +165,8 @@ def _cmd_jacobi(args):
     pools = _JACOBI_DEGREE_POOLS.get(args.arity)
     if pools is None:
         raise QtaError("jacobi arity must be between 0 and 4")
+    if args.samples < 1:
+        raise QtaError("jacobi --samples must be at least 1")
     rows = []
     ok = True
     for s in range(args.samples):

@@ -36,7 +36,6 @@ class _Side(NamedTuple):
     residual_part: str      # twisted component equal to the residual
     triple: tuple           # twisted (product, left action, right action)
     basis: str              # attribute holding the basis of the slot space
-    max_bracket: int        # top bracket of the controlling algebra
 
     def residual(self, q, m):
         return globals()[self.residual_fn](q, m)
@@ -70,9 +69,9 @@ class _Side(NamedTuple):
 
 _SIDES = {
     "right": _Side("right", A, APRIME, "right_residual", "twist_right",
-                   "theta", ("pi", "rho", "mu"), "basis_a", 2),
+                   "theta", ("pi", "rho", "mu"), "basis_a"),
     "left": _Side("left", APRIME, A, "left_residual", "twist_left",
-                  "gamma", ("beta", "eta", "xi"), "basis_aprime", 3),
+                  "gamma", ("beta", "eta", "xi"), "basis_aprime"),
 }
 
 

@@ -11,14 +11,14 @@ give a curved L-infinity algebra on the block cochains.  Right side:
 F_n = Hom((x)^{n+1} A, A'), curvature l_0 = theta, l_k = 0 for k >= 3.
 Left side: F_n = Hom((x)^{n+1} A', A), l_0 = 0, l_k = 0 for k >= 4.
 Degree-0 Maurer-Cartan elements are exactly the deformation maps of the
-matching side.
+matching side.  Twisting by one of them, x, gives the derived brackets of
+e^(ad x) Delta (ad x = [-, lift(x)]), the conjugation twist of Delta.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from fractions import Fraction
-from math import factorial
 
 from .deformation import side_spec
 from .errors import BlockError, DegreeError, InvalidQTA, NotMaurerCartan
@@ -99,9 +99,6 @@ class VData:
         """P: restriction of a total-space cochain to the F block."""
         return project(total_map, *self.f_signature(total_map.arity))
 
-    def zero_cochain(self, arity):
-        return MultilinearMap.zero(*self.f_signature(arity), self.dims)
-
     def basis_cochain(self, arity, row, k):
         """The basis cochain sending one domain tuple to one basis vector."""
         dom, cod = self.f_signature(arity)
@@ -114,9 +111,10 @@ def vdata(q, side):
     return VData(q, side)
 
 
-def derived_bracket(v, args):
-    """l_k(x_1,...,x_k) = P([...[[Delta, x_1], x_2],...,x_k]); k = 0 is P(Delta)."""
-    cur = v.delta
+def derived_bracket(v, args, delta=None):
+    """l_k(x_1,...,x_k) = P([...[[Delta, x_1], x_2],...,x_k]); k = 0 is P(Delta).
+    A given `delta` stands in for the V-data's Delta."""
+    cur = v.delta if delta is None else delta
     for x in args:
         v.check_arg(x)
         cur = gerstenhaber(cur, lift(x))
@@ -124,62 +122,54 @@ def derived_bracket(v, args):
 
 
 class CurvedLInftyStructure:
-    """Brackets l_0..l_max realized as evaluators over block cochains.
-
-    `shift` is None for the structure attached to the V-data; a twisted
-    structure carries the Maurer-Cartan element it was shifted by and has
-    zero curvature.
+    """The derived brackets of one square-zero element: the V-data's Delta
+    when `delta` is None, e^(ad x) Delta after twisting by x.
     """
 
-    def __init__(self, v, shift=None):
+    def __init__(self, v, delta=None):
         self.vdata = v
         self.side = v.side
-        self.max_bracket = v.spec.max_bracket
-        self.shift = shift
+        self.delta = delta
 
     def bracket(self, k, args):
         """l_k (or the twisted l_k^x) on a tuple of block cochains."""
         args = list(args)
         if len(args) != k:
             raise DegreeError(f"l_{k} needs {k} arguments, got {len(args)}")
-        if self.shift is None:
-            return derived_bracket(self.vdata, args)
-        total = None
-        for n in range(0, self.max_bracket - k + 1):
-            term = derived_bracket(self.vdata, [self.shift] * n + args)
-            term = term.scale(Fraction(1, factorial(n)))
-            total = term if total is None else total + term
-        if total is None:
-            total = derived_bracket(self.vdata, args)
-        return total
+        return derived_bracket(self.vdata, args, self.delta)
 
     def l0(self):
         """Curvature: P(Delta) for the base structure, zero after twisting."""
-        if self.shift is None:
-            return derived_bracket(self.vdata, [])
-        arity = 2  # degree-1 element of F
-        return self.vdata.zero_cochain(arity)
+        return self.bracket(0, [])
 
-    def mc_residual(self, x):
-        """l_0 + sum_k l_k(x,...,x)/k! for a degree-0 cochain x."""
+    def _exp(self, x):
+        """e^(ad x) Delta = sum_n ad_x^n Delta / n! for a degree-0 cochain x;
+        lift(x) squares to zero, so ad_x^n Delta = 0 for n > arity + 1."""
         self.vdata.check_arg(x)
         if x.arity != 1:
             raise DegreeError("Maurer-Cartan candidates have degree 0")
-        total = self.l0()
-        for k in range(1, self.max_bracket + 1):
-            total = total + self.bracket(k, [x] * k).scale(
-                Fraction(1, factorial(k)))
-        return total
+        xhat = lift(x)
+        term = total = self.vdata.delta if self.delta is None else self.delta
+        for n in range(1, term.arity + 3):
+            term = gerstenhaber(term, xhat).scale(Fraction(1, n))
+            if term.is_zero():
+                return total
+            total = total + term
+        raise AssertionError("ad_x^n Delta nonzero for n > arity + 1")
+
+    def mc_residual(self, x):
+        """l_0 + sum_k l_k(x,...,x)/k! = P(e^(ad x) Delta) for a degree-0
+        cochain x."""
+        return self.vdata.project(self._exp(x))
 
     def twist(self, x):
         """Twisted structure by a Maurer-Cartan element (zero curvature)."""
-        res = self.mc_residual(x)
+        delta = self._exp(x)
+        res = self.vdata.project(delta)
         if not res.is_zero():
             raise NotMaurerCartan(
                 f"residual nonzero at {res.first_witness()}")
-        if self.shift is not None:
-            x = x + self.shift
-        return CurvedLInftyStructure(self.vdata, shift=x)
+        return CurvedLInftyStructure(self.vdata, delta)
 
     def jacobi_residual(self, n, args):
         """Generalized Jacobi sum at arity n; zero for every valid structure.
@@ -211,7 +201,7 @@ class CurvedLInftyStructure:
         return self.bracket(2, [f, g]).scale(sign)
 
     def __repr__(self):
-        kind = "twisted" if self.shift is not None else "base"
+        kind = "twisted" if self.delta is not None else "base"
         return f"CurvedLInftyStructure({self.side}, {kind})"
 
 

@@ -195,8 +195,12 @@ class MultilinearMap:
 
     def _row(self, t):
         sizes = self.slot_sizes
+        if len(t) != len(sizes):
+            raise ArityError(f"basis tuple {t} for a map of arity {len(sizes)}")
         idx = 0
         for v, s in zip(t, sizes):
+            if not 0 <= v < s:
+                raise DimensionError(f"basis index {v} outside range({s})")
             idx = idx * s + v
         return idx
 
@@ -208,7 +212,10 @@ class MultilinearMap:
         return tuple(get(base + k, ZERO) for k in range(cod))
 
     def entry(self, t, k):
-        return self.store.get(self._row(tuple(t)) * self.cod_size + k, ZERO)
+        cod = self.cod_size
+        if not 0 <= k < cod:
+            raise DimensionError(f"codomain index {k} outside range({cod})")
+        return self.store.get(self._row(tuple(t)) * cod + k, ZERO)
 
     # -- linear structure --------------------------------------------------
 

@@ -17,6 +17,15 @@ def test_one_dim_always_associative():
         assert check_associative(alg).is_zero()
 
 
+def test_from_table_puts_dim_on_the_label_block():
+    from conftest import DUAL_TABLE
+    alg = AssociativeAlgebra.from_table(DUAL_TABLE, 2, label=APRIME)
+    assert alg.label is APRIME and alg.dim == 2
+    assert alg.product.dims == (0, 2)
+    assert alg.product.coeffs == dual_numbers().product.coeffs
+    assert check_associative(alg).is_zero()
+
+
 def test_square_zero_pattern_associative():
     # e1*e1 = e2, all other products zero
     alg = AssociativeAlgebra.from_table(

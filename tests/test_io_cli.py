@@ -326,6 +326,19 @@ def test_cli_jacobi(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_cli_jacobi_without_samples_exits_2(tmp_path, capsys, samples):
+    path = _write_example(tmp_path, "reynolds-dim1")
+    argv = ["jacobi", "--side", "left", "--arity", "2",
+            "--samples", samples, path]
+    assert cli_main(argv) == 2
+    assert "QtaError" in capsys.readouterr().err
+    assert cli_main(["--json"] + argv) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "error"
+    assert "--samples" in payload["details"]["error"]
+
+
 def test_cli_example_outputs_and_unknown(capsys):
     assert cli_main(["example", "reynolds-dim1"]) == 0
     out = capsys.readouterr().out

@@ -5,15 +5,21 @@ import pytest
 from qta import linfty
 from qta import (
     A, APRIME, BlockError, DegreeError, InvalidQTA, MultilinearMap,
-    NotMaurerCartan, QuasiTwilledAlgebra, build_standard, controlling_structure,
-    derived_bracket, gerstenhaber, left_residual, lift, insert,
-    random_map, regular_representation, right_residual, seeded_rng, validate,
-    vdata,
+    NotMaurerCartan, QuasiTwilledAlgebra, build_standard, conjugation_twist,
+    controlling_structure, derived_bracket, gerstenhaber, left_residual, lift,
+    insert, random_map, regular_representation, right_residual, seeded_rng,
+    validate, vdata,
 )
+from qta.deformation import side_spec
 
 from conftest import (
-    builder_instances, dual_numbers, left_map, one_dim_algebra, right_map,
+    builder_instances, deformation_map_cases, dual_numbers, left_map,
+    one_dim_algebra, right_map,
 )
+
+
+MAP_CASES = [pytest.param(*case, id=f"{case[0]} {case[3]}")
+             for case in deformation_map_cases()]
 
 
 def rcochain(rng, q, arity):
@@ -148,12 +154,18 @@ def test_right_l2_degree0_matches_residual_cross_terms():
 def test_brackets_vanish_beyond_range():
     rng = seeded_rng(64)
     q = build_standard("reynolds", algebra=dual_numbers())
-    sR = controlling_structure(q, "right")
-    args = [rcochain(rng, q, a) for a in (1, 2, 1)]
-    assert sR.bracket(3, args).is_zero()
+    semi = build_standard("semidirect",
+                          rep=regular_representation(dual_numbers()))
+    euler = right_map(semi, [[0, 0], [0, 1]])
+    # base structures, then structures twisted by a deformation map
+    for sR in (controlling_structure(q, "right"),
+               controlling_structure(semi, "right").twist(euler)):
+        args = [rcochain(rng, q, a) for a in (1, 2, 1)]
+        assert sR.bracket(3, args).is_zero(), sR
     sL = controlling_structure(q, "left")
-    argsL = [lcochain(rng, q, a) for a in (1, 1, 2, 1)]
-    assert sL.bracket(4, argsL).is_zero()
+    for s in (sL, sL.twist(left_map(q, [[-1, 0], [0, -1]]))):
+        argsL = [lcochain(rng, q, a) for a in (1, 1, 2, 1)]
+        assert s.bracket(4, argsL).is_zero(), s
 
 
 def test_bracket_lands_in_block_with_degree_plus_one():
@@ -267,6 +279,75 @@ def test_twisted_bracket_formulas():
             sb.bracket(2, [f, g]) + sb.bracket(3, [b, f, g]))
         h = lcochain(rng, qb, 1)
         assert twb.bracket(3, [f, g, h]) == sb.bracket(3, [f, g, h])
+
+
+@pytest.mark.parametrize("label,q,m,side", MAP_CASES)
+def test_twisted_element_is_the_twisted_product(label, q, m, side):
+    # e^(ad m) Delta, the conjugation twist and the closed formulas agree
+    tw = controlling_structure(q, side).twist(m)
+    conj = conjugation_twist(q, m, side)
+    assert tw.delta == conj
+    assert side_spec(side).twist(q, m).reassemble() == conj
+
+
+@pytest.mark.parametrize("side,first,second", [
+    # two derivations of the dual numbers (semidirect, regular rep)
+    ("right", [[0, 0], [0, 1]], [[0, 0], [0, -3]]),
+    # Reynolds operators -id and 0 of the dual numbers: -id then +id
+    ("left", [[-1, 0], [0, -1]], [[1, 0], [0, 1]]),
+])
+def test_twist_of_twist_is_twist_by_the_sum(side, first, second):
+    rng = seeded_rng(77)
+    if side == "right":
+        q = build_standard("semidirect",
+                           rep=regular_representation(dual_numbers()))
+        m1, m2 = right_map(q, first), right_map(q, second)
+    else:
+        q = build_standard("reynolds", algebra=dual_numbers())
+        m1, m2 = left_map(q, first), left_map(q, second)
+    s = controlling_structure(q, side)
+    twice = s.twist(m1).twist(m2)
+    once = s.twist(m1 + m2)
+    assert twice.delta == once.delta
+    v = s.vdata
+    for k in range(4):
+        args = [random_map(rng, *v.f_signature(rng.choice((1, 2))), q.dims)
+                for _ in range(k)]
+        assert twice.bracket(k, args) == once.bracket(k, args), k
+
+
+def _count_brackets(monkeypatch):
+    calls = []
+
+    def counting(f, g):
+        calls.append(f)
+        return gerstenhaber(f, g)
+
+    monkeypatch.setattr(linfty, "gerstenhaber", counting)
+    return calls
+
+
+@pytest.mark.parametrize("label,q,m,side", MAP_CASES)
+def test_brackets_per_mc_residual_and_twisted_l1(label, q, m, side,
+                                                 monkeypatch):
+    # ad_m^n Delta = 0 for n > 3, and the right side stops one term
+    # earlier; a twisted l_1 is one bracket with the twisted element
+    rng = seeded_rng(78)
+    s = controlling_structure(q, side)
+    tw = s.twist(m)
+    v = s.vdata
+    x = random_map(rng, *v.f_signature(1), q.dims)
+    f = random_map(rng, *v.f_signature(2), q.dims)
+    bound = {"right": 3, "left": 4}[side]
+    calls = _count_brackets(monkeypatch)
+    s.mc_residual(x)
+    assert len(calls) <= bound
+    tw.mc_residual(x)
+    assert len(calls) <= 2 * bound
+    for arg in (x, f):
+        del calls[:]
+        tw.bracket(1, [arg])
+        assert len(calls) == 1
 
 
 def test_shifted_mc_right():

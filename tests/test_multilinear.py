@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qta import (
-    A, APRIME, TOTAL, ArityError, MultilinearMap, circle, circle_parts,
+    A, APRIME, TOTAL, ArityError, DimensionError, MultilinearMap, circle,
+    circle_parts,
     gerstenhaber, insert, koszul_sign, lift, project, random_map, seeded_rng,
     unshuffles,
 )
@@ -25,6 +26,26 @@ def test_lift_one_dim_product():
     assert fhat.value((0, 0)) == (1, 0)
     for t in ((0, 1), (1, 0), (1, 1)):
         assert fhat.value(t) == (0, 0)
+
+
+def test_value_and_entry_reject_bad_indices():
+    # dual numbers (slots 2 x 2): a wrong index must not alias another entry
+    pi = MultilinearMap.from_table(
+        [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], (A, A), A, (2, 0))
+    assert pi.value((1, 0)) == (0, 1) and pi.entry((0, 0), 0) == 1
+    for bad in ((1,), (0, 1, 1), ()):
+        with pytest.raises(ArityError):
+            pi.value(bad)
+        with pytest.raises(ArityError):
+            pi.entry(bad, 0)
+    for bad in ((0, 2), (2, 0), (-1, 0)):
+        with pytest.raises(DimensionError):
+            pi.value(bad)
+        with pytest.raises(DimensionError):
+            pi.entry(bad, 0)
+    for k in (2, 3, -1):
+        with pytest.raises(DimensionError):
+            pi.entry((0, 0), k)
 
 
 def test_lift_zero():
