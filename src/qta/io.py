@@ -166,7 +166,10 @@ def parse(text):
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
             raise SchemaError(f"spaces.{name}.dim: expected a count")
         prefix = "e" if name == "A" else "f"
-        basis = s.get("basis", [f"{prefix}{i+1}" for i in range(dim)])
+        if "basis" in s:
+            basis = s["basis"]
+        else:
+            basis = [f"{prefix}{i+1}" for i in range(dim)]
         if (not isinstance(basis, list) or len(basis) != dim
                 or not all(isinstance(b, str) for b in basis)):
             raise SchemaError(f"spaces.{name}.basis: need {dim} names")

@@ -23,8 +23,9 @@ class ExactMatrix:
     """Rational matrix that stores only its nonzero entries, by row.
 
     `store` maps a row index to {column index: nonzero Fraction}; rows
-    without entries are absent.  The constructor drops zero values, so
-    equal matrices have equal stores.
+    without entries are absent.  The constructor drops zero values and
+    makes the others Fractions, so equal matrices have equal stores; a
+    nonzero entry outside the shape is a DimensionError.
     """
 
     __slots__ = ("nrows", "ncols", "store")
@@ -32,9 +33,14 @@ class ExactMatrix:
     def __init__(self, nrows, ncols, store):
         kept = {}
         for i, row in store.items():
-            row = {j: v for j, v in row.items() if v}
-            if row:
-                kept[i] = row
+            row = {j: f for j, v in row.items()
+                   if (f := v if isinstance(v, Fraction) else Fraction(v))}
+            if not row:
+                continue
+            if not (0 <= i < nrows and 0 <= min(row) and max(row) < ncols):
+                raise DimensionError(
+                    f"entry in row {i} outside a {nrows} x {ncols} matrix")
+            kept[i] = row
         self.nrows = nrows
         self.ncols = ncols
         self.store = kept
@@ -45,7 +51,7 @@ class ExactMatrix:
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise DimensionError("ragged rows")
-        return cls(nrows, ncols, {i: {j: Fraction(e) for j, e in enumerate(r)}
+        return cls(nrows, ncols, {i: dict(enumerate(r))
                                   for i, r in enumerate(rows)})
 
     def rows(self):

@@ -1,6 +1,6 @@
 """Shared instances: the stock algebras and one structure per builder kind,
-and the literal dense elimination and product that the library's sparse
-ones are checked against."""
+a block-diagonal change of basis, and the literal dense elimination and
+product that the library's sparse ones are checked against."""
 
 from fractions import Fraction
 from typing import NamedTuple
@@ -9,8 +9,9 @@ import pytest
 
 from qta import (
     A, APRIME, AssociativeAlgebra, AssociativeRepresentation, Cocycle2,
-    MatchedPairData, MultilinearMap, build_standard, catalog_names,
-    emit_example, get_entry, linear_map_from_matrix, regular_representation,
+    ExactMatrix, MatchedPairData, MultilinearMap, QuasiTwilledAlgebra,
+    build_standard, catalog_names, emit_example, get_entry, insert, invert,
+    linear_map_from_matrix, regular_representation,
 )
 from qta.io import build_quasi_twilled, parse, side_map
 
@@ -131,6 +132,35 @@ def deformation_map_cases():
             out.append((f"{name} {map_name}", q,
                         side_map(doc, q, map_name, side), side))
     return out
+
+
+# -- change of basis ----------------------------------------------------------
+
+def change_of_basis(dims, rows_a, rows_aprime):
+    """The push m -> g^-1 . m . (g x ... x g) of block maps to the basis
+    given by the invertible matrices g_A and g_A' (as row lists)."""
+    fwd, inv = {}, {}
+    for label, rows in ((A, rows_a), (APRIME, rows_aprime)):
+        inverse = invert(ExactMatrix.from_rows(rows)).rows()
+        fwd[label] = linear_map_from_matrix(rows, label, label, dims)
+        inv[label] = linear_map_from_matrix(inverse, label, label, dims)
+
+    def push(m):
+        out = m
+        for slot, label in enumerate(m.domain):
+            out = insert(out, fwd[label], slot)
+        return insert(inv[m.codomain], out, 0)
+
+    return push
+
+
+def conjugated_structure(q, push):
+    """q with every component pushed; kind and ingredients are kept, so the
+    operator names stay those of q."""
+    comps = {name: push(m) for name, m in q.components().items()}
+    return QuasiTwilledAlgebra(kind=q.kind, ingredients=q.ingredients,
+                               basis_a=q.basis_a,
+                               basis_aprime=q.basis_aprime, **comps)
 
 
 # -- dense elimination and product oracles ------------------------------------

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qta import (
     A, APRIME, AssociativeAlgebra, DimensionError, NotDeformationMap,
@@ -8,16 +9,17 @@ from qta import (
     check_associative, check_representation, classify_operator,
     coboundary_apply, coboundary_apply_expanded, coboundary_matrix,
     cohomology_dims, conjugation_twist, controlling_structure,
-    duality_check, emit_example, explicit_formula, graph_residual,
+    duality_check, emit_example, explicit_formula, get_entry, graph_residual,
     induced_left_structures, induced_right_structures, left_residual,
     mc_residual, random_map, regular_representation, right_residual,
     seeded_rng, twist_left, twist_right, validate,
 )
-from qta.deformation import operator_name
+from qta.deformation import operator_name, side_spec
 from qta.io import build_quasi_twilled, parse, side_map
 
 from conftest import (
-    builder_instances, dual_numbers, left_map, one_dim_algebra, right_map,
+    builder_instances, change_of_basis, conjugated_structure, dual_numbers,
+    left_map, one_dim_algebra, right_map,
 )
 
 
@@ -365,3 +367,39 @@ def test_unknown_side_raises_valueerror(name):
     b = side_map(doc, q, "B", "left")
     with pytest.raises(ValueError, match="side must be 'right' or 'left'"):
         _SIDEWAYS_CALLS[name](q, doc, b)
+
+
+# -- naturality under a change of basis ---------------------------------------
+
+def _unimodular(data, n):
+    """Rows of S L U for a diagonal of signs S and unitriangular integer L
+    (lower) and U (upper), so the inverse is integral too."""
+    def unitriangular(below):
+        return [[1 if i == j else
+                 data.draw(st.integers(-2, 2)) if (i > j) == below else 0
+                 for j in range(n)] for i in range(n)]
+    lower, upper = unitriangular(True), unitriangular(False)
+    signs = [data.draw(st.sampled_from((1, -1))) for _ in range(n)]
+    return [[signs[i] * sum(lower[i][k] * upper[k][j] for k in range(n))
+             for j in range(n)] for i in range(n)]
+
+
+def _verdicts(q, m, side):
+    return (validate(q).is_zero(), mc_residual(q, side, m).is_zero(),
+            operator_name(q, side, side_spec(side).residual(q, m)),
+            cohomology_dims(q, m, side, max_n=3))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_verdicts_survive_a_change_of_basis(data):
+    for name in catalog_names():
+        doc = parse(emit_example(name))
+        q = build_quasi_twilled(doc)
+        push = change_of_basis(q.dims, _unimodular(data, q.dims[0]),
+                               _unimodular(data, q.dims[1]))
+        qc = conjugated_structure(q, push)
+        for map_name, side in get_entry(name).deformation_maps:
+            m = side_map(doc, q, map_name, side)
+            assert _verdicts(qc, push(m), side) == _verdicts(q, m, side), (
+                name, map_name, side)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -135,6 +136,24 @@ def test_schema_errors_name_offender():
     with pytest.raises(SchemaError) as err:
         parse(json.dumps(bad_map))
     assert "maps.D" in str(err.value)
+
+
+def test_given_basis_builds_no_default_names():
+    text = json.dumps({
+        "field": "rational",
+        "spaces": {"A": {"dim": 1000000, "basis": ["x"]},
+                   "Aprime": {"dim": 1}},
+        "components": {},
+    })
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaError, match=r"spaces\.A\.basis: need "
+                                              r"1000000 names"):
+            parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_builder_and_components_mutually_exclusive():

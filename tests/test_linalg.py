@@ -252,6 +252,34 @@ def test_sparse_shape_mismatch():
         ExactMatrix(2, 3, {}).matmul(ExactMatrix(2, 3, {}))
 
 
+def test_constructor_makes_int_entries_fractions():
+    # int values divided as ints would turn into floats in the elimination
+    m = ExactMatrix(3, 3, {0: {0: 7, 1: 9, 2: 5}, 1: {0: 2, 1: -1, 2: -6},
+                           2: {0: -40, 1: -30, 2: 16, 3: "0"}})
+    assert all(type(v) is Fraction for row in m.store.values()
+               for v in row.values())
+    assert m == ExactMatrix.from_rows(m.rows())
+    assert m.rank() == 2
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n - 1)]
+        coef = [rng.randint(-3, 3) for _ in rows]
+        rows.append([sum(c * r[j] for c, r in zip(coef, rows))
+                     for j in range(n)])
+        m = ExactMatrix(n, n, {i: dict(enumerate(r))
+                               for i, r in enumerate(rows)})
+        assert m.rank() == row_reduce(rows).rank
+
+
+@pytest.mark.parametrize("store", [
+    {0: {3: Fraction(1)}}, {1: {0: Fraction(1)}}, {0: {-1: 2}},
+    {-1: {0: 2}}])
+def test_constructor_rejects_entries_outside_the_shape(store):
+    with pytest.raises(DimensionError):
+        ExactMatrix(1, 1, store)
+
+
 def _unimodular(rng, n):
     """L U for random unitriangular L (lower) and U (upper): invertible,
     with an integral inverse."""

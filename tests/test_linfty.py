@@ -1,20 +1,24 @@
+from collections import OrderedDict
 from fractions import Fraction
+from itertools import product as iterproduct
 
 import pytest
 
 from qta import linfty
 from qta import (
     A, APRIME, BlockError, DegreeError, InvalidQTA, MultilinearMap,
-    NotMaurerCartan, QuasiTwilledAlgebra, build_standard, conjugation_twist,
-    controlling_structure, derived_bracket, gerstenhaber, left_residual, lift,
-    insert, random_map, regular_representation, right_residual, seeded_rng,
-    validate, vdata,
+    NotMaurerCartan, QuasiTwilledAlgebra, build_standard, catalog_names,
+    conjugation_twist, controlling_structure, derived_bracket, emit_example,
+    gerstenhaber, insert, left_residual, lift, random_map,
+    regular_representation, right_residual, seeded_rng, validate, vdata,
 )
 from qta.deformation import side_spec
+from qta.io import build_quasi_twilled, parse
+from qta.multilinear import _label_size
 
 from conftest import (
     builder_instances, deformation_map_cases, dual_numbers, left_map,
-    one_dim_algebra, right_map,
+    one_dim_algebra, right_map, trunc3,
 )
 
 
@@ -91,14 +95,61 @@ def test_bumped_structure_is_verified_again(monkeypatch):
     assert len(calls) == 2
 
 
+def test_verdict_is_shared_by_both_sides(monkeypatch):
+    monkeypatch.setattr(linfty, "_VERIFIED", OrderedDict())
+    q = build_standard("semidirect", rep=regular_representation(trunc3()))
+    controlling_structure(q, "right")
+    calls = _count_validate(monkeypatch)
+    controlling_structure(q, "left")
+    assert calls == []
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_prime_block_must_be_a_subalgebra(side):
+    # validate is zero, yet Delta has an A'A' -> A block: P(Delta) is not
+    # zero on the left, and A' is not a subalgebra on either side
+    q = QuasiTwilledAlgebra.from_components((2, 2))
+    q.eta = MultilinearMap.unit((APRIME, APRIME), A, q.dims, 0)
+    assert validate(q).is_zero()
+    with pytest.raises(InvalidQTA, match="A' is not a subalgebra"):
+        vdata(q, side)
+
+
+def _units(domain, codomain, dims):
+    n = _label_size(codomain, dims)
+    for label in domain:
+        n *= _label_size(label, dims)
+    return [MultilinearMap.unit(domain, codomain, dims, i) for i in range(n)]
+
+
 def test_f_block_abelian_exhaustive_low_arity():
-    q = build_standard("reynolds", algebra=dual_numbers())
-    v = vdata(q, "right")
-    cochains = [v.basis_cochain(1, r, k) for r in range(2) for k in range(2)]
-    cochains += [v.basis_cochain(2, 0, 0), v.basis_cochain(2, 3, 1)]
-    for f in cochains:
-        for g in cochains:
-            assert gerstenhaber(lift(f), lift(g)).is_zero()
+    # V-data facts fixed by the dims and the side, so checked here for the
+    # dims of every catalog document rather than for each structure: F is
+    # abelian, and ker P is a subalgebra
+    all_dims = {build_quasi_twilled(parse(emit_example(name))).dims
+                for name in catalog_names()}
+    for dims in sorted(all_dims):
+        q = QuasiTwilledAlgebra.from_components(dims)
+        for side in ("right", "left"):
+            v = vdata(q, side)
+            cochains = []
+            for arity in (1, 2):
+                dom, cod = v.f_signature(arity)
+                cochains += [v.basis_cochain(arity, r, k)
+                             for r in range(_label_size(dom[0], dims) ** arity)
+                             for k in range(_label_size(cod, dims))]
+            for f in cochains:
+                for g in cochains:
+                    assert gerstenhaber(lift(f), lift(g)).is_zero()
+            outside = [m for arity in (1, 2)
+                       for dom in iterproduct((A, APRIME), repeat=arity)
+                       for cod in (A, APRIME)
+                       if (dom, cod) != v.f_signature(arity)
+                       for m in _units(dom, cod, dims)]
+            for m1 in outside:
+                for m2 in outside:
+                    bracket = gerstenhaber(lift(m1), lift(m2))
+                    assert v.project(bracket).is_zero(), (dims, side)
 
 
 def test_derived_bracket_rejects_foreign_args():
