@@ -16,7 +16,7 @@ from .algebras import (
 from .catalog import catalog_names, emit_example, get_entry
 from .cohomology import (
     coboundary_apply, coboundary_apply_expanded, coboundary_matrix,
-    cochain_complex, cohomology_dims, l1_vs_d,
+    cochain_complex, cohomology_dims, hochschild_complex, l1_vs_d,
 )
 from .closed_formulas import explicit_formula, explicit_formula_check
 from .deformation import (
@@ -32,7 +32,7 @@ from .errors import (
 from .linalg import ExactMatrix, invert
 from .linfty import (
     CurvedLInftyStructure, VData, controlling_structure, derived_bracket,
-    jacobi_residual, mc_residual, suspended_bracket, twist_linfty, vdata,
+    mc_residual,
 )
 from .multilinear import (
     A, APRIME, TOTAL, MultilinearMap, SpaceLabel, circle, circle_parts,

@@ -9,24 +9,24 @@ Right side of a deformation map D: C^0 = A', C^n = Hom((x)^n A, A'), with
 built from the twisted components; the left side mirrors this with
 (beta^B; eta^B, xi^B) on C^n = Hom((x)^n A', A), C^0 = A.
 
-The matrices d_n are assembled sparsely: the twist is computed once per
-call, and each entry comes from one nonzero structure constant plugged in
-as a left action, an inner product or a right action.  The map is a
-deformation map exactly when the twist's residual component (theta^D on
-the right, gamma^B on the left) vanishes, so the deformation check reads
-that component of the same twist (`checked_twist` of the side table)
-instead of computing the residual again.  The nonzeros of every term
-table are extracted once per call and read for every degree.  Two checks
-stay on for every degree computed: each d_n is assembled a second time
-from the expanded sum (the original components and the map, never the
-twist) and asserted equal entry for entry, and d_(n+1) d_n = 0 is
-asserted as a sparse product.  Each d_n is a `linalg.ExactMatrix`, which
-keeps only its nonzeros; ranks come from its exact elimination.  The dense
+This is the Hochschild complex of the twisted product with coefficients
+in the twisted bimodule, and `hochschild_complex(product, left, right)`
+assembles it for any such triple.  The twist is computed once per call;
+the map is a deformation map exactly when the twist's residual component
+(theta^D on the right, gamma^B on the left) vanishes, so the deformation
+check reads that component (`checked_twist` of the side table) instead of
+computing the residual again.  The expanded form of d (the original
+components and the map, never the twist) is checked once per call: its
+term table, summed group by group, must equal the twisted triple as
+bilinear maps, and since d_n is linear in the triple this covers every
+degree.  Each d_n is then assembled once, sparsely, from the nonzero
+structure constants of the triple, and d_(n+1) d_n = 0 is asserted as a
+sparse product.  Each d_n is a `linalg.ExactMatrix`, which keeps only its
+nonzeros; ranks come from its exact elimination.  The dense
 `coboundary_apply` (twisted components) and `coboundary_apply_expanded`
 (the same sum spelled out) apply d to one cochain; they are the slow
-oracles the sparse assembly is tested against.  Each form of d is written
-once, as a (left, inner, right) table of plugged binary maps that both
-the sparse assembly and the dense evaluator read.  Degrees are capped at
+oracles the sparse assembly is tested against, and each evaluates a
+(left, inner, right) table of plugged binary maps.  Degrees are capped at
 MAX_DEGREE_CAP, for one matrix as for a complex.
 
 Basis order of C^n: lexicographic over domain basis tuples, crossed with
@@ -37,7 +37,7 @@ matrices are reproducible bit for bit.
 from __future__ import annotations
 
 from .deformation import side_spec
-from .errors import DegreeError
+from .errors import DegreeError, DimensionError
 from .linalg import ZERO, ExactMatrix
 from .multilinear import _label_size, _sign, insert, msum
 from .linfty import controlling_structure
@@ -68,15 +68,23 @@ def coboundary_apply_expanded(q, m, side, f):
     """d f spelled out through the original components and the map.
 
     Must agree with coboundary_apply.  Both evaluate a term table with
-    `_evaluate`, and the sparse assembly reads the same tables.
+    `_evaluate`; summed, the same tables check the sparse assembly.
     """
     _check_cochain(q, side, f)
     return _evaluate(_expanded_terms(q, m, side), f)
 
 
 def _evaluate(terms, f):
-    """d f, evaluated densely from the (left, inner, right) terms of
-    `_assemble`."""
+    """d f, evaluated densely from a (left, inner, right) term table:
+
+        d f(x_1, ..., x_{n+1})
+            = sum over (g, s, post) in left of s post(g(x_1, f(x_2, ...)))
+            + sum_i (-1)^i sum over g in inner of f(..., g(x_i, x_{i+1}), ...)
+            + (-1)^(n+1) sum over (g, s, post) in right of
+              s post(g(f(..., x_n), x_{n+1}))
+
+    with s = +1 or -1 and post a linear map or None (the identity).
+    """
     left, inner, right = terms
     n = f.arity
 
@@ -134,49 +142,56 @@ def _nonzeros(g):
     return out
 
 
-def _images(post, c):
-    """For each basis vector e_l: the (l', w) with post(e_l) = sum w e_l'."""
-    if post is None:
-        return [[(l, 1)] for l in range(c)]
-    return [[(l2, w) for l2, w in enumerate(post.value((l,))) if w]
-            for l in range(post.slot_sizes[0])]
+def _summed(plugs):
+    """One binary map: the sum of s post(g) over the plugs (g, s, post)."""
+    return msum(g.scale(s) if post is None else insert(post, g, 0).scale(s)
+                for g, s, post in plugs)
 
 
-def _extract(terms, c):
-    """The nonzeros `_assemble` reads from a (left, inner, right) table.
+def _checked_triple(q, m, side):
+    """The twisted (product, left action, right action) of a deformation
+    map, checked against the expanded form.
 
-    Each plug (g, s, post) of left and right becomes the list of
-    (a, b, l', s v w): a nonzero v of e_l in g(e_a, e_b) carried to e_l'
-    by post(e_l) = sum w e_l'.  Each inner g becomes `_nonzeros(g)`.
-    Done once per call, for every degree.
+    The twist is computed once, and raises NotDeformationMap unless m is
+    a deformation map (`checked_twist`).  The expanded term table, summed
+    group by group, must give the same three bilinear maps; d_n is linear
+    in them, so this one check covers every degree.
     """
-    left, inner, right = terms
+    spec = side_spec(side)
+    triple = spec.induced(spec.checked_twist(q, m))
+    left, inner, right = _expanded_terms(q, m, side)
+    if (msum(inner), _summed(left), _summed(right)) != triple:
+        raise AssertionError("structural and expanded coboundaries disagree")
+    return triple
 
-    def plugged(plugs):
-        out = []
-        for g, coef, post in plugs:
-            images = _images(post, c)
-            out.append([(a, b, l2, coef * v * w)
-                        for a, b, l, v in _nonzeros(g)
-                        for l2, w in images[l]])
-        return out
 
-    return plugged(left), [_nonzeros(g) for g in inner], plugged(right)
+def _table(product, left, right):
+    """The nonzeros `_assemble` reads, with the slot and codomain sizes.
+
+    Raises DimensionError unless product is L L -> L, left is L M -> M
+    and right is M L -> M for one pair of labels (L, M), on equal dims.
+    """
+    slot, cod = product.codomain, left.codomain
+    if (product.domain != (slot, slot) or left.domain != (slot, cod)
+            or right.signature() != ((cod, slot), cod)
+            or not product.dims == left.dims == right.dims):
+        raise DimensionError(
+            "a Hochschild triple needs a product L L -> L, a left action "
+            "L M -> M and a right action M L -> M on equal dims")
+    dims = product.dims
+    return ((_nonzeros(left), _nonzeros(product), _nonzeros(right)),
+            _label_size(slot, dims), _label_size(cod, dims))
 
 
 def _assemble(table, n, d, c):
-    """Sparse matrix of the coboundary C^n -> C^(n+1) given by a term table.
+    """Sparse matrix of the Hochschild coboundary C^n -> C^(n+1).
 
-    `table` is `_extract` of a term table (left, inner, right), which
-    writes d as binary maps plugged around a cochain f:
+    `table` holds the `_nonzeros` of the left action, the product and the
+    right action of the triple, which give d as
 
-        d f(x_1, ..., x_{n+1})
-            = sum over (g, s, post) in left of s post(g(x_1, f(x_2, ...)))
-            + sum_i (-1)^i sum over g in inner of f(..., g(x_i, x_{i+1}), ...)
-            + (-1)^(n+1) sum over (g, s, post) in right of
-              s post(g(f(..., x_n), x_{n+1}))
-
-    with s = +1 or -1 and post a linear map or None (the identity).
+        d f(x_1, ..., x_{n+1}) = left(x_1, f(x_2, ...))
+            + sum_i (-1)^i f(..., product(x_i, x_{i+1}), ...)
+            + (-1)^(n+1) right(f(..., x_n), x_{n+1}).
 
     The argument d is the dimension of the slot space and c that of the
     codomain.  The basis cochain sending the S-th slot basis tuple
@@ -196,29 +211,25 @@ def _assemble(table, n, d, c):
             row[j] = row.get(j, ZERO) + v
 
     dn = d ** n
-    for plugs, sign, on_left in ((left, 1, True),
-                                 (right, _sign(n + 1), False)):
-        for entries in plugs:
-            for a, b, l2, v in entries:
-                val = sign * v
-                if on_left:                     # g(e_a, f(S) = e_b)
-                    for s in range(dn):
-                        add((a * dn + s) * c + l2, s * c + b, val)
-                else:                           # g(f(S) = e_a, e_b)
-                    for s in range(dn):
-                        add((s * d + b) * c + l2, s * c + a, val)
-    for entries in inner:
-        for a, b, p, v in entries:
-            for i in range(1, n + 1):
-                # column tuple (pre, p, suf) -> row tuple (pre, a, b, suf)
-                lo = d ** (n - i)
-                val = _sign(i) * v
-                for pre in range(d ** (i - 1)):
-                    for suf in range(lo):
-                        col = ((pre * d + p) * lo + suf) * c
-                        row = (((pre * d + a) * d + b) * lo + suf) * c
-                        for k in range(c):
-                            add(row + k, col + k, val)
+    for a, b, l, v in left:                     # left(e_a, f(S) = e_b)
+        for s in range(dn):
+            add((a * dn + s) * c + l, s * c + b, v)
+    sign = _sign(n + 1)
+    for a, b, l, v in right:                    # right(f(S) = e_a, e_b)
+        val = sign * v
+        for s in range(dn):
+            add((s * d + b) * c + l, s * c + a, val)
+    for a, b, p, v in inner:
+        for i in range(1, n + 1):
+            # column tuple (pre, p, suf) -> row tuple (pre, a, b, suf)
+            lo = d ** (n - i)
+            val = _sign(i) * v
+            for pre in range(d ** (i - 1)):
+                for suf in range(lo):
+                    col = ((pre * d + p) * lo + suf) * c
+                    row = (((pre * d + a) * d + b) * lo + suf) * c
+                    for k in range(c):
+                        add(row + k, col + k, val)
     return ExactMatrix(dn * d * c, dn * c, rows)
 
 
@@ -229,51 +240,44 @@ def _check_degree(n):
         raise DegreeError(f"max degree capped at {MAX_DEGREE_CAP}")
 
 
-def _coboundaries(q, m, side, degrees):
-    """d_n for each n in `degrees`, checked against the expanded form.
+def hochschild_complex(product, left, right, max_n=3):
+    """d_0 .. d_max_n of the Hochschild complex of an algebra with
+    coefficients in a bimodule.
 
-    The twist is computed once, and raises NotDeformationMap unless m is
-    a deformation map (`checked_twist`).  Both term tables are extracted
-    once; each d_n is assembled from the twisted one and, independently,
-    from the expanded one, and the two must be equal entry for entry.
+    C^0 = M and C^n = Hom((x)^n L, M), where `product` is L L -> L and
+    `left`, `right` are the actions L M -> M, M L -> M (see `_assemble`);
+    raises DimensionError for any other signatures or unequal dims.
+    d_(n+1) d_n is asserted zero for every consecutive pair, so the
+    product must be associative and the actions a bimodule.  max_n is
+    hard-capped at 5.
     """
-    spec = side_spec(side)
-    tw = spec.checked_twist(q, m)
-    d, c = _label_size(spec.slot, q.dims), _label_size(spec.cod, q.dims)
-    structural = _extract(_structural_terms(spec, tw), c)
-    expanded = _extract(_expanded_terms(q, m, side), c)
-    mats = []
-    for n in degrees:
-        mat = _assemble(structural, n, d, c)
-        if mat != _assemble(expanded, n, d, c):
-            raise AssertionError(
-                "structural and expanded coboundaries disagree")
-        mats.append(mat)
+    _check_degree(max_n)
+    table, d, c = _table(product, left, right)
+    mats = [_assemble(table, n, d, c) for n in range(max_n + 1)]
+    for n in range(max_n):
+        if not mats[n + 1].matmul(mats[n]).is_zero():
+            raise AssertionError(f"d o d != 0 between degrees {n} and {n+2}")
     return mats
 
 
 def coboundary_matrix(q, m, side, n):
     """Matrix of d: C^n -> C^(n+1) in the lexicographic cochain basis.
 
-    The d_n of `cochain_complex`, asserted equal to its expanded form.
-    Requires the map to be a deformation map; n is hard-capped at 5.
+    The d_n of `cochain_complex`, from the same checked triple.  Requires
+    the map to be a deformation map; n is hard-capped at 5.
     """
     _check_degree(n)
-    return _coboundaries(q, m, side, [n])[0]
+    table, d, c = _table(*_checked_triple(q, m, side))
+    return _assemble(table, n, d, c)
 
 
 def cochain_complex(q, m, side, max_n=3):
-    """d_0 .. d_max_n of a deformation map.
-
-    Every d_n is asserted equal to its expanded form, and d_(n+1) d_n to
-    be zero for every consecutive pair.  max_n is hard-capped at 5.
+    """d_0 .. d_max_n of a deformation map: the Hochschild complex of its
+    twisted (product, left action, right action), once that triple is
+    checked against the expanded form.  max_n is hard-capped at 5.
     """
     _check_degree(max_n)
-    mats = _coboundaries(q, m, side, range(max_n + 1))
-    for n in range(max_n):
-        if not mats[n + 1].matmul(mats[n]).is_zero():
-            raise AssertionError(f"d o d != 0 between degrees {n} and {n+2}")
-    return mats
+    return hochschild_complex(*_checked_triple(q, m, side), max_n)
 
 
 def cohomology_dims(q, m, side, max_n=3):

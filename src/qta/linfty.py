@@ -94,11 +94,6 @@ class VData:
         return MultilinearMap.unit(dom, cod, self.dims, index)
 
 
-def vdata(q, side):
-    """Construct and computationally verify the V-data of one side."""
-    return VData(q, side)
-
-
 def derived_bracket(v, args, delta=None):
     """l_k(x_1,...,x_k) = P([...[[Delta, x_1], x_2],...,x_k]); k = 0 is P(Delta).
     A given `delta` stands in for the V-data's Delta."""
@@ -195,22 +190,9 @@ class CurvedLInftyStructure:
 
 def controlling_structure(q, side):
     """The (curved) L-infinity structure on one side's block cochains."""
-    return CurvedLInftyStructure(vdata(q, side))
+    return CurvedLInftyStructure(VData(q, side))
 
 
 def mc_residual(q, side, x):
     return controlling_structure(q, side).mc_residual(x)
 
-
-# function-style aliases for the structure methods
-
-def twist_linfty(s, x):
-    return s.twist(x)
-
-
-def jacobi_residual(s, n, args):
-    return s.jacobi_residual(n, args)
-
-
-def suspended_bracket(s, f, g):
-    return s.suspended_bracket(f, g)

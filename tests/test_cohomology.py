@@ -7,11 +7,12 @@ import pytest
 import qta.cohomology
 import qta.deformation
 from qta import (
-    A, APRIME, DegreeError, MultilinearMap, NotDeformationMap,
-    build_standard, coboundary_apply, coboundary_apply_expanded,
-    coboundary_matrix, cochain_complex, cohomology_dims, l1_vs_d,
-    emit_example, induced_left_structures, induced_right_structures,
-    random_map, regular_representation, seeded_rng,
+    A, APRIME, DegreeError, DimensionError, MultilinearMap,
+    NotDeformationMap, build_standard, coboundary_apply,
+    coboundary_apply_expanded, coboundary_matrix, cochain_complex,
+    cohomology_dims, hochschild_complex, l1_vs_d, emit_example,
+    induced_left_structures, induced_right_structures, random_map,
+    regular_representation, seeded_rng,
 )
 from qta.cli import main as cli_main
 from qta.cohomology import MAX_DEGREE_CAP, cochain_space
@@ -190,9 +191,10 @@ def _count_calls(monkeypatch, module, names):
 
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_one_twist_and_one_residual_per_call(monkeypatch, side):
-    """The deformation check reads the twist's residual component, and
-    the term tables are extracted once per call, whatever the degree;
-    the induced structures take the same checked twist."""
+    """The deformation check reads the twist's residual component, the
+    term tables are extracted once per call, whatever the degree, and
+    each degree is assembled once; the induced structures take the same
+    checked twist."""
     q = build_standard("semidirect",
                        rep=regular_representation(dual_numbers()))
     m = (right_map(q, [[0, 0], [0, 1]]) if side == "right"
@@ -202,7 +204,8 @@ def test_one_twist_and_one_residual_per_call(monkeypatch, side):
     calls = _count_calls(monkeypatch, qta.deformation,
                          ["right_residual", "left_residual",
                           "twist_right", "twist_left"])
-    nonzeros = _count_calls(monkeypatch, qta.cohomology, ["_nonzeros"])
+    nonzeros = _count_calls(monkeypatch, qta.cohomology,
+                            ["_nonzeros", "_assemble"])
     extracted = {}
     for max_n in (0, 5):
         for fn in (cohomology_dims, cochain_complex, coboundary_matrix):
@@ -210,6 +213,8 @@ def test_one_twist_and_one_residual_per_call(monkeypatch, side):
             nonzeros.clear()
             fn(q, m, side, max_n)
             assert calls == {twist: 1, residual: 1}, (fn.__name__, max_n)
+            degrees = 1 if fn is coboundary_matrix else max_n + 1
+            assert nonzeros["_assemble"] == degrees, (fn.__name__, max_n)
             extracted.setdefault(fn.__name__, []).append(
                 nonzeros["_nonzeros"])
     for fn_name, (at0, at5) in extracted.items():
@@ -293,12 +298,15 @@ def test_ranks_and_tables_against_sympy():
             assert table == [3, 2, 2, 2, 2, 2], label
 
 
-@pytest.mark.parametrize("side,twist_name,component", [
+@pytest.mark.parametrize("side,twist_name,components", [
     ("right", "twist_right", "pi"),
     ("left", "twist_left", "xi"),
+    # both actions at once: d_0 (x) = left(x, a) - right(a, x) is unchanged
+    ("right", "twist_right", "rho+mu"),
+    ("left", "twist_left", "eta+xi"),
 ])
 def test_perturbed_twist_fails_the_expanded_check(monkeypatch, side,
-                                                  twist_name, component):
+                                                  twist_name, components):
     q = build_standard("semidirect",
                        rep=regular_representation(dual_numbers()))
     m = (right_map(q, [[0, 0], [0, 1]]) if side == "right"
@@ -308,14 +316,34 @@ def test_perturbed_twist_fails_the_expanded_check(monkeypatch, side,
 
     def perturbed(q, m):
         tw = honest(q, m)
-        g = getattr(tw, component)
-        coeffs = list(g.coeffs)
-        coeffs[0] += Fraction(1)
-        setattr(tw, component, MultilinearMap(g.domain, g.codomain, g.dims,
-                                              coeffs))
+        for component in components.split("+"):
+            g = getattr(tw, component)
+            coeffs = list(g.coeffs)
+            coeffs[0] += Fraction(1)
+            setattr(tw, component, MultilinearMap(g.domain, g.codomain,
+                                                  g.dims, coeffs))
         return tw
 
     monkeypatch.setattr(qta.deformation, twist_name, perturbed)
-    with pytest.raises(AssertionError,
-                       match="structural and expanded coboundaries disagree"):
-        cohomology_dims(q, m, side, 2)
+    for max_n in (0, 2):
+        with pytest.raises(
+                AssertionError,
+                match="structural and expanded coboundaries disagree"):
+            cohomology_dims(q, m, side, max_n)
+
+
+def test_hochschild_complex_of_the_augmentation_module():
+    # A = K[t]/(t^2) acting on K through t -> 0 on both sides:
+    # HH^n(A, K) = Ext_A^n(K, K) is 1-dimensional in every degree
+    dims = (2, 1)
+    product = MultilinearMap((A, A), A, dims,        # 1 1 = 1, 1 t = t 1 = t
+                             {(0 * 2 + 0) * 2 + 0: 1, (0 * 2 + 1) * 2 + 1: 1,
+                              (1 * 2 + 0) * 2 + 1: 1})
+    left = MultilinearMap((A, APRIME), APRIME, dims, {0: 1})     # 1 k = k
+    right = MultilinearMap((APRIME, A), APRIME, dims, {0: 1})    # k 1 = k
+    mats = hochschild_complex(product, left, right, 5)
+    ranks = [mat.rank() for mat in mats]
+    assert [mat.ncols - r - prev for mat, r, prev
+            in zip(mats, ranks, [0] + ranks)] == [1] * 6
+    with pytest.raises(DimensionError):
+        hochschild_complex(product, right, right, 1)

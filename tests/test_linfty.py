@@ -7,10 +7,10 @@ import pytest
 from qta import linfty
 from qta import (
     A, APRIME, BlockError, DegreeError, InvalidQTA, MultilinearMap,
-    NotMaurerCartan, QuasiTwilledAlgebra, build_standard, catalog_names,
-    conjugation_twist, controlling_structure, derived_bracket, emit_example,
-    gerstenhaber, insert, left_residual, lift, random_map,
-    regular_representation, right_residual, seeded_rng, validate, vdata,
+    NotMaurerCartan, QuasiTwilledAlgebra, VData, build_standard,
+    catalog_names, conjugation_twist, controlling_structure, derived_bracket,
+    emit_example, gerstenhaber, insert, left_residual, lift, random_map,
+    regular_representation, right_residual, seeded_rng, validate,
 )
 from qta.deformation import side_spec
 from qta.io import build_quasi_twilled, parse
@@ -39,15 +39,15 @@ def lcochain(rng, q, arity):
 def test_vdata_projection_of_total():
     for alg in (one_dim_algebra(), dual_numbers()):
         for kind, q in builder_instances(alg).items():
-            vr = vdata(q, "right")
+            vr = VData(q, "right")
             assert vr.project(vr.delta) == q.theta, kind
-            vl = vdata(q, "left")
+            vl = VData(q, "left")
             assert vl.project(vl.delta).is_zero(), kind
 
 
 def test_vdata_semidirect_delta_components():
     q = build_standard("semidirect", rep=regular_representation(dual_numbers()))
-    v = vdata(q, "right")
+    v = VData(q, "right")
     assert v.delta == lift(q.pi) + lift(q.rho) + lift(q.mu)
 
 
@@ -57,7 +57,7 @@ def test_vdata_rejects_invalid_structure():
     qbad = QuasiTwilledAlgebra(q.pi, q.xi, q.eta, q.beta, q.rho, bad_mu,
                                q.theta)
     with pytest.raises(InvalidQTA):
-        vdata(qbad, "right")
+        VData(qbad, "right")
 
 
 def _count_validate(monkeypatch):
@@ -112,7 +112,7 @@ def test_prime_block_must_be_a_subalgebra(side):
     q.eta = MultilinearMap.unit((APRIME, APRIME), A, q.dims, 0)
     assert validate(q).is_zero()
     with pytest.raises(InvalidQTA, match="A' is not a subalgebra"):
-        vdata(q, side)
+        VData(q, side)
 
 
 def _units(domain, codomain, dims):
@@ -131,7 +131,7 @@ def test_f_block_abelian_exhaustive_low_arity():
     for dims in sorted(all_dims):
         q = QuasiTwilledAlgebra.from_components(dims)
         for side in ("right", "left"):
-            v = vdata(q, side)
+            v = VData(q, side)
             cochains = []
             for arity in (1, 2):
                 dom, cod = v.f_signature(arity)
@@ -154,7 +154,7 @@ def test_f_block_abelian_exhaustive_low_arity():
 
 def test_derived_bracket_rejects_foreign_args():
     q = build_standard("reynolds", algebra=dual_numbers())
-    v = vdata(q, "right")
+    v = VData(q, "right")
     wrong = MultilinearMap.zero((APRIME,), A, q.dims)
     with pytest.raises(BlockError):
         derived_bracket(v, [wrong])
@@ -525,21 +525,6 @@ def test_right_l2_graded_symmetry():
         g = rcochain(rng, q, n)
         sign = -1 if ((m - 1) * (n - 1)) % 2 else 1
         assert s.bracket(2, [g, f]) == s.bracket(2, [f, g]).scale(sign)
-
-
-def test_function_style_aliases():
-    from qta import jacobi_residual, suspended_bracket, twist_linfty
-    rng = seeded_rng(92)
-    q = build_standard("semidirect",
-                       rep=regular_representation(dual_numbers()))
-    s = controlling_structure(q, "right")
-    d = right_map(q, [[0, 0], [0, 1]])
-    tw = twist_linfty(s, d)
-    f = rcochain(rng, q, 1)
-    assert tw.mc_residual(f) == s.twist(d).mc_residual(f)
-    assert jacobi_residual(s, 1, [f]).is_zero()
-    g = rcochain(rng, q, 2)
-    assert suspended_bracket(s, f, g) == s.suspended_bracket(f, g)
 
 
 def test_zero_dimensional_prime_block():
