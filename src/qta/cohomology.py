@@ -19,15 +19,20 @@ computing the residual again.  The expanded form of d (the original
 components and the map, never the twist) is checked once per call: its
 term table, summed group by group, must equal the twisted triple as
 bilinear maps, and since d_n is linear in the triple this covers every
-degree.  Each d_n is then assembled once, sparsely, from the nonzero
-structure constants of the triple, and d_(n+1) d_n = 0 is asserted as a
-sparse product.  Each d_n is a `linalg.ExactMatrix`, which keeps only its
-nonzeros; ranks come from its exact elimination.  The dense
+degree.  The complex runs over the integers: the nonzero structure
+constants of the triple are cleared to ints over one common denominator
+L (the lcm of their denominators, 1 for integral tables), each d_n is
+assembled once, sparsely, as L d_n in integer rows, and d_(n+1) d_n = 0
+is asserted as an integer sparse product that stops at its first
+nonzero row.  `cohomology_dims` ranks those rows with the fraction-free
+elimination `linalg._echelon` and builds no Fraction matrix; the
+functions that return matrices wrap the same rows as `linalg.ExactMatrix`
+with entries v / L, which keeps only its nonzeros.  The dense
 `coboundary_apply` (twisted components) and `coboundary_apply_expanded`
 (the same sum spelled out) apply d to one cochain; they are the slow
 oracles the sparse assembly is tested against, and each evaluates a
-(left, inner, right) table of plugged binary maps.  Degrees are capped at
-MAX_DEGREE_CAP, for one matrix as for a complex.
+(left, inner, right) table of plugged binary maps.  Degrees are ints,
+capped at MAX_DEGREE_CAP, for one matrix as for a complex.
 
 Basis order of C^n: lexicographic over domain basis tuples, crossed with
 the codomain index (the flat coefficient layout of MultilinearMap), so
@@ -36,9 +41,13 @@ matrices are reproducible bit for bit.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from fractions import Fraction
+from math import lcm
+
 from .deformation import side_spec
 from .errors import DegreeError, DimensionError
-from .linalg import ZERO, ExactMatrix
+from .linalg import ExactMatrix, _echelon, _row_products
 from .multilinear import _label_size, _sign, insert, msum
 from .linfty import controlling_structure
 
@@ -166,8 +175,11 @@ def _checked_triple(q, m, side):
 
 
 def _table(product, left, right):
-    """The nonzeros `_assemble` reads, with the slot and codomain sizes.
+    """The nonzeros `_assemble` reads, cleared to ints, with their common
+    denominator and the slot and codomain sizes.
 
+    Every structure constant is an int over the lcm of the denominators
+    of all nonzero constants of the triple (1 for integral tables).
     Raises DimensionError unless product is L L -> L, left is L M -> M
     and right is M L -> M for one pair of labels (L, M), on equal dims.
     """
@@ -178,47 +190,49 @@ def _table(product, left, right):
         raise DimensionError(
             "a Hochschild triple needs a product L L -> L, a left action "
             "L M -> M and a right action M L -> M on equal dims")
+    nonzeros = (_nonzeros(left), _nonzeros(product), _nonzeros(right))
+    den = lcm(*{v.denominator for nz in nonzeros for *_, v in nz})
+    table = tuple([(a, b, l, v.numerator * (den // v.denominator))
+                   for a, b, l, v in nz] for nz in nonzeros)
     dims = product.dims
-    return ((_nonzeros(left), _nonzeros(product), _nonzeros(right)),
-            _label_size(slot, dims), _label_size(cod, dims))
+    return table, den, _label_size(slot, dims), _label_size(cod, dims)
 
 
 def _assemble(table, n, d, c):
-    """Sparse matrix of the Hochschild coboundary C^n -> C^(n+1).
+    """Sparse integer rows of the Hochschild coboundary C^n -> C^(n+1).
 
     `table` holds the `_nonzeros` of the left action, the product and the
-    right action of the triple, which give d as
+    right action of the triple, cleared to ints by `_table`, which give d
+    (times their common denominator) as
 
         d f(x_1, ..., x_{n+1}) = left(x_1, f(x_2, ...))
             + sum_i (-1)^i f(..., product(x_i, x_{i+1}), ...)
             + (-1)^(n+1) right(f(..., x_n), x_{n+1}).
 
     The argument d is the dimension of the slot space and c that of the
-    codomain.  The basis cochain sending the S-th slot basis tuple
-    (lexicographic) to the k-th codomain vector is column S * c + k, and
-    rows are laid out alike in degree n+1.  One pass over (basis tuple,
-    slot, nonzero structure constant); degree 0 is the same formula with
-    the empty tuple.
+    codomain, so the matrix is d^(n+1) c x d^n c.  The basis cochain
+    sending the S-th slot basis tuple (lexicographic) to the k-th
+    codomain vector is column S * c + k, and rows are laid out alike in
+    degree n+1.  One pass over (basis tuple, slot, nonzero structure
+    constant); degree 0 is the same formula with the empty tuple.
+    Returns {row: {column: nonzero int}}, without the entries that
+    cancel.
     """
     left, inner, right = table
-    rows = {}
-
-    def add(i, j, v):
-        row = rows.get(i)
-        if row is None:
-            rows[i] = {j: v}
-        else:
-            row[j] = row.get(j, ZERO) + v
-
+    rows = defaultdict(dict)
     dn = d ** n
     for a, b, l, v in left:                     # left(e_a, f(S) = e_b)
         for s in range(dn):
-            add((a * dn + s) * c + l, s * c + b, v)
+            row = rows[(a * dn + s) * c + l]
+            j = s * c + b
+            row[j] = row.get(j, 0) + v
     sign = _sign(n + 1)
     for a, b, l, v in right:                    # right(f(S) = e_a, e_b)
         val = sign * v
         for s in range(dn):
-            add((s * d + b) * c + l, s * c + a, val)
+            row = rows[(s * d + b) * c + l]
+            j = s * c + a
+            row[j] = row.get(j, 0) + val
     for a, b, p, v in inner:
         for i in range(1, n + 1):
             # column tuple (pre, p, suf) -> row tuple (pre, a, b, suf)
@@ -227,13 +241,40 @@ def _assemble(table, n, d, c):
             for pre in range(d ** (i - 1)):
                 for suf in range(lo):
                     col = ((pre * d + p) * lo + suf) * c
-                    row = (((pre * d + a) * d + b) * lo + suf) * c
+                    first = (((pre * d + a) * d + b) * lo + suf) * c
                     for k in range(c):
-                        add(row + k, col + k, val)
-    return ExactMatrix(dn * d * c, dn * c, rows)
+                        row = rows[first + k]
+                        row[col + k] = row.get(col + k, 0) + val
+    return {i: kept for i, row in rows.items()
+            if (kept := {j: v for j, v in row.items() if v})}
+
+
+def _matrix(rows, den, n, d, c):
+    """The ExactMatrix of d_n: the integer rows of `_assemble` over den."""
+    return ExactMatrix(d ** (n + 1) * c, d ** n * c,
+                       {i: {j: Fraction(v, den) for j, v in row.items()}
+                        for i, row in rows.items()})
+
+
+def _complex(triple, max_n):
+    """(integer rows of d_0 .. d_max_n, den, d, c) of a Hochschild triple.
+
+    Each degree is assembled once, and d_(n+1) d_n = 0 is asserted for
+    every consecutive pair, over the integers (the product is den^2
+    times the rational one), stopping at the first nonzero row.
+    """
+    table, den, d, c = _table(*triple)
+    stores = [_assemble(table, n, d, c) for n in range(max_n + 1)]
+    for n in range(max_n):
+        if any(any(row.values())
+               for _, row in _row_products(stores[n + 1], stores[n])):
+            raise AssertionError(f"d o d != 0 between degrees {n} and {n+2}")
+    return stores, den, d, c
 
 
 def _check_degree(n):
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise DegreeError(f"degree must be an int, not {type(n).__name__}")
     if n < 0:
         raise DegreeError("max degree must be >= 0")
     if n > MAX_DEGREE_CAP:
@@ -249,32 +290,29 @@ def hochschild_complex(product, left, right, max_n=3):
     raises DimensionError for any other signatures or unequal dims.
     d_(n+1) d_n is asserted zero for every consecutive pair, so the
     product must be associative and the actions a bimodule.  max_n is
-    hard-capped at 5.
+    an int, hard-capped at 5.
     """
     _check_degree(max_n)
-    table, d, c = _table(product, left, right)
-    mats = [_assemble(table, n, d, c) for n in range(max_n + 1)]
-    for n in range(max_n):
-        if not mats[n + 1].matmul(mats[n]).is_zero():
-            raise AssertionError(f"d o d != 0 between degrees {n} and {n+2}")
-    return mats
+    stores, den, d, c = _complex((product, left, right), max_n)
+    return [_matrix(rows, den, n, d, c) for n, rows in enumerate(stores)]
 
 
 def coboundary_matrix(q, m, side, n):
     """Matrix of d: C^n -> C^(n+1) in the lexicographic cochain basis.
 
     The d_n of `cochain_complex`, from the same checked triple.  Requires
-    the map to be a deformation map; n is hard-capped at 5.
+    the map to be a deformation map; n is an int, hard-capped at 5.
     """
     _check_degree(n)
-    table, d, c = _table(*_checked_triple(q, m, side))
-    return _assemble(table, n, d, c)
+    table, den, d, c = _table(*_checked_triple(q, m, side))
+    return _matrix(_assemble(table, n, d, c), den, n, d, c)
 
 
 def cochain_complex(q, m, side, max_n=3):
     """d_0 .. d_max_n of a deformation map: the Hochschild complex of its
     twisted (product, left action, right action), once that triple is
-    checked against the expanded form.  max_n is hard-capped at 5.
+    checked against the expanded form.  max_n is an int, hard-capped at
+    5.
     """
     _check_degree(max_n)
     return hochschild_complex(*_checked_triple(q, m, side), max_n)
@@ -283,16 +321,19 @@ def cochain_complex(q, m, side, max_n=3):
 def cohomology_dims(q, m, side, max_n=3):
     """Dimensions of H^0 .. H^max_n for a deformation map.
 
-    dim H^n = dim ker(d_n) - rank(d_{n-1}), with the ranks taken by exact
-    elimination on the checked complex of `cochain_complex`.
-    max_n defaults to 3 and is hard-capped at 5 (the matrix at degree n
-    has dim^n * dim' columns).
+    dim H^n = dim ker(d_n) - rank(d_{n-1}), on the complex of
+    `cochain_complex` with the same checks; the ranks come from the
+    fraction-free elimination of its integer rows, and no Fraction
+    matrix is built.  max_n is an int, defaults to 3 and is hard-capped
+    at 5 (the matrix at degree n has dim^n * dim' columns).
     """
-    dims = []
+    _check_degree(max_n)
+    stores, _, d, c = _complex(_checked_triple(q, m, side), max_n)
+    dims = [0] * (max_n + 1)    # sized once: callers may keep many tables
     prev_rank = 0
-    for mat in cochain_complex(q, m, side, max_n):
-        rank = mat.rank()
-        dims.append(mat.ncols - rank - prev_rank)
+    for n, rows in enumerate(stores):
+        rank = len(_echelon(rows.values()))
+        dims[n] = d ** n * c - rank - prev_rank
         prev_rank = rank
     return dims
 

@@ -7,7 +7,7 @@ import pytest
 import qta.cohomology
 import qta.deformation
 from qta import (
-    A, APRIME, DegreeError, DimensionError, MultilinearMap,
+    A, APRIME, DegreeError, DimensionError, ExactMatrix, MultilinearMap,
     NotDeformationMap, build_standard, coboundary_apply,
     coboundary_apply_expanded, coboundary_matrix, cochain_complex,
     cohomology_dims, hochschild_complex, l1_vs_d, emit_example,
@@ -20,8 +20,9 @@ from qta.deformation import side_spec
 from qta.io import build_quasi_twilled, parse, side_map
 
 from conftest import (
-    deformation_map_cases, dual_numbers, left_map, one_dim_algebra,
-    quotient_dim, right_map, row_reduce,
+    change_of_basis, conjugated_structure, deformation_map_cases,
+    dual_numbers, left_map, one_dim_algebra, quotient_dim, right_map,
+    row_reduce,
 )
 
 
@@ -233,6 +234,25 @@ def test_degree_cap():
         cohomology_dims(q, right_map(q, [[0]]), "right", -1)
 
 
+def _hochschild_of_map(q, m, side, max_n):
+    spec = side_spec(side)
+    return hochschild_complex(*spec.induced(spec.twist(q, m)), max_n)
+
+
+@pytest.mark.parametrize("entry", [cohomology_dims, cochain_complex,
+                                   coboundary_matrix, _hochschild_of_map],
+                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("degree", [2.0, True, False, "2", None])
+def test_degree_must_be_an_int(entry, degree):
+    # a float used to fail later with a bare TypeError, and a bool passed
+    # as the degree 0 or 1
+    q = semidirect_one()
+    m = right_map(q, [[0]])
+    with pytest.raises(DegreeError, match="degree must be an int"):
+        entry(q, m, "right", degree)
+    assert entry(q, m, "right", 1)
+
+
 def test_coboundary_matrix_degree_cap():
     """coboundary_matrix refuses degrees above the cap, like cochain_complex,
     instead of assembling d_n."""
@@ -255,13 +275,11 @@ def _degree0_column(q, m, side, k):
     return out
 
 
-@pytest.mark.parametrize("label,q,m,side", [
-    pytest.param(*case, id=f"{case[0]} {case[3]}")
-    for case in deformation_map_cases()])
-def test_coboundary_columns_equal_the_slow_paths(label, q, m, side):
-    # every column of the sparse assembly, against d applied to the basis
-    # cochain through dense insertion, twisted and expanded
-    for n in range(4):
+def _assert_columns_equal_the_slow_paths(q, m, side, top, oracles):
+    """Every column of coboundary_matrix up to degree `top`, against d
+    applied to the basis cochain through dense insertion by each of the
+    `oracles` (coboundary_apply, coboundary_apply_expanded)."""
+    for n in range(top + 1):
         mat = coboundary_matrix(q, m, side, n)
         rows = mat.rows()
         if n == 0:
@@ -272,9 +290,65 @@ def test_coboundary_columns_equal_the_slow_paths(label, q, m, side):
         for j in range(mat.ncols):
             f = MultilinearMap.unit(dom, cod, q.dims, j)
             col = [r[j] for r in rows]
-            assert col == list(coboundary_apply(q, m, side, f).coeffs)
-            assert col == list(
-                coboundary_apply_expanded(q, m, side, f).coeffs)
+            for oracle in oracles:
+                assert col == list(oracle(q, m, side, f).coeffs)
+
+
+@pytest.mark.parametrize("label,q,m,side", [
+    pytest.param(*case, id=f"{case[0]} {case[3]}")
+    for case in deformation_map_cases()])
+def test_coboundary_columns_equal_the_slow_paths(label, q, m, side):
+    _assert_columns_equal_the_slow_paths(
+        q, m, side, 3, (coboundary_apply, coboundary_apply_expanded))
+
+
+def _half_frame(n, shift):
+    """diag(1/2, 1, ..., 1) times a unitriangular matrix: not unimodular,
+    so a change of basis by it brings denominators into the structure."""
+    upper = [[1 if i == j else (i + j + shift) % 3 - 1 if i < j else 0
+              for j in range(n)] for i in range(n)]
+    return [[Fraction(x, 2) for x in upper[0]]] + upper[1:]
+
+
+@pytest.mark.parametrize("label", [
+    "trunc3-derivation", "trunc3-reynolds",
+    "euler-derivation-dual-numbers D", "reynolds-dual-numbers B"])
+def test_complex_with_a_common_denominator(label):
+    # the integer assembly over L > 1: columns against the dense oracle
+    # to degree 3, and the natural-basis table to degree 5
+    _, q, m, side = next(c for c in deformation_map_cases() if c[0] == label)
+    push = change_of_basis(q.dims, _half_frame(q.dims[0], 0),
+                           _half_frame(q.dims[1], 1))
+    qc, mc = conjugated_structure(q, push), push(m)
+    _, den, _, _ = qta.cohomology._table(
+        *qta.cohomology._checked_triple(qc, mc, side))
+    assert den > 1
+    _assert_columns_equal_the_slow_paths(qc, mc, side, 3,
+                                         (coboundary_apply,))
+    mats = cochain_complex(qc, mc, side, 3)
+    assert mats == [coboundary_matrix(qc, mc, side, n) for n in range(4)]
+    assert any(v.denominator > 1 for mat in mats
+               for row in mat.store.values() for v in row.values())
+    assert cohomology_dims(qc, mc, side, 5) == cohomology_dims(q, m, side, 5)
+
+
+def test_cohomology_dims_builds_no_matrix(monkeypatch):
+    """The ranks of cohomology_dims come from the integer rows; no
+    ExactMatrix is constructed on the way."""
+    shapes = []
+    construct = ExactMatrix.__init__
+
+    def counted(self, nrows, ncols, store):
+        shapes.append((nrows, ncols))
+        construct(self, nrows, ncols, store)
+
+    monkeypatch.setattr(ExactMatrix, "__init__", counted)
+    for label, q, m, side in deformation_map_cases():
+        cohomology_dims(q, m, side, 3)
+    assert shapes == []
+    label, q, m, side = deformation_map_cases()[0]
+    coboundary_matrix(q, m, side, 1)
+    assert shapes == [(27, 9)]
 
 
 def test_ranks_and_tables_against_sympy():
@@ -347,3 +421,17 @@ def test_hochschild_complex_of_the_augmentation_module():
             in zip(mats, ranks, [0] + ranks)] == [1] * 6
     with pytest.raises(DimensionError):
         hochschild_complex(product, right, right, 1)
+
+
+def test_hochschild_complex_asserts_d_squared_zero():
+    # K with e e = 2e, acting by e k = k on the left and by zero on the
+    # right, is not a bimodule: d_1 d_0 a = -a, found by the integer
+    # product at its first row
+    dims = (1, 1)
+    product = MultilinearMap((A, A), A, dims, {0: 2})
+    left = MultilinearMap((A, APRIME), APRIME, dims, {0: 1})
+    right = MultilinearMap.zero((APRIME, A), APRIME, dims)
+    assert hochschild_complex(product, left, right, 0)[0].rows() == [[1]]
+    with pytest.raises(AssertionError,
+                       match="d o d != 0 between degrees 0 and 2"):
+        hochschild_complex(product, left, right, 2)

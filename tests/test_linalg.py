@@ -113,13 +113,26 @@ def _random_sparse_dense(rng, nr, nc, density):
 
 
 def test_echelon_pivot_order():
-    # shortest rows first, each under its smallest column, leading entry 1;
-    # ties keep the input order
-    f = Fraction
-    rows = [{0: f(1), 1: f(1), 2: f(1)}, {2: f(3)}, {0: f(2)}, {1: f(4)}]
-    assert _echelon(rows) == {2: {2: f(1)}, 0: {0: f(1)}, 1: {1: f(1)}}
-    rows = [{0: f(1), 1: f(1)}, {0: f(2), 2: f(2)}]
-    assert _echelon(rows) == {0: {0: f(1), 1: f(1)}, 1: {1: f(1), 2: f(-1)}}
+    # shortest rows first, each under its smallest column; ties keep the
+    # input order.  Pivot rows are primitive integer rows with a positive
+    # leading entry, each a multiple of the Fraction pivot row (the same
+    # leads as a Fraction elimination).
+    rows = [{0: 1, 1: 1, 2: 1}, {2: 3}, {0: 2}, {1: 4}]
+    assert _echelon(rows) == {2: {2: 1}, 0: {0: 1}, 1: {1: 1}}
+    assert list(_echelon(rows)) == [2, 0, 1]
+    rows = [{0: 1, 1: 1}, {0: 2, 2: 2}]
+    assert _echelon(rows) == {0: {0: 1, 1: 1}, 1: {1: 1, 2: -1}}
+    # a pivot with leading entry 2 scales the row it reduces:
+    # 2 (3, 0, 1) - 3 (2, 1, 0) = (0, -3, 2), made positive
+    rows = [{0: 2, 1: 1}, {0: 3, 2: 1}]
+    assert _echelon(rows) == {0: {0: 2, 1: 1}, 1: {1: 3, 2: -2}}
+    # content and sign are divided out; the input rows are not modified
+    rows = [{0: -4, 3: 6}, {1: -3}]
+    pivots = _echelon(rows)
+    assert pivots == {1: {1: 1}, 0: {0: 2, 3: -3}}
+    assert rows == [{0: -4, 3: 6}, {1: -3}]
+    assert all(type(v) is int for piv in pivots.values()
+               for v in piv.values())
     assert _echelon([]) == {}
 
 
@@ -278,6 +291,98 @@ def test_constructor_makes_int_entries_fractions():
 def test_constructor_rejects_entries_outside_the_shape(store):
     with pytest.raises(DimensionError):
         ExactMatrix(1, 1, store)
+
+
+# -- the fraction-free elimination against independent oracles -----------------
+
+MERSENNE_61 = 2 ** 61 - 1
+
+
+def _rank_mod_p(rows, ncols, p=MERSENNE_61):
+    """Rank over GF(p) of a Fraction row list whose denominators are
+    prime to p; a lower bound of the rank over Q."""
+    m = [[x.numerator * pow(x.denominator, -1, p) % p for x in r]
+         for r in rows]
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        for i in range(rank + 1, len(m)):
+            if m[i][c]:
+                f = m[i][c] * inv % p
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def _oracle_rows(rng):
+    """A seeded sparse rational row list: every row with denominators of
+    its own, among them zero rows, duplicates and combinations of earlier
+    rows."""
+    nr, nc = rng.randint(0, 9), rng.randint(1, 9)
+    rows = []
+    for _ in range(nr):
+        kind = rng.random()
+        if rows and kind < 0.15:
+            rows.append(list(rng.choice(rows)))
+        elif rows and kind < 0.35:
+            coef = [Fraction(rng.randint(-3, 3), rng.choice([1, 2, 5]))
+                    for _ in rows]
+            rows.append([sum((c * r[j] for c, r in zip(coef, rows)),
+                             Fraction(0)) for j in range(nc)])
+        elif kind < 0.45:
+            rows.append([Fraction(0)] * nc)
+        else:
+            dens = rng.choice([(1,), (1, 2, 3), (6, 35, 2 ** 40), (7, 49)])
+            density = rng.choice([0.2, 0.5, 1.0])
+            rows.append([Fraction(rng.randint(-9, 9), rng.choice(dens))
+                         if rng.random() < density else Fraction(0)
+                         for _ in range(nc)])
+    rng.shuffle(rows)
+    return rows, nc
+
+
+def test_fraction_free_rank_against_oracles():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    rng = random.Random(1968)
+    lower = 0
+    for _ in range(600):
+        rows, nc = _oracle_rows(rng)
+        m = _matrix(rows, nc)
+        rank = m.rank()
+        dm = DomainMatrix([[sympy.QQ(x.numerator, x.denominator) for x in r]
+                           for r in rows], (len(rows), nc), sympy.QQ)
+        assert rank == row_reduce(rows, nc).rank == dm.rank()
+        transposed = _columns(rows, nc)
+        assert rank == _matrix(transposed, len(rows)).rank()
+        mod_p = _rank_mod_p(rows, nc)
+        assert mod_p <= rank
+        lower += mod_p < rank
+    assert lower == 0   # no denominator or minor here vanishes mod 2^61-1
+
+
+def test_fraction_free_invert_against_gauss_jordan():
+    rng = random.Random(22)
+    checked = 0
+    while checked < 150:
+        n = rng.randint(1, 7)
+        dens = rng.choice([(1,), (1, 2, 3), (6, 35, 2 ** 40)])
+        rows = [[Fraction(rng.randint(-9, 9), rng.choice(dens))
+                 if rng.random() < 0.6 else Fraction(0) for _ in range(n)]
+                for _ in range(n)]
+        oracle = _oracle_inverse(rows)
+        if oracle is None:
+            with pytest.raises(SingularMap):
+                invert(ExactMatrix.from_rows(rows))
+            continue
+        inverse = invert(ExactMatrix.from_rows(rows)).rows()
+        assert inverse == oracle
+        assert all(type(x) is Fraction for r in inverse for x in r)
+        checked += 1
 
 
 def _unimodular(rng, n):
