@@ -109,7 +109,8 @@ def _evaluate(terms, f):
 
 
 def _structural_terms(spec, tw):
-    """d from the (product, left action, right action) of the twist tw."""
+    """d from the (product, left action, right action) of tw: a twist, or
+    any structure (the closed l_1 of `qta.closed_formulas`)."""
     prod, act_l, act_r = spec.induced(tw)
     return ((act_l, 1, None),), (prod,), ((act_r, 1, None),)
 

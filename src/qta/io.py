@@ -326,9 +326,10 @@ def side_map(doc, q, name, side):
     rows = doc.maps[name]
     spec = side_spec(side)
     want = (_label_size(spec.cod, q.dims), _label_size(spec.slot, q.dims))
-    if (len(rows), len(rows[0]) if rows else 0) != want:
+    shape = (len(rows), len(rows[0]) if rows else 0)
+    if shape != want:
         raise DimensionError(
-            f"map {name!r} has shape {len(rows)}x{len(rows[0])}, a {side} "
+            f"map {name!r} has shape {shape[0]}x{shape[1]}, a {side} "
             f"map needs {want[0]}x{want[1]}")
     return linear_map_from_matrix(rows, spec.slot, spec.cod, q.dims)
 

@@ -1,6 +1,7 @@
-"""Shared instances: the stock algebras and one structure per builder kind,
-a block-diagonal change of basis, and the literal dense elimination and
-product that the library's sparse ones are checked against."""
+"""Shared instances: the stock algebras, one structure per builder kind and
+a twisted structure with all seven blocks nonzero, a block-diagonal change
+of basis, and the literal dense elimination and product that the library's
+sparse ones are checked against."""
 
 from fractions import Fraction
 from typing import NamedTuple
@@ -11,7 +12,8 @@ from qta import (
     A, APRIME, AssociativeAlgebra, AssociativeRepresentation, Cocycle2,
     ExactMatrix, MatchedPairData, MultilinearMap, QuasiTwilledAlgebra,
     build_standard, catalog_names, emit_example, get_entry, insert, invert,
-    linear_map_from_matrix, regular_representation,
+    linear_map_from_matrix, random_map, regular_representation, seeded_rng,
+    twist_right,
 )
 from qta.io import build_quasi_twilled, parse, side_map
 
@@ -108,6 +110,17 @@ def builder_instances(alg):
         "matched_pair": build_standard(
             "matched_pair", matched_pair=regular_matched_pair(alg)),
     }
+
+
+def twisted_structure(alg, seed=0):
+    """The modified direct sum of alg (weight 4) twisted by a seeded random
+    D: A -> A'.  D is no deformation map, so the twist keeps a nonzero
+    theta (its residual) and gains pi, rho and mu; on the dual numbers
+    all seven blocks are nonzero (on a one-dim algebra rho and mu cancel).
+    It has no builder provenance."""
+    q = build_standard("modified_direct_sum", algebra=alg, weight=4)
+    d = random_map(seeded_rng(seed), (A,), APRIME, q.dims)
+    return twist_right(q, d).to_quasi_twilled()
 
 
 def deformation_map_cases():

@@ -3,14 +3,14 @@ import tracemalloc
 
 import pytest
 
-from qta import ParseError, SchemaError, validate
+from qta import DimensionError, ParseError, SchemaError, validate
 from qta.catalog import catalog_names, emit_example, get_entry
 import qta.cli
 from qta.cli import main as cli_main
 from qta.errors import UnknownExample
 from qta.io import (
     Report, build_quasi_twilled, document_from_components, parse,
-    parse_fraction, print_document,
+    parse_fraction, print_document, side_map,
 )
 
 
@@ -187,6 +187,16 @@ def test_components_document_roundtrip():
     assert doc2 == doc
     q2 = build_quasi_twilled(doc2)
     assert q2.components() == q.components()
+
+
+@pytest.mark.parametrize("rows, shape", [([], "0x0"), ([[1], [2]], "2x1"),
+                                         ([[1, 2]], "1x2")])
+def test_side_map_wrong_shape_is_dimension_error(rows, shape):
+    q = build_quasi_twilled(parse(emit_example("reynolds-dim1")))
+    doc = document_from_components(q, maps={"D": rows})
+    with pytest.raises(DimensionError, match=f"has shape {shape}, a right "
+                                             "map needs 1x1"):
+        side_map(doc, q, "D", "right")
 
 
 def test_unknown_example():

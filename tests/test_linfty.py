@@ -9,8 +9,9 @@ from qta import (
     A, APRIME, BlockError, DegreeError, InvalidQTA, MultilinearMap,
     NotMaurerCartan, QuasiTwilledAlgebra, VData, build_standard,
     catalog_names, conjugation_twist, controlling_structure, derived_bracket,
-    emit_example, gerstenhaber, insert, left_residual, lift, random_map,
-    regular_representation, right_residual, seeded_rng, validate,
+    emit_example, explicit_formula, gerstenhaber, insert, left_residual,
+    lift, random_map, regular_representation, right_residual, seeded_rng,
+    validate,
 )
 from qta.deformation import side_spec
 from qta.io import build_quasi_twilled, parse
@@ -457,15 +458,20 @@ def test_jacobi_on_twisted_structure():
 
 def test_suspended_bracket_crossed_hom_pattern():
     # on the associative-representation semidirect structure the suspended
-    # bracket is (-1)^(mn+1) f .' g + g .' f
+    # bracket is (-1)^(mn+1) f .' g + g .' f, and it is (-1)^(m-1) times
+    # the general closed l_2
     rng = seeded_rng(74)
     q = builder_instances(dual_numbers())["semidirect_assoc"]
     s = controlling_structure(q, "right")
     for m, n in [(1, 1), (1, 2), (2, 2)]:
         f = rcochain(rng, q, m)
         g = rcochain(rng, q, n)
-        from qta.closed_formulas import prime_product_bracket
-        assert s.suspended_bracket(f, g) == prime_product_bracket(q.beta, f, g)
+        out = s.suspended_bracket(f, g)
+        fg = insert(insert(q.beta, f, 0), g, m)
+        gf = insert(insert(q.beta, g, 0), f, n)
+        assert out == fg.scale((-1) ** (m * n + 1)) + gf
+        assert out == explicit_formula(q, "right", 2, [f, g]).scale(
+            (-1) ** (m - 1))
 
 
 def test_suspended_bracket_homomorphism_mc_pattern():
