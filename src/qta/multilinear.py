@@ -19,7 +19,9 @@ The circle product is the insertion sum
 
 and the Gerstenhaber bracket is [f,g] = f o g - (-1)^((m-1)(n-1)) g o f.
 These require a closed signature (every slot label equals the codomain
-label); `insert` is the unrestricted block-typed primitive underneath.
+label).  `circle` is one kernel pass (`kernel.circle`), which accumulates
+all m signed insertions into one store; `insert` is the unrestricted
+block-typed primitive for a single slot.
 """
 
 from __future__ import annotations
@@ -61,9 +63,12 @@ class MultilinearMap:
     labels; maps taking part in one computation must agree on dims.
 
     `coeffs` is either the dense table (a sequence over the whole flat
-    index space, see qta.kernel) or a dict {flat index: value}; zero
-    entries are dropped either way.  The map keeps only the nonzeros, in
-    `store`, which must not be mutated; `coeffs` exports the dense table.
+    index space, see qta.kernel) or a dict {int flat index: value}; zero
+    entries are dropped either way, and every other value is made a
+    Fraction (a float becomes its exact binary value), as ExactMatrix
+    does.  `dims` must be two non-negative ints.  A bad dims or index is a
+    DimensionError.  The map keeps only the nonzeros, in `store`, which
+    must not be mutated; `coeffs` exports the dense table.
     """
 
     __slots__ = ("domain", "codomain", "dims", "store")
@@ -72,15 +77,19 @@ class MultilinearMap:
         domain = tuple(domain)
         if not domain:
             raise ArityError("maps must have arity >= 1")
-        dims = (int(dims[0]), int(dims[1]))
+        try:
+            da, db = dims
+        except (TypeError, ValueError):
+            da = None
+        if type(da) is not int or type(db) is not int or da < 0 or db < 0:
+            raise DimensionError(
+                f"dims must be two non-negative ints, got {dims!r}")
+        dims = (da, db)
         size = _label_size(codomain, dims)
         for lab in domain:
             size *= _label_size(lab, dims)
         if isinstance(coeffs, dict):
-            store = {i: v for i, v in coeffs.items() if v}
-            if store and (min(store) < 0 or max(store) >= size):
-                raise DimensionError(
-                    f"coefficient index outside range({size})")
+            items = coeffs.items()
         else:
             if not hasattr(coeffs, "__len__"):
                 coeffs = tuple(coeffs)
@@ -88,7 +97,21 @@ class MultilinearMap:
                 raise DimensionError(
                     f"coefficient table has {len(coeffs)} entries, "
                     f"expected {size}")
-            store = {i: v for i, v in enumerate(coeffs) if v}
+            items = enumerate(coeffs)
+        # one pass, which beats comprehensions plus checks on the small
+        # stores that dominate; a value that is not a Fraction becomes one
+        # (ExactMatrix's rule)
+        store = {}
+        for i, v in items:
+            if type(i) is not int or not 0 <= i < size:
+                raise DimensionError(
+                    f"coefficient index {i!r} outside range({size})")
+            if v:
+                if type(v) is not Fraction and not isinstance(v, Fraction):
+                    v = Fraction(v)
+                    if not v:
+                        continue
+                store[i] = v
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "dims", dims)
@@ -338,13 +361,10 @@ def circle(f, g):
     _check_closed(g, "circle")
     if f.codomain != g.codomain or f.dims != g.dims:
         raise DimensionError("circle needs maps on the same space")
-    n = g.arity
-    term = insert(f, g, 0)
-    acc = dict(term.store)
-    for i in range(1, f.arity):
-        term = insert(f, g, i)
-        kernel.axpy(acc, -ONE if (i * (n - 1)) % 2 else ONE, term.store)
-    return term._with_store(acc)
+    store = kernel.circle(f.store, f.slot_sizes, f.cod_size,
+                          g.store, g.slot_sizes, g.cod_size)
+    return MultilinearMap((f.codomain,) * (f.arity + g.arity - 1),
+                          f.codomain, f.dims, store)
 
 
 def circle_parts(f, g):

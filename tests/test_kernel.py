@@ -53,6 +53,17 @@ def _brute_insert(f, f_sizes, f_cod, g, g_sizes, g_cod, slot):
     return out
 
 
+def _slotwise_circle(f, f_sizes, f_cod, g, g_sizes, g_cod):
+    """Reference circle product: one kernel.insert per slot, added by axpy
+    with the insertion sign (-1)^(i(n-1))."""
+    n = len(g_sizes)
+    acc = {}
+    for i in range(len(f_sizes)):
+        term = kernel.insert(f, f_sizes, f_cod, g, g_sizes, g_cod, i)
+        kernel.axpy(acc, Fraction(-1 if (i * (n - 1)) % 2 else 1), term)
+    return acc
+
+
 def test_pure_kernel_against_brute_force():
     rng = random.Random(13)
     for _ in range(30):
@@ -69,6 +80,20 @@ def test_pure_kernel_against_brute_force():
                             _sparse(g), g_sizes, g_cod, slot)
         assert all(got.values())
         assert _dense(got, len(want)) == want
+        # the circle product needs g's codomain in every slot of f
+        c_sizes = (g_cod,) * m
+        c = _random_table(rng, c_sizes, f_cod)
+        want = [Fraction(0)] * (g_cod ** (m - 1) * math.prod(g_sizes) * f_cod)
+        for i in range(m):
+            sign = -1 if (i * (n - 1)) % 2 else 1
+            term = _brute_insert(c, c_sizes, f_cod, g, g_sizes, g_cod, i)
+            want = [a + sign * b for a, b in zip(want, term)]
+        got = kernel.circle(_sparse(c), c_sizes, f_cod,
+                            _sparse(g), g_sizes, g_cod)
+        assert all(got.values())
+        assert _dense(got, len(want)) == want
+        assert got == _slotwise_circle(_sparse(c), c_sizes, f_cod,
+                                       _sparse(g), g_sizes, g_cod)
 
 
 def test_insert_cancels_to_an_empty_store():
@@ -77,6 +102,15 @@ def test_insert_cancels_to_an_empty_store():
     f = {0: Fraction(1), 1: Fraction(1)}   # sizes (2, 1), cod 1
     g = {0: Fraction(1), 1: Fraction(-1)}  # sizes (1,), cod 2
     assert kernel.insert(f, (2, 1), 1, g, (1,), 2, 0) == {}
+
+
+def test_circle_cancels_to_an_empty_store():
+    # the dual numbers are associative: mu o mu = mu(mu(x,y),z) -
+    # mu(x,mu(y,z)) is the associator, and every entry the first slot
+    # writes is cancelled by the second
+    mu = {0: Fraction(1), 3: Fraction(1), 5: Fraction(1)}  # e0 e0 = e0, ...
+    assert kernel.insert(mu, (2, 2), 2, mu, (2, 2), 2, 0)
+    assert kernel.circle(mu, (2, 2), 2, mu, (2, 2), 2) == {}
 
 
 def test_axpy_against_dense_with_cancellation():
@@ -211,6 +245,22 @@ def test_store_insertion_calculus_against_dense(data):
     _check(gerstenhaber(lf, lg),
            [a - sign * b for a, b in zip(_dense_circle(lf, lg),
                                          _dense_circle(lg, lf))])
+    # kernel.circle on closed maps of one label, arities 1..3, both orders
+    # (TOTAL at dims (1, 1) keeps the dense reference small)
+    label = data.draw(st.sampled_from([A, APRIME, TOTAL]))
+    cdims = (1, 1) if label is TOTAL else dims
+    p = data.draw(_maps((label,) * data.draw(st.integers(1, 3)), label,
+                        cdims))
+    q = data.draw(_maps((label,) * data.draw(st.integers(1, 3)), label,
+                        cdims))
+    for u, v in ((p, q), (q, p)):
+        args = (u.store, u.slot_sizes, u.cod_size,
+                v.store, v.slot_sizes, v.cod_size)
+        got = kernel.circle(*args)
+        want = _dense_circle(u, v)
+        assert all(got.values())
+        assert _dense(got, len(want)) == want
+        assert got == _slotwise_circle(*args)
 
 
 @settings(max_examples=60, deadline=None)

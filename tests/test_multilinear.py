@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -46,6 +47,27 @@ def test_value_and_entry_reject_bad_indices():
     for k in (2, 3, -1):
         with pytest.raises(DimensionError):
             pi.entry((0, 0), k)
+
+
+def test_constructor_makes_values_fractions_and_checks_dims_and_indices():
+    three = MultilinearMap((A,), A, (1, 1), [3])
+    tenth = MultilinearMap((A,), A, (1, 1), [0.1])
+    assert type(three.store[0]) is Fraction
+    # a float becomes its exact binary value, so products stay exact
+    assert tenth.store == {0: Fraction(0.1)}
+    assert insert(three, tenth, 0).store == {0: 3 * Fraction(0.1)}
+    assert type(insert(three, tenth, 0).store[0]) is Fraction
+    mixed = MultilinearMap((A, A), A, (2, 0), {0: 1, 3: Fraction(1, 2),
+                                               5: 0, 6: "2/3"})
+    assert mixed.store == {0: 1, 3: Fraction(1, 2), 6: Fraction(2, 3)}
+    assert {type(v) for v in mixed.store.values()} == {Fraction}
+    for dims in ((2.7, 1), (-1, 1), (1, -1), (True, 1), ("1", 1), (1,),
+                 (1, 1, 1), 3):
+        with pytest.raises(DimensionError):
+            MultilinearMap((A,), A, dims, {})
+    for index in ("0", 0.0, 1.5, None):
+        with pytest.raises(DimensionError):
+            MultilinearMap((A,), A, (2, 1), {index: 1})
 
 
 def test_lift_zero():
