@@ -41,7 +41,7 @@ from .multilinear import (
 )
 from .quasitwilled import (
     BUILDER_KINDS, QuasiTwilledAlgebra, StructureResidual, build_standard,
-    structure_residuals, total_product, validate,
+    require_quasi_twilled, structure_residuals, total_product, validate,
 )
 
 __version__ = "0.1.0"

@@ -34,14 +34,6 @@ class ResidualReport:
     def nonzero_names(self):
         return [name for name, m in self.residuals if not m.is_zero()]
 
-    def witness(self):
-        """(name, basis tuple, codomain index, value) of the first failure."""
-        for name, m in self.residuals:
-            w = m.first_witness()
-            if w is not None:
-                return (name,) + w
-        return None
-
     def __iter__(self):
         return iter(self.residuals)
 

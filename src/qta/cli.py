@@ -9,9 +9,10 @@
     qta example   NAME | --list
 
 Exit status: 0 when all checks pass / the residual is zero, 1 when a
-check fails / the residual is nonzero, 2 on input errors.  `--json`
-selects machine-readable output.  QTA_MAX_DEGREE caps the cohomology
-degree (default 3, hard maximum 5).
+check fails / the residual is nonzero, 2 on input errors, and 2 with
+InvalidQTA from `twist`, `mc`, `cohomology` and `jacobi` on a structure
+that is not quasi-twilled.  `--json` selects machine-readable output.
+QTA_MAX_DEGREE caps the cohomology degree (default 3, hard maximum 5).
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .errors import QtaError
 from .io import Report, build_quasi_twilled, parse, side_map, witness_text
 from .linfty import controlling_structure
 from .multilinear import random_map, seeded_rng
-from .quasitwilled import structure_residuals, validate
+from .quasitwilled import (
+    require_quasi_twilled, structure_residuals, validate)
 
 
 def _load(path):
@@ -76,6 +78,11 @@ def _cmd_validate(args):
                   0 if ok else 1, details)
 
 
+def _residual_text(res):
+    """"zero", or the first witness of a nonzero residual."""
+    return "zero" if res.is_zero() else witness_text(res.first_witness())
+
+
 def _side_pair(q, doc, args):
     m = side_map(doc, q, args.map, args.side)
     res = side_spec(args.side).residual(q, m)
@@ -88,8 +95,7 @@ def _cmd_classify(args):
     name = operator_name(q, args.side, res)
     ok = name != "not a deformation map"
     details = {"map": args.map, "side": args.side, "operator": name,
-               "residual": "zero" if res.is_zero() else
-                           witness_text(res.first_witness())}
+               "residual": _residual_text(res)}
     return Report("classify", "pass" if ok else "fail",
                   0 if ok else 1, details)
 
@@ -97,6 +103,7 @@ def _cmd_classify(args):
 def _cmd_twist(args):
     doc, q = _load(args.file)
     m = side_map(doc, q, args.map, args.side)
+    require_quasi_twilled(q)
     spec = side_spec(args.side)
     tw = spec.twist(q, m)
     res = getattr(tw, spec.residual_part)
@@ -109,8 +116,7 @@ def _cmd_twist(args):
         "map": args.map, "side": args.side,
         "components": comps,
         "conjugation_agrees": conj_ok,
-        "twisted_residual": "zero" if ok else
-                            witness_text(res.first_witness()),
+        "twisted_residual": _residual_text(res),
         "quasi_twilled": tw.is_quasi_twilled(),
     }
     return Report("twist", "pass" if ok else "fail", 0 if ok else 1, details)
@@ -124,9 +130,8 @@ def _cmd_mc(args):
     ok = mc.is_zero()
     details = {
         "map": args.map, "side": args.side,
-        "maurer_cartan": "zero" if ok else witness_text(mc.first_witness()),
-        "deformation_residual": "zero" if res.is_zero() else
-                                witness_text(res.first_witness()),
+        "maurer_cartan": _residual_text(mc),
+        "deformation_residual": _residual_text(res),
         "verdicts_agree": ok == res.is_zero(),
     }
     return Report("mc", "pass" if ok else "fail", 0 if ok else 1, details)

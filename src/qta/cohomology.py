@@ -11,28 +11,27 @@ built from the twisted components; the left side mirrors this with
 
 This is the Hochschild complex of the twisted product with coefficients
 in the twisted bimodule, and `hochschild_complex(product, left, right)`
-assembles it for any such triple.  The twist is computed once per call;
-the map is a deformation map exactly when the twist's residual component
-(theta^D on the right, gamma^B on the left) vanishes, so the deformation
-check reads that component (`checked_twist` of the side table) instead of
-computing the residual again.  The expanded form of d (the original
-components and the map, never the twist) is checked once per call: its
-term table, summed group by group, must equal the twisted triple as
-bilinear maps, and since d_n is linear in the triple this covers every
-degree.  The complex runs over the integers: the nonzero structure
+assembles it for any such triple.  The theorem needs a deformation map
+of a quasi-twilled algebra, and each entry point checks just that,
+through one twist per call (`checked_twist` of the side table):
+InvalidQTA unless the structure passes
+`qta.quasitwilled.require_quasi_twilled`, NotDeformationMap unless the
+twist's residual component (theta^D on the right, gamma^B on the left)
+vanishes.  The complex runs over the integers: the nonzero structure
 constants of the triple are cleared to ints over one common denominator
 L (the lcm of their denominators, 1 for integral tables), each d_n is
 assembled once, sparsely, as L d_n in integer rows, and d_(n+1) d_n = 0
-is asserted as an integer sparse product that stops at its first
-nonzero row.  `cohomology_dims` ranks those rows with the fraction-free
+is asserted as an integer sparse product that stops at its first nonzero
+row.  `cohomology_dims` ranks those rows with the fraction-free
 elimination `linalg._echelon` and builds no Fraction matrix; the
-functions that return matrices wrap the same rows as `linalg.ExactMatrix`
-with entries v / L, which keeps only its nonzeros.  The dense
-`coboundary_apply` (twisted components) and `coboundary_apply_expanded`
-(the same sum spelled out) apply d to one cochain; they are the slow
-oracles the sparse assembly is tested against, and each evaluates a
-(left, inner, right) table of plugged binary maps.  Degrees are ints,
-capped at MAX_DEGREE_CAP, for one matrix as for a complex.
+functions that return matrices wrap the same rows as
+`linalg.ExactMatrix` with entries v / L, which keeps only its nonzeros.
+The dense `coboundary_apply` (twisted components) and
+`coboundary_apply_expanded` (the same sum spelled out from the original
+components and the map) apply d to one cochain: test oracles for the
+sparse assembly, off the production path; each evaluates a (left, inner,
+right) table of plugged binary maps.  Degrees are ints, capped at
+MAX_DEGREE_CAP, for one matrix as for a complex.
 
 Basis order of C^n: lexicographic over domain basis tuples, crossed with
 the codomain index (the flat coefficient layout of MultilinearMap), so
@@ -77,7 +76,7 @@ def coboundary_apply_expanded(q, m, side, f):
     """d f spelled out through the original components and the map.
 
     Must agree with coboundary_apply.  Both evaluate a term table with
-    `_evaluate`; summed, the same tables check the sparse assembly.
+    `_evaluate`; the tests check the sparse assembly against both.
     """
     _check_cochain(q, side, f)
     return _evaluate(_expanded_terms(q, m, side), f)
@@ -152,27 +151,12 @@ def _nonzeros(g):
     return out
 
 
-def _summed(plugs):
-    """One binary map: the sum of s post(g) over the plugs (g, s, post)."""
-    return msum(g.scale(s) if post is None else insert(post, g, 0).scale(s)
-                for g, s, post in plugs)
-
-
 def _checked_triple(q, m, side):
     """The twisted (product, left action, right action) of a deformation
-    map, checked against the expanded form.
-
-    The twist is computed once, and raises NotDeformationMap unless m is
-    a deformation map (`checked_twist`).  The expanded term table, summed
-    group by group, must give the same three bilinear maps; d_n is linear
-    in them, so this one check covers every degree.
-    """
+    map m of a quasi-twilled algebra q; `checked_twist` raises unless q
+    and m are such, the hypotheses under which d o d = 0."""
     spec = side_spec(side)
-    triple = spec.induced(spec.checked_twist(q, m))
-    left, inner, right = _expanded_terms(q, m, side)
-    if (msum(inner), _summed(left), _summed(right)) != triple:
-        raise AssertionError("structural and expanded coboundaries disagree")
-    return triple
+    return spec.induced(spec.checked_twist(q, m))
 
 
 def _table(product, left, right):
@@ -302,7 +286,8 @@ def coboundary_matrix(q, m, side, n):
     """Matrix of d: C^n -> C^(n+1) in the lexicographic cochain basis.
 
     The d_n of `cochain_complex`, from the same checked triple.  Requires
-    the map to be a deformation map; n is an int, hard-capped at 5.
+    a deformation map of a quasi-twilled algebra; n is an int,
+    hard-capped at 5.
     """
     _check_degree(n)
     table, den, d, c = _table(*_checked_triple(q, m, side))
@@ -310,10 +295,9 @@ def coboundary_matrix(q, m, side, n):
 
 
 def cochain_complex(q, m, side, max_n=3):
-    """d_0 .. d_max_n of a deformation map: the Hochschild complex of its
-    twisted (product, left action, right action), once that triple is
-    checked against the expanded form.  max_n is an int, hard-capped at
-    5.
+    """d_0 .. d_max_n of a deformation map of a quasi-twilled algebra: the
+    Hochschild complex of its twisted (product, left action, right
+    action).  max_n is an int, hard-capped at 5.
     """
     _check_degree(max_n)
     return hochschild_complex(*_checked_triple(q, m, side), max_n)

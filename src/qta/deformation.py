@@ -20,7 +20,9 @@ from .multilinear import (
     A, APRIME, TOTAL, MultilinearMap, SpaceLabel, insert, lift,
     linear_map_from_matrix, matrix_from_linear_map, msum, project,
 )
-from .quasitwilled import _KINDS, QuasiTwilledAlgebra
+from .quasitwilled import (
+    _KINDS, QuasiTwilledAlgebra, require_quasi_twilled, total_product,
+)
 
 
 class _Side(NamedTuple):
@@ -44,13 +46,14 @@ class _Side(NamedTuple):
         return globals()[self.twist_fn](q, m)
 
     def checked_twist(self, q, m):
-        """The twist by m, raising NotDeformationMap unless m is a
-        deformation map of this side.
-
-        The check reads the twist's residual component (theta^D on the
-        right, gamma^B on the left), which is the residual itself, so the
-        residual is computed once.
+        """The twist by m, raising InvalidQTA unless q is quasi-twilled
+        (`require_quasi_twilled`) and NotDeformationMap unless m is a
+        deformation map of this side: the hypotheses of the induced
+        structures and the cohomology.  The map check reads the twist's
+        residual component (theta^D on the right, gamma^B on the left),
+        which is the residual itself, so the residual is computed once.
         """
+        require_quasi_twilled(q)
         tw = self.twist(q, m)
         res = getattr(tw, self.residual_part)
         if not res.is_zero():
@@ -125,7 +128,6 @@ def graph_residual(q, d):
     returns (A'-part) - D(A-part); zero iff right_residual(q, d) is zero.
     """
     _check_side_map(q, d, "right")
-    from .quasitwilled import total_product
     omega = total_product(q)
     dims = q.dims
     # graph embedding j: A -> A + A', x |-> (x, Dx)
@@ -229,7 +231,6 @@ def conjugation_twist(q, f, side):
     and agrees with the closed component formulas.
     """
     _check_side_map(q, f, side)
-    from .quasitwilled import total_product
     omega = total_product(q)
     ident = MultilinearMap.identity(TOTAL, q.dims)
     fhat = lift(f)

@@ -387,6 +387,6 @@ def witness_text(witness):
     """Human-readable first-nonzero witness of a residual map."""
     if witness is None:
         return "none"
-    t, k, v = witness[-3], witness[-2], witness[-1]
+    t, k, v = witness
     args = ", ".join(str(i) for i in t)
     return f"basis tuple ({args}) -> coefficient {format_fraction(v)} at output {k}"

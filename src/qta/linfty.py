@@ -13,29 +13,21 @@ Left side: F_n = Hom((x)^{n+1} A', A), l_0 = 0, l_k = 0 for k >= 4.
 Degree-0 Maurer-Cartan elements are exactly the deformation maps of the
 matching side.  Twisting by one of them, x, gives the derived brackets of
 e^(ad x) Delta (ad x = [-, lift(x)]), the conjugation twist of Delta.
+`VData` takes Delta from `qta.quasitwilled.require_quasi_twilled`, which
+raises InvalidQTA unless the structure is valid; no verdict is kept here.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from fractions import Fraction
 
 from .deformation import side_spec
-from .errors import BlockError, DegreeError, InvalidQTA, NotMaurerCartan
+from .errors import BlockError, DegreeError, NotMaurerCartan
 from .multilinear import (
-    A, APRIME, MultilinearMap, _label_size, gerstenhaber, koszul_sign, lift,
-    project, unshuffles,
+    MultilinearMap, _label_size, gerstenhaber, koszul_sign, lift, project,
+    unshuffles,
 )
-from .quasitwilled import total_product, validate
-
-
-# Passing V-data verdicts, keyed by the total product Delta: the graded Lie
-# algebra, F and P are fixed by the dims and the side, so Delta is all the
-# verdict reads, and one entry serves both sides.  The key is the contents,
-# since a structure's attributes can be reassigned.  A failure is never
-# stored, so it is raised again on every attempt.
-_VERIFIED = OrderedDict()
-_VERIFIED_MAX = 64
+from .quasitwilled import require_quasi_twilled
 
 
 class VData:
@@ -43,8 +35,9 @@ class VData:
 
     The ambient structure provides everything: Delta is the total product,
     F is the block of one-sided cochains selected by `side`, and P is the
-    block projection.  The verification runs once per distinct Delta, for
-    both sides (see `_VERIFIED`).
+    block projection.  Delta comes from `require_quasi_twilled`, so it
+    squares to zero and the left P(Delta) is zero; F being abelian and
+    ker P closed depend on the dims and the side only.
     """
 
     def __init__(self, q, side):
@@ -52,24 +45,7 @@ class VData:
         self.q = q
         self.side = side
         self.dims = q.dims
-        self.delta = total_product(q)
-        if self.delta in _VERIFIED:
-            _VERIFIED.move_to_end(self.delta)
-            return
-        self._verify()
-        _VERIFIED[self.delta] = True
-        if len(_VERIFIED) > _VERIFIED_MAX:
-            _VERIFIED.popitem(last=False)
-
-    def _verify(self):
-        """What the structure decides: [Delta, Delta] = 0, and no A'A' -> A
-        block, so A' is a subalgebra and the left P(Delta) is zero.  F being
-        abelian and ker P closed depend on the dims and the side only."""
-        if not validate(self.q).is_zero():
-            raise InvalidQTA("structure equations fail; no V-data")
-        if not project(self.delta, (APRIME, APRIME), A).is_zero():
-            raise InvalidQTA("Delta has an A'A' -> A block; A' is not a "
-                             "subalgebra")
+        self.delta = require_quasi_twilled(q)
 
     def f_signature(self, arity):
         return self.spec.signature(arity)

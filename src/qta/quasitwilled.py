@@ -13,11 +13,14 @@ to sixteen block equations; fifteen involve the components and the
 sixteenth (the A'A'A' -> A block) holds automatically for data of this
 shape.  `validate` computes the half-bracket of the total product;
 `structure_residuals` evaluates the component equations one by one.  Their
-agreement is itself a library test.
+agreement is itself a library test.  `require_quasi_twilled` is the one
+validity verdict that the controlling algebra, the cohomology, the
+induced structures and the CLI `twist` read.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -26,7 +29,7 @@ from .algebras import (
     RepresentationPair, check_associative, check_associative_representation,
     check_matched_pair, check_representation, regular_representation,
 )
-from .errors import DimensionError, IngredientError, UnknownKind
+from .errors import DimensionError, IngredientError, InvalidQTA, UnknownKind
 from .multilinear import (
     A, APRIME, MultilinearMap, circle, gerstenhaber, insert,
     lift, msum, project,
@@ -118,6 +121,32 @@ def validate(q):
     """Half-bracket of the total product; zero iff q is quasi-twilled."""
     omega = total_product(q)
     return circle(omega, omega)
+
+
+# Passing verdicts, keyed by the contents of Delta (a structure's
+# attributes can be reassigned); a failure is raised again every time.
+_VERIFIED = OrderedDict()
+_VERIFIED_MAX = 64
+
+
+def require_quasi_twilled(q):
+    """The total product Delta of q, raising InvalidQTA unless q is
+    quasi-twilled: [Delta, Delta] = 0 and no A'A' -> A block.  Checked
+    once per distinct Delta, for both sides and every caller."""
+    delta = total_product(q)
+    if delta in _VERIFIED:
+        _VERIFIED.move_to_end(delta)
+        return delta
+    if not validate(q).is_zero():
+        raise InvalidQTA("structure equations fail; not a quasi-twilled "
+                         "algebra")
+    if not project(delta, (APRIME, APRIME), A).is_zero():
+        raise InvalidQTA("Delta has an A'A' -> A block; A' is not a "
+                         "subalgebra")
+    _VERIFIED[delta] = True
+    if len(_VERIFIED) > _VERIFIED_MAX:
+        _VERIFIED.popitem(last=False)
+    return delta
 
 
 class StructureResidual(NamedTuple):

@@ -7,10 +7,11 @@ import pytest
 import qta.cohomology
 import qta.deformation
 from qta import (
-    A, APRIME, DegreeError, DimensionError, ExactMatrix, MultilinearMap,
-    NotDeformationMap, build_standard, coboundary_apply,
-    coboundary_apply_expanded, coboundary_matrix, cochain_complex,
-    cohomology_dims, hochschild_complex, l1_vs_d, emit_example,
+    A, APRIME, DegreeError, DimensionError, ExactMatrix, InvalidQTA,
+    MultilinearMap, NotDeformationMap, QuasiTwilledAlgebra, build_standard,
+    coboundary_apply, coboundary_apply_expanded, coboundary_matrix,
+    cochain_complex, cohomology_dims, hochschild_complex, l1_vs_d,
+    emit_example,
     induced_left_structures, induced_right_structures, random_map,
     regular_representation, seeded_rng,
 )
@@ -399,11 +400,52 @@ def test_perturbed_twist_fails_the_expanded_check(monkeypatch, side,
         return tw
 
     monkeypatch.setattr(qta.deformation, twist_name, perturbed)
-    for max_n in (0, 2):
-        with pytest.raises(
-                AssertionError,
-                match="structural and expanded coboundaries disagree"):
-            cohomology_dims(q, m, side, max_n)
+    with pytest.raises(AssertionError):
+        _assert_columns_equal_the_slow_paths(
+            q, m, side, 2, (coboundary_apply_expanded,))
+
+
+def invalid_structure():
+    """dims (1,1), pi = mu = 1, rho = 2: not quasi-twilled (the left
+    action squares to 4, not 2), yet the zero map has a zero residual on
+    either side."""
+    dims = (1, 1)
+    return QuasiTwilledAlgebra.from_components(
+        dims, pi=MultilinearMap((A, A), A, dims, [1]),
+        mu=MultilinearMap((APRIME, A), APRIME, dims, [1]),
+        rho=MultilinearMap((A, APRIME), APRIME, dims, [2]))
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_invalid_structure_has_no_cohomology(side):
+    # the cohomology and the induced structures are theorems about a
+    # deformation map of a quasi-twilled algebra; here d o d need not vanish
+    q = invalid_structure()
+    m = (right_map if side == "right" else left_map)(q, [[0]])
+    f = MultilinearMap.unit(*cochain_space(q, side, 1), q.dims, 0)
+    induced = {"right": induced_right_structures,
+               "left": induced_left_structures}[side]
+    for call in (lambda: cohomology_dims(q, m, side, 2),
+                 lambda: cochain_complex(q, m, side, 2),
+                 lambda: coboundary_matrix(q, m, side, 0),
+                 lambda: coboundary_matrix(q, m, side, 1),
+                 lambda: induced(q, m),
+                 lambda: l1_vs_d(q, m, side, f)):
+        with pytest.raises(InvalidQTA, match="not a quasi-twilled algebra"):
+            call()
+
+
+def test_production_path_never_expands(monkeypatch):
+    # the expanded coboundary is a test oracle: the three entry points
+    # return without it
+    def refuse(*args):
+        raise AssertionError("_expanded_terms called")
+
+    monkeypatch.setattr(qta.cohomology, "_expanded_terms", refuse)
+    for label, q, m, side in deformation_map_cases():
+        assert cohomology_dims(q, m, side, 2), label
+        assert len(cochain_complex(q, m, side, 2)) == 3, label
+        assert coboundary_matrix(q, m, side, 2).ncols, label
 
 
 def test_hochschild_complex_of_the_augmentation_module():

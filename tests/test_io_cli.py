@@ -341,6 +341,35 @@ def test_cli_cohomology_nondeformation_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+# dims (1,1), pi = mu = 1, rho = 2: not quasi-twilled, while the zero
+# maps have zero residuals
+INVALID_DOCUMENT = """{"field": "rational",
+ "spaces": {"A": {"dim": 1}, "Aprime": {"dim": 1}},
+ "components": {"pi": [[["1"]]], "mu": [[["1"]]], "rho": [[["2"]]]},
+ "maps": {"D": [["0"]], "B": [["0"]]}}"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "--map", "D", "--side", "right"],
+    ["cohomology", "--map", "B", "--side", "left"],
+    ["twist", "--map", "D", "--side", "right"],
+    ["twist", "--map", "B", "--side", "left"],
+    ["mc", "--map", "D", "--side", "right"],
+    ["jacobi", "--side", "left", "--arity", "2"],
+])
+def test_cli_invalid_structure_exit_2(tmp_path, capsys, argv):
+    p = tmp_path / "invalid.json"
+    p.write_text(INVALID_DOCUMENT, encoding="utf-8")
+    assert cli_main(["--json", "validate", str(p)]) == 1
+    capsys.readouterr()
+    assert cli_main(["--json"] + argv + [str(p)]) == 2
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["exit_status"] == 2 and report["verdict"] == "error"
+    assert report["details"]["error"].startswith("InvalidQTA: ")
+    assert err == ""
+
+
 def test_cli_twist(tmp_path, capsys):
     path = _write_example(tmp_path, "euler-derivation-dual-numbers")
     assert cli_main(["twist", "--map", "D", "--side", "right", path]) == 0

@@ -4,14 +4,14 @@ from itertools import product as iterproduct
 
 import pytest
 
-from qta import linfty
+from qta import linfty, quasitwilled
 from qta import (
     A, APRIME, BlockError, DegreeError, InvalidQTA, MultilinearMap,
     NotMaurerCartan, QuasiTwilledAlgebra, VData, build_standard,
-    catalog_names, conjugation_twist, controlling_structure, derived_bracket,
-    emit_example, explicit_formula, gerstenhaber, insert, left_residual,
-    lift, random_map, regular_representation, right_residual, seeded_rng,
-    validate,
+    catalog_names, cohomology_dims, conjugation_twist, controlling_structure,
+    derived_bracket, emit_example, explicit_formula, gerstenhaber, insert,
+    left_residual, lift, random_map, regular_representation, right_residual,
+    seeded_rng, validate,
 )
 from qta.deformation import side_spec
 from qta.io import build_quasi_twilled, parse
@@ -68,15 +68,16 @@ def _count_validate(monkeypatch):
         calls.append(q)
         return validate(q)
 
-    monkeypatch.setattr(linfty, "validate", counting)
+    monkeypatch.setattr(quasitwilled, "validate", counting)
     return calls
 
 
 def test_equal_structure_is_verified_once(monkeypatch):
     q = build_standard("reynolds", algebra=dual_numbers())
     controlling_structure(q, "left")
-    calls = _count_validate(monkeypatch)
+    # built before counting: the cocycle builder validates its output
     again = build_standard("reynolds", algebra=dual_numbers())
+    calls = _count_validate(monkeypatch)
     assert again is not q
     s = controlling_structure(again, "left")
     assert calls == []
@@ -97,12 +98,27 @@ def test_bumped_structure_is_verified_again(monkeypatch):
 
 
 def test_verdict_is_shared_by_both_sides(monkeypatch):
-    monkeypatch.setattr(linfty, "_VERIFIED", OrderedDict())
+    monkeypatch.setattr(quasitwilled, "_VERIFIED", OrderedDict())
     q = build_standard("semidirect", rep=regular_representation(trunc3()))
     controlling_structure(q, "right")
     calls = _count_validate(monkeypatch)
     controlling_structure(q, "left")
     assert calls == []
+
+
+def test_cohomology_and_controlling_algebra_share_one_verdict(monkeypatch):
+    # the cohomology of a deformation map and the controlling algebra read
+    # the same verdict: an equal structure is verified once for both
+    monkeypatch.setattr(quasitwilled, "_VERIFIED", OrderedDict())
+    q = build_standard("semidirect", rep=regular_representation(trunc3()))
+    again = build_standard("semidirect",
+                           rep=regular_representation(trunc3()))
+    calls = _count_validate(monkeypatch)
+    cohomology_dims(q, right_map(q, [[0, 0, 0], [0, 1, 0], [0, 1, 2]]),
+                    "right", 1)
+    assert len(calls) == 1
+    controlling_structure(again, "left")
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
