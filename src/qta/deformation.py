@@ -179,11 +179,10 @@ class TwistResult:
     def is_quasi_twilled(self):
         return self.gamma.is_zero()
 
-    def to_quasi_twilled(self, kind=None):
+    def to_quasi_twilled(self):
         if not self.gamma.is_zero():
             raise InvalidQTA("twisted product has a nonzero A'A' -> A block")
-        return QuasiTwilledAlgebra(self.pi, self.xi, self.eta, self.beta,
-                                   self.rho, self.mu, self.theta, kind=kind)
+        return QuasiTwilledAlgebra(**self.components())
 
 
 def twist_right(q, d):
@@ -302,10 +301,10 @@ def operator_name(q, side, residual):
     name = getattr(row, side, None)
     if name is None:
         return f"{side} deformation map"
-    return name.format(**{key: q.ingredients.get(key) for key in row.scalars})
+    return name.format(**{key: q.ingredients[key] for key in row.scalars})
 
 
 def _kind_row(q):
     if q.kind is None:
         raise UnknownKind("structure was not produced by build_standard")
-    return _KINDS.get(q.kind)
+    return _KINDS[q.kind]

@@ -296,9 +296,9 @@ def build_quasi_twilled(doc):
     for key in row.scalars:
         ingredients[key] = doc.builder[key]
     q = build_standard(kind, **ingredients)
-    q.basis_a = list(doc.basis_a)
-    q.basis_aprime = list(doc.basis_aprime)
-    return q
+    return QuasiTwilledAlgebra(
+        kind=kind, ingredients=q.ingredients, basis_a=doc.basis_a,
+        basis_aprime=doc.basis_aprime, **q.components())
 
 
 def document_from_components(q, maps=None):
@@ -311,8 +311,8 @@ def document_from_components(q, maps=None):
         table = [[[m.entry((i, j), k) for k in range(m.cod_size)]
                   for j in range(sizes[1])] for i in range(sizes[0])]
         comps[name] = table
-    doc = InputDocument(q.dim_a, q.dim_aprime, q.basis_a, q.basis_aprime,
-                        components=comps)
+    doc = InputDocument(q.dim_a, q.dim_aprime, list(q.basis_a),
+                        list(q.basis_aprime), components=comps)
     if maps:
         doc.maps = {name: [[Fraction(v) for v in row] for row in rows]
                     for name, rows in maps.items()}

@@ -13,8 +13,8 @@ Left side: F_n = Hom((x)^{n+1} A', A), l_0 = 0, l_k = 0 for k >= 4.
 Degree-0 Maurer-Cartan elements are exactly the deformation maps of the
 matching side.  Twisting by one of them, x, gives the derived brackets of
 e^(ad x) Delta (ad x = [-, lift(x)]), the conjugation twist of Delta.
-`VData` takes Delta from `qta.quasitwilled.require_quasi_twilled`, which
-raises InvalidQTA unless the structure is valid; no verdict is kept here.
+`VData` reads Delta, which an immutable structure builds once, through
+`qta.quasitwilled.require_quasi_twilled`: InvalidQTA unless it is valid.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ class VData:
     The ambient structure provides everything: Delta is the total product,
     F is the block of one-sided cochains selected by `side`, and P is the
     block projection.  Delta comes from `require_quasi_twilled`, so it
-    squares to zero and the left P(Delta) is zero; F being abelian and
-    ker P closed depend on the dims and the side only.
+    squares to zero, and the left P(Delta) is zero (no A'A' -> A component);
+    F being abelian and ker P closed depend on the dims and the side only.
     """
 
     def __init__(self, q, side):

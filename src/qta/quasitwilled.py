@@ -11,17 +11,18 @@ with no A'(x)A' -> A component (that block being zero is exactly the
 subalgebra condition).  Associativity of the total product is equivalent
 to sixteen block equations; fifteen involve the components and the
 sixteenth (the A'A'A' -> A block) holds automatically for data of this
-shape.  `validate` computes the half-bracket of the total product;
-`structure_residuals` evaluates the component equations one by one.  Their
-agreement is itself a library test.  `require_quasi_twilled` is the one
-validity verdict that the controlling algebra, the cohomology, the
-induced structures and the CLI `twist` read.
+shape.  A structure is immutable and builds its total product once.
+`validate` computes its half-bracket; `structure_residuals` evaluates the
+component equations one by one, and their agreement is a library test.
+`require_quasi_twilled` is the one validity verdict, kept on the structure,
+that the controlling algebra, the cohomology, the induced structures and
+the CLI `twist` read.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from fractions import Fraction
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .algebras import (
@@ -51,9 +52,13 @@ COMPONENT_NAMES = tuple(COMPONENT_SIGNATURES)
 class QuasiTwilledAlgebra:
     """The seven structure components, plus builder provenance.
 
-    Construction only checks signatures; whether the structure equations
-    hold is the job of `validate` / `structure_residuals`.
+    An immutable value, as `MultilinearMap` is.  Construction checks the
+    signatures and the builder kind; whether the structure equations hold
+    is the job of `validate` / `structure_residuals`.
     """
+
+    __slots__ = COMPONENT_NAMES + ("dims", "kind", "ingredients", "basis_a",
+                                   "basis_aprime", "_delta", "_verified")
 
     def __init__(self, pi, xi, eta, beta, rho, mu, theta,
                  kind=None, ingredients=None,
@@ -68,15 +73,24 @@ class QuasiTwilledAlgebra:
             if m.dims != dims:
                 raise DimensionError(f"component {name} has dims {m.dims}, "
                                      f"expected {dims}")
-        self.pi, self.xi, self.eta, self.beta = pi, xi, eta, beta
-        self.rho, self.mu, self.theta = rho, mu, theta
-        self.dims = dims
-        self.kind = kind
-        self.ingredients = dict(ingredients) if ingredients else {}
-        self.basis_a = list(basis_a) if basis_a else [
-            f"e{i+1}" for i in range(dims[0])]
-        self.basis_aprime = list(basis_aprime) if basis_aprime else [
-            f"f{i+1}" for i in range(dims[1])]
+        ingredients = MappingProxyType(dict(ingredients or {}))
+        if kind is not None and kind not in BUILDER_KINDS:
+            raise UnknownKind(f"unknown builder kind {kind!r}")
+        scalars = _KINDS[kind].scalars if kind is not None else ()
+        for key in scalars:
+            if key not in ingredients:
+                raise IngredientError(f"{kind} needs the ingredient {key!r}")
+        fields = dict(
+            comps, dims=dims, kind=kind, ingredients=ingredients,
+            basis_a=tuple(basis_a or (f"e{i+1}" for i in range(dims[0]))),
+            basis_aprime=tuple(
+                basis_aprime or (f"f{i+1}" for i in range(dims[1]))),
+            _delta=None, _verified=False)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QuasiTwilledAlgebra is immutable")
 
     @property
     def dim_a(self):
@@ -113,8 +127,11 @@ class QuasiTwilledAlgebra:
 
 
 def total_product(q):
-    """The total binary product on A + A', as the sum of lifted components."""
-    return msum([lift(m) for m in q.components().values()])
+    """The total binary product on A + A', built once per structure."""
+    if q._delta is None:
+        object.__setattr__(q, "_delta", msum(
+            [lift(m) for m in q.components().values()]))
+    return q._delta
 
 
 def validate(q):
@@ -123,30 +140,15 @@ def validate(q):
     return circle(omega, omega)
 
 
-# Passing verdicts, keyed by the contents of Delta (a structure's
-# attributes can be reassigned); a failure is raised again every time.
-_VERIFIED = OrderedDict()
-_VERIFIED_MAX = 64
-
-
 def require_quasi_twilled(q):
     """The total product Delta of q, raising InvalidQTA unless q is
-    quasi-twilled: [Delta, Delta] = 0 and no A'A' -> A block.  Checked
-    once per distinct Delta, for both sides and every caller."""
-    delta = total_product(q)
-    if delta in _VERIFIED:
-        _VERIFIED.move_to_end(delta)
-        return delta
-    if not validate(q).is_zero():
+    quasi-twilled ([Delta, Delta] = 0).  A pass is kept on q for both
+    sides and every caller; a failure raises again on every call."""
+    if not q._verified and not validate(q).is_zero():
         raise InvalidQTA("structure equations fail; not a quasi-twilled "
                          "algebra")
-    if not project(delta, (APRIME, APRIME), A).is_zero():
-        raise InvalidQTA("Delta has an A'A' -> A block; A' is not a "
-                         "subalgebra")
-    _VERIFIED[delta] = True
-    if len(_VERIFIED) > _VERIFIED_MAX:
-        _VERIFIED.popitem(last=False)
-    return delta
+    object.__setattr__(q, "_verified", True)
+    return total_product(q)
 
 
 class StructureResidual(NamedTuple):
@@ -280,12 +282,10 @@ def build_standard(kind, **ingredients):
     missing = [k for k in row.keywords if k not in ingredients]
     if missing:
         raise IngredientError(f"{kind} needs the ingredient {missing[0]!r}")
-    q = row.build(*(ingredients[k] for k in row.keywords))
-    q.kind = kind
-    return q
+    return row.build(kind, *(ingredients[k] for k in row.keywords))
 
 
-def _build_modified(alg, weight):
+def _build_modified(kind, alg, weight):
     """A + A with (x,u)(y,v) = (x.v + u.y, weight*(x.y) + u.v)."""
     weight = Fraction(weight)
     _require_assoc(alg, "algebra")
@@ -293,7 +293,7 @@ def _build_modified(alg, weight):
     dims = (d, d)
     prod = alg.product.with_dims(dims)
     return QuasiTwilledAlgebra.from_components(
-        dims,
+        dims, kind=kind,
         xi=prod.relabel((A, APRIME), A),
         eta=prod.relabel((APRIME, A), A),
         beta=prod.relabel((APRIME, APRIME), APRIME),
@@ -303,20 +303,20 @@ def _build_modified(alg, weight):
         basis_aprime=[n + "'" for n in alg.basis_names])
 
 
-def _build_semidirect(rep):
+def _build_semidirect(kind, rep):
     """(x,u)(y,v) = (x.y, rho(x)v + mu(y)u)."""
     _require_assoc(rep.algebra, "algebra")
     _require(check_representation(rep), "representation")
     dims = rep.rho.dims
     return QuasiTwilledAlgebra.from_components(
-        dims,
+        dims, kind=kind,
         pi=rep.algebra.product.with_dims(dims),
         rho=rep.rho, mu=rep.mu,
         ingredients={"algebra": rep.algebra, "rep": rep},
         basis_a=rep.algebra.basis_names)
 
 
-def _build_semidirect_assoc(ar):
+def _build_semidirect_assoc(kind, ar):
     """(x,u)(y,v) = (x.y, rho(x)v + mu(y)u + u.v)."""
     _require_assoc(ar.algebra, "algebra")
     prime_alg = AssociativeAlgebra(ar.prime_product)
@@ -324,7 +324,7 @@ def _build_semidirect_assoc(ar):
     _require(check_associative_representation(ar), "associative representation")
     dims = ar.rho.dims
     return QuasiTwilledAlgebra.from_components(
-        dims,
+        dims, kind=kind,
         pi=ar.algebra.product.with_dims(dims),
         beta=ar.prime_product,
         rho=ar.rho, mu=ar.mu,
@@ -332,13 +332,13 @@ def _build_semidirect_assoc(ar):
         basis_a=ar.algebra.basis_names)
 
 
-def _build_direct_product(alg, alg_prime):
+def _build_direct_product(kind, alg, alg_prime):
     """(x,u)(y,v) = (x.y, u.v)."""
     _require_assoc(alg, "algebra")
     _require_assoc(alg_prime, "second algebra")
     dims = (alg.dim, alg_prime.dim)
     return QuasiTwilledAlgebra.from_components(
-        dims,
+        dims, kind=kind,
         pi=alg.product.with_dims(dims),
         beta=alg_prime.product.relabel((APRIME, APRIME), APRIME, dims),
         ingredients={"algebra": alg, "algebra_prime": alg_prime},
@@ -346,7 +346,7 @@ def _build_direct_product(alg, alg_prime):
         basis_aprime=alg_prime.basis_names)
 
 
-def _build_abelian_extension(cocycle):
+def _build_abelian_extension(kind, cocycle):
     """(x,u)(y,v) = (x.y, rho(x)v + mu(y)u + omega(x,y)).
 
     omega is accepted exactly when this product is associative; we build
@@ -358,7 +358,7 @@ def _build_abelian_extension(cocycle):
     _require(check_representation(rep), "representation")
     dims = rep.rho.dims
     q = QuasiTwilledAlgebra.from_components(
-        dims,
+        dims, kind=kind,
         pi=rep.algebra.product.with_dims(dims),
         rho=rep.rho, mu=rep.mu,
         theta=cocycle.omega,
@@ -371,21 +371,21 @@ def _build_abelian_extension(cocycle):
     return q
 
 
-def _build_reynolds(alg):
+def _build_reynolds(kind, alg):
     """Abelian extension over the regular representation with omega = product."""
     _require_assoc(alg, "algebra")
     rep = regular_representation(alg)
     dims = rep.rho.dims
     omega = alg.product.with_dims(dims).relabel((A, A), APRIME, dims)
-    q = _build_abelian_extension(Cocycle2(rep, omega))
+    q = _build_abelian_extension(None, Cocycle2(rep, omega))
     return QuasiTwilledAlgebra(
-        q.pi, q.xi, q.eta, q.beta, q.rho, q.mu, q.theta,
+        q.pi, q.xi, q.eta, q.beta, q.rho, q.mu, q.theta, kind=kind,
         ingredients={"algebra": alg, "rep": rep, "omega": omega},
         basis_a=alg.basis_names,
         basis_aprime=[n + "'" for n in alg.basis_names])
 
 
-def _build_matched_pair(mp):
+def _build_matched_pair(kind, mp):
     """(x,u)(y,v) = (x.y + xi(v)x + eta(u)y, u.v + rho(x)v + mu(y)u)."""
     _require_assoc(mp.alg_a, "algebra A")
     _require_assoc(mp.alg_prime, "algebra A'")
@@ -396,7 +396,7 @@ def _build_matched_pair(mp):
     _require(check_matched_pair(mp), "matched pair compatibility")
     dims = mp.dims
     return QuasiTwilledAlgebra.from_components(
-        dims,
+        dims, kind=kind,
         pi=mp.alg_a.product.with_dims(dims),
         beta=mp.alg_prime.product.with_dims(dims),
         rho=mp.rho, mu=mp.mu, eta=mp.eta, xi=mp.xi,
@@ -450,7 +450,7 @@ def _doc_matched_pair(t, basis_a, basis_aprime):
 class _Kind(NamedTuple):
     """One row of the paper's catalogue: a builder kind and its data."""
 
-    build: object           # the _build_* function
+    build: object           # the _build_* function: (kind, *keywords)
     keywords: tuple         # build_standard ingredients, in `build` order
     tables: tuple           # builder tables of a document
     from_tables: object     # (table maps, basis_a, basis_aprime) -> keywords

@@ -1,4 +1,3 @@
-from collections import OrderedDict
 from fractions import Fraction
 from itertools import product as iterproduct
 
@@ -6,12 +5,13 @@ import pytest
 
 from qta import linfty, quasitwilled
 from qta import (
-    A, APRIME, BlockError, DegreeError, InvalidQTA, MultilinearMap,
-    NotMaurerCartan, QuasiTwilledAlgebra, VData, build_standard,
-    catalog_names, cohomology_dims, conjugation_twist, controlling_structure,
-    derived_bracket, emit_example, explicit_formula, gerstenhaber, insert,
-    left_residual, lift, random_map, regular_representation, right_residual,
-    seeded_rng, validate,
+    A, APRIME, BlockError, DegreeError, DimensionError, InvalidQTA,
+    MultilinearMap, NotMaurerCartan, QuasiTwilledAlgebra, VData,
+    build_standard, catalog_names, cohomology_dims, conjugation_twist,
+    controlling_structure, derived_bracket, emit_example, explicit_formula,
+    gerstenhaber, graph_residual, insert, left_residual, lift, msum, project,
+    random_map, regular_representation, require_quasi_twilled,
+    right_residual, seeded_rng, total_product, validate,
 )
 from qta.deformation import side_spec
 from qta.io import build_quasi_twilled, parse
@@ -73,14 +73,22 @@ def _count_validate(monkeypatch):
 
 
 def test_equal_structure_is_verified_once(monkeypatch):
+    # the verdict lives on the structure: one object is validated once for
+    # every caller, and an equal but distinct object once, on its own
     q = build_standard("reynolds", algebra=dual_numbers())
-    controlling_structure(q, "left")
     # built before counting: the cocycle builder validates its output
     again = build_standard("reynolds", algebra=dual_numbers())
     calls = _count_validate(monkeypatch)
+    b = left_map(q, [[-1, 0], [0, -1]])
+    cohomology_dims(q, b, "left", 1)
+    controlling_structure(q, "left")
+    controlling_structure(q, "right")
+    conjugation_twist(q, b, "left")
+    assert calls == [q]
     assert again is not q
     s = controlling_structure(again, "left")
-    assert calls == []
+    controlling_structure(again, "right")
+    assert calls == [q, again]
     assert s.vdata.q is again
 
 
@@ -89,16 +97,17 @@ def test_bumped_structure_is_verified_again(monkeypatch):
     controlling_structure(q, "right")
     coeffs = list(q.pi.coeffs)
     coeffs[1] += 1
-    q.pi = MultilinearMap(q.pi.domain, q.pi.codomain, q.pi.dims, coeffs)
+    bumped = QuasiTwilledAlgebra(**{
+        **q.components(),
+        "pi": MultilinearMap(q.pi.domain, q.pi.codomain, q.pi.dims, coeffs)})
     calls = _count_validate(monkeypatch)
     for _ in range(2):  # a failing verdict is never remembered
         with pytest.raises(InvalidQTA):
-            controlling_structure(q, "right")
+            controlling_structure(bumped, "right")
     assert len(calls) == 2
 
 
 def test_verdict_is_shared_by_both_sides(monkeypatch):
-    monkeypatch.setattr(quasitwilled, "_VERIFIED", OrderedDict())
     q = build_standard("semidirect", rep=regular_representation(trunc3()))
     controlling_structure(q, "right")
     calls = _count_validate(monkeypatch)
@@ -108,28 +117,55 @@ def test_verdict_is_shared_by_both_sides(monkeypatch):
 
 def test_cohomology_and_controlling_algebra_share_one_verdict(monkeypatch):
     # the cohomology of a deformation map and the controlling algebra read
-    # the same verdict: an equal structure is verified once for both
-    monkeypatch.setattr(quasitwilled, "_VERIFIED", OrderedDict())
+    # the same verdict, kept on the structure: an equal but distinct
+    # structure is validated once more, on its own
     q = build_standard("semidirect", rep=regular_representation(trunc3()))
     again = build_standard("semidirect",
                            rep=regular_representation(trunc3()))
     calls = _count_validate(monkeypatch)
-    cohomology_dims(q, right_map(q, [[0, 0, 0], [0, 1, 0], [0, 1, 2]]),
-                    "right", 1)
+    d = right_map(q, [[0, 0, 0], [0, 1, 0], [0, 1, 2]])
+    cohomology_dims(q, d, "right", 1)
     assert len(calls) == 1
+    controlling_structure(q, "right")
+    controlling_structure(q, "left")
+    conjugation_twist(q, d, "right")
+    assert calls == [q]
     controlling_structure(again, "left")
-    assert len(calls) == 1
+    assert calls == [q, again]
+
+
+def test_delta_is_built_once_per_structure(monkeypatch):
+    q = build_standard("semidirect", rep=regular_representation(trunc3()))
+    d = right_map(q, [[0, 0, 0], [0, 1, 0], [0, 1, 2]])
+    builds = []
+
+    def counting(maps):
+        builds.append(maps)
+        return msum(maps)
+
+    monkeypatch.setattr(quasitwilled, "msum", counting)
+    delta = require_quasi_twilled(q)
+    conjugation_twist(q, d, "right")
+    assert graph_residual(q, d).is_zero()
+    for side in ("right", "left"):
+        assert VData(q, side).delta is delta
+    assert total_product(q) is delta
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_prime_block_must_be_a_subalgebra(side):
-    # validate is zero, yet Delta has an A'A' -> A block: P(Delta) is not
-    # zero on the left, and A' is not a subalgebra on either side
+    # a structure has no A'A' -> A component: a map on that block is
+    # refused at construction and cannot be put in later, so the left
+    # P(Delta) is zero by construction
     q = QuasiTwilledAlgebra.from_components((2, 2))
-    q.eta = MultilinearMap.unit((APRIME, APRIME), A, q.dims, 0)
-    assert validate(q).is_zero()
-    with pytest.raises(InvalidQTA, match="A' is not a subalgebra"):
-        VData(q, side)
+    prime_block = MultilinearMap.unit((APRIME, APRIME), A, q.dims, 0)
+    with pytest.raises(DimensionError):
+        QuasiTwilledAlgebra(**{**q.components(), "eta": prime_block})
+    with pytest.raises(AttributeError):
+        q.eta = prime_block
+    v = VData(q, side)
+    assert project(v.delta, (APRIME, APRIME), A).is_zero()
 
 
 def _units(domain, codomain, dims):

@@ -4,8 +4,8 @@ import pytest
 
 from qta import (
     A, APRIME, IngredientError, MultilinearMap, QuasiTwilledAlgebra,
-    AssociativeAlgebra, build_standard, circle, project, structure_residuals,
-    total_product, validate,
+    AssociativeAlgebra, UnknownKind, build_standard, circle, project,
+    structure_residuals, total_product, validate,
 )
 
 from conftest import builder_instances, dual_numbers, one_dim_algebra
@@ -25,6 +25,32 @@ def test_zero_structure_validates():
     q = QuasiTwilledAlgebra.from_components((2, 2))
     assert validate(q).is_zero()
     assert all(r.residual.is_zero() for r in structure_residuals(q))
+
+
+def test_structure_is_immutable():
+    q = build_standard("modified_direct_sum", algebra=dual_numbers(),
+                       weight=2)
+    for name in QuasiTwilledAlgebra.__slots__ + ("dim_a", "new_field"):
+        with pytest.raises(AttributeError):
+            setattr(q, name, getattr(q, name, None))
+    with pytest.raises(TypeError):
+        q.ingredients["weight"] = 3
+    assert q.ingredients["weight"] == 2 and q.kind == "modified_direct_sum"
+
+
+def test_unknown_kind_is_refused_at_construction():
+    comps = QuasiTwilledAlgebra.from_components((1, 1)).components()
+    with pytest.raises(UnknownKind, match="bogus"):
+        QuasiTwilledAlgebra(kind="bogus", **comps)
+
+
+def test_missing_scalar_ingredient_is_refused_at_construction():
+    q = build_standard("modified_direct_sum", algebra=one_dim_algebra(),
+                       weight=1)
+    with pytest.raises(IngredientError, match="weight"):
+        QuasiTwilledAlgebra(kind="modified_direct_sum",
+                            ingredients={"algebra": q.ingredients["algebra"]},
+                            **q.components())
 
 
 def test_total_product_examples():
