@@ -47,7 +47,7 @@ from math import lcm
 from .deformation import side_spec
 from .errors import DegreeError, DimensionError
 from .linalg import ExactMatrix, _echelon, _row_products
-from .multilinear import _label_size, _sign, insert, msum
+from .multilinear import _sign, insert, msum
 from .linfty import controlling_structure
 
 MAX_DEGREE_CAP = 5
@@ -179,8 +179,7 @@ def _table(product, left, right):
     den = lcm(*{v.denominator for nz in nonzeros for *_, v in nz})
     table = tuple([(a, b, l, v.numerator * (den // v.denominator))
                    for a, b, l, v in nz] for nz in nonzeros)
-    dims = product.dims
-    return table, den, _label_size(slot, dims), _label_size(cod, dims)
+    return table, den, left.slot_sizes[0], left.cod_size
 
 
 def _assemble(table, n, d, c):

@@ -295,10 +295,8 @@ def build_quasi_twilled(doc):
     ingredients = row.from_tables(maps, doc.basis_a, doc.basis_aprime)
     for key in row.scalars:
         ingredients[key] = doc.builder[key]
-    q = build_standard(kind, **ingredients)
-    return QuasiTwilledAlgebra(
-        kind=kind, ingredients=q.ingredients, basis_a=doc.basis_a,
-        basis_aprime=doc.basis_aprime, **q.components())
+    return build_standard(kind, **ingredients)._rebased(doc.basis_a,
+                                                        doc.basis_aprime)
 
 
 def document_from_components(q, maps=None):

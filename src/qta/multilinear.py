@@ -30,6 +30,7 @@ import random
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, product as iterproduct
+from math import prod
 
 from . import kernel
 from .errors import ArityError, BlockError, DimensionError
@@ -49,13 +50,6 @@ APRIME = SpaceLabel.APRIME
 TOTAL = SpaceLabel.TOTAL
 
 
-def _prod(values):
-    p = 1
-    for v in values:
-        p *= v
-    return p
-
-
 class MultilinearMap:
     """Multilinear map between tensor powers of the labeled spaces.
 
@@ -68,10 +62,13 @@ class MultilinearMap:
     Fraction (a float becomes its exact binary value), as ExactMatrix
     does.  `dims` must be two non-negative ints.  A bad dims or index is a
     DimensionError.  The map keeps only the nonzeros, in `store`, which
-    must not be mutated; `coeffs` exports the dense table.
+    must not be mutated; `coeffs` exports the dense table.  The shape,
+    `slot_sizes` (one size per domain slot) and `cod_size`, is computed
+    once, at construction.
     """
 
-    __slots__ = ("domain", "codomain", "dims", "store")
+    __slots__ = ("domain", "codomain", "dims", "store", "slot_sizes",
+                 "cod_size")
 
     def __init__(self, domain, codomain, dims, coeffs):
         domain = tuple(domain)
@@ -85,9 +82,11 @@ class MultilinearMap:
             raise DimensionError(
                 f"dims must be two non-negative ints, got {dims!r}")
         dims = (da, db)
-        size = _label_size(codomain, dims)
+        size = cod_size = _label_size(codomain, dims)
+        slot_sizes = []  # a loop: before Python 3.12 a comprehension is a call
         for lab in domain:
-            size *= _label_size(lab, dims)
+            slot_sizes.append(_label_size(lab, dims))
+            size *= slot_sizes[-1]
         if isinstance(coeffs, dict):
             items = coeffs.items()
         else:
@@ -116,6 +115,8 @@ class MultilinearMap:
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "store", store)
+        object.__setattr__(self, "slot_sizes", tuple(slot_sizes))
+        object.__setattr__(self, "cod_size", cod_size)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultilinearMap is immutable")
@@ -130,21 +131,13 @@ class MultilinearMap:
     def degree(self):
         return len(self.domain) - 1
 
-    @property
-    def slot_sizes(self):
-        return tuple(_label_size(lab, self.dims) for lab in self.domain)
-
-    @property
-    def cod_size(self):
-        return _label_size(self.codomain, self.dims)
-
     def signature(self):
         return (self.domain, self.codomain)
 
     @property
     def coeffs(self):
         """The dense coefficient table, a tuple over the flat index space."""
-        out = [ZERO] * (_prod(self.slot_sizes) * self.cod_size)
+        out = [ZERO] * (prod(self.slot_sizes) * self.cod_size)
         for i, v in self.store.items():
             out[i] = v
         return tuple(out)
@@ -180,23 +173,18 @@ class MultilinearMap:
     @classmethod
     def from_table(cls, table, domain, codomain, dims):
         """Nested-list structure constants: table[i1][i2]...[k]."""
-        sizes = [_label_size(lab, dims) for lab in domain]
-        cod = _label_size(codomain, dims)
-        coeffs = []
-
-        def walk(node, depth):
-            if depth == len(sizes):
-                if len(node) != cod:
-                    raise DimensionError("bad codomain length in table")
-                coeffs.extend(Fraction(v) for v in node)
-                return
-            if len(node) != sizes[depth]:
+        # level by level: a recursive closure would be a garbage cycle
+        nodes = [table]
+        for depth, lab in enumerate(domain):
+            size = _label_size(lab, dims)
+            if any(len(node) != size for node in nodes):
                 raise DimensionError("bad table length at depth %d" % depth)
-            for sub in node:
-                walk(sub, depth + 1)
-
-        walk(table, 0)
-        return cls(domain, codomain, dims, coeffs)
+            nodes = [sub for node in nodes for sub in node]
+        cod = _label_size(codomain, dims)
+        if any(len(node) != cod for node in nodes):
+            raise DimensionError("bad codomain length in table")
+        return cls(domain, codomain, dims,
+                   [Fraction(v) for node in nodes for v in node])
 
     @classmethod
     def identity(cls, label, dims):
@@ -305,11 +293,11 @@ class MultilinearMap:
 
 
 def _label_size(label, dims):
-    if label is SpaceLabel.A:
+    if label is A:  # a global: SpaceLabel.A costs an Enum metaclass lookup
         return dims[0]
-    if label is SpaceLabel.APRIME:
+    if label is APRIME:
         return dims[1]
-    if label is SpaceLabel.TOTAL:
+    if label is TOTAL:
         return dims[0] + dims[1]
     raise TypeError(f"not a SpaceLabel: {label!r}")
 
@@ -390,17 +378,15 @@ def gerstenhaber(f, g):
 
 # -- lift / project ---------------------------------------------------------
 
-def _reindex(f, domain, codomain, windows):
-    """f's nonzeros moved into the signature (domain, codomain).
+def _reindex(f, domain, codomain, windows, new):
+    """f's nonzeros moved into the signature (domain, codomain), whose
+    slot sizes and then codomain size are `new`.
 
     `windows` holds one (lo, hi, shift) per slot of f and one for its
     codomain: a basis index r of that slot with lo <= r < hi becomes
     r + shift, and an entry with any index outside its window is dropped.
     """
-    dims = f.dims
     old = f.slot_sizes + (f.cod_size,)
-    new = [_label_size(lab, dims) for lab in domain]
-    new.append(_label_size(codomain, dims))
     strides = []
     stride = 1
     for s in reversed(new):
@@ -417,17 +403,18 @@ def _reindex(f, domain, codomain, windows):
             at += (r + shift) * stride
         else:
             out[at] = v
-    return MultilinearMap(domain, codomain, dims, out)
+    return MultilinearMap(domain, codomain, f.dims, out)
 
 
 def lift(f):
     """Extend a block map by zero to the whole total space."""
     if any(lab is TOTAL for lab in f.domain) or f.codomain is TOTAL:
         raise BlockError("lift expects a map between the A / A' blocks")
-    da = f.dims[0]
-    windows = [(0, da if lab is A else f.dims[1], 0 if lab is A else da)
+    da, db = f.dims
+    windows = [(0, da if lab is A else db, 0 if lab is A else da)
                for lab in f.domain + (f.codomain,)]
-    return _reindex(f, (TOTAL,) * f.arity, TOTAL, windows)
+    return _reindex(f, (TOTAL,) * f.arity, TOTAL, windows,
+                    (da + db,) * len(windows))
 
 
 def project(f, domain, codomain):
@@ -449,14 +436,16 @@ def project(f, domain, codomain):
                          % (f.codomain.value, codomain.value))
     da, dt = f.dims[0], f.dims[0] + f.dims[1]
     windows = []
-    for want, have in zip(domain + (codomain,), f.domain + (f.codomain,)):
+    for want, have, size in zip(domain + (codomain,), f.domain + (f.codomain,),
+                                f.slot_sizes + (f.cod_size,)):
         if have is not TOTAL or want is TOTAL:
-            windows.append((0, _label_size(want, f.dims), 0))
+            windows.append((0, size, 0))   # have == want: the slot is kept
         elif want is A:
             windows.append((0, da, 0))
         else:
             windows.append((da, dt, -da))
-    return _reindex(f, domain, codomain, windows)
+    return _reindex(f, domain, codomain, windows,
+                    [hi - lo for lo, hi, _ in windows])
 
 
 def linear_map_from_matrix(rows, domain_label, codomain_label, dims):
@@ -528,10 +517,9 @@ def random_fraction(rng, bound=3, denominators=(1, 1, 2)):
 
 
 def random_map(rng, domain, codomain, dims, bound=3):
-    sizes = [_label_size(lab, dims) for lab in domain]
-    cod = _label_size(codomain, dims)
+    size = prod(_label_size(lab, dims) for lab in (*domain, codomain))
     store = {}
-    for i in range(_prod(sizes) * cod):
+    for i in range(size):
         v = random_fraction(rng, bound)
         if v:
             store[i] = v

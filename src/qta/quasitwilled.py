@@ -121,6 +121,15 @@ class QuasiTwilledAlgebra:
     def total_basis_names(self):
         return self.basis_a + self.basis_aprime
 
+    def _rebased(self, basis_a, basis_aprime):
+        """The same structure, Delta and verdict under other basis names."""
+        new = object.__new__(QuasiTwilledAlgebra)
+        for name in self.__slots__:
+            object.__setattr__(new, name, getattr(self, name))
+        object.__setattr__(new, "basis_a", tuple(basis_a))
+        object.__setattr__(new, "basis_aprime", tuple(basis_aprime))
+        return new
+
     def __repr__(self):
         return (f"QuasiTwilledAlgebra(dims={self.dims}, "
                 f"kind={self.kind or 'custom'})")
@@ -268,8 +277,10 @@ def build_standard(kind, **ingredients):
       reynolds              algebra
       matched_pair          matched_pair (MatchedPairData)
 
-    Ingredients are checked first (IngredientError on failure); the output
-    then satisfies the structure equations.
+    The output is validated once and carries the pass.  Only if that fails
+    is the builder resumed after its `yield`, to run the kind's ingredient
+    checks in order and raise IngredientError at the first failing one: a
+    kind is quasi-twilled exactly when its ingredient conditions hold.
     """
     if kind not in BUILDER_KINDS:
         raise UnknownKind(f"unknown builder kind {kind!r}")
@@ -282,17 +293,22 @@ def build_standard(kind, **ingredients):
     missing = [k for k in row.keywords if k not in ingredients]
     if missing:
         raise IngredientError(f"{kind} needs the ingredient {missing[0]!r}")
-    return row.build(kind, *(ingredients[k] for k in row.keywords))
+    build = row.build(kind, *(ingredients[k] for k in row.keywords))
+    q = next(build)
+    try:
+        require_quasi_twilled(q)
+    except InvalidQTA:
+        next(build, None)  # the ingredient checks raise IngredientError
+        raise
+    return q
 
 
 def _build_modified(kind, alg, weight):
     """A + A with (x,u)(y,v) = (x.v + u.y, weight*(x.y) + u.v)."""
     weight = Fraction(weight)
-    _require_assoc(alg, "algebra")
-    d = alg.dim
-    dims = (d, d)
+    dims = (alg.dim, alg.dim)
     prod = alg.product.with_dims(dims)
-    return QuasiTwilledAlgebra.from_components(
+    yield QuasiTwilledAlgebra.from_components(
         dims, kind=kind,
         xi=prod.relabel((A, APRIME), A),
         eta=prod.relabel((APRIME, A), A),
@@ -301,63 +317,61 @@ def _build_modified(kind, alg, weight):
         ingredients={"algebra": alg, "weight": weight},
         basis_a=alg.basis_names,
         basis_aprime=[n + "'" for n in alg.basis_names])
+    _require_assoc(alg, "algebra")
 
 
 def _build_semidirect(kind, rep):
     """(x,u)(y,v) = (x.y, rho(x)v + mu(y)u)."""
-    _require_assoc(rep.algebra, "algebra")
-    _require(check_representation(rep), "representation")
     dims = rep.rho.dims
-    return QuasiTwilledAlgebra.from_components(
+    yield QuasiTwilledAlgebra.from_components(
         dims, kind=kind,
         pi=rep.algebra.product.with_dims(dims),
         rho=rep.rho, mu=rep.mu,
         ingredients={"algebra": rep.algebra, "rep": rep},
         basis_a=rep.algebra.basis_names)
+    _require_assoc(rep.algebra, "algebra")
+    _require(check_representation(rep), "representation")
 
 
 def _build_semidirect_assoc(kind, ar):
     """(x,u)(y,v) = (x.y, rho(x)v + mu(y)u + u.v)."""
-    _require_assoc(ar.algebra, "algebra")
-    prime_alg = AssociativeAlgebra(ar.prime_product)
-    _require_assoc(prime_alg, "module algebra")
-    _require(check_associative_representation(ar), "associative representation")
     dims = ar.rho.dims
-    return QuasiTwilledAlgebra.from_components(
+    yield QuasiTwilledAlgebra.from_components(
         dims, kind=kind,
         pi=ar.algebra.product.with_dims(dims),
         beta=ar.prime_product,
         rho=ar.rho, mu=ar.mu,
         ingredients={"algebra": ar.algebra, "assoc_rep": ar},
         basis_a=ar.algebra.basis_names)
+    _require_assoc(ar.algebra, "algebra")
+    _require_assoc(AssociativeAlgebra(ar.prime_product), "module algebra")
+    _require(check_associative_representation(ar), "associative representation")
 
 
 def _build_direct_product(kind, alg, alg_prime):
     """(x,u)(y,v) = (x.y, u.v)."""
-    _require_assoc(alg, "algebra")
-    _require_assoc(alg_prime, "second algebra")
     dims = (alg.dim, alg_prime.dim)
-    return QuasiTwilledAlgebra.from_components(
+    yield QuasiTwilledAlgebra.from_components(
         dims, kind=kind,
         pi=alg.product.with_dims(dims),
         beta=alg_prime.product.relabel((APRIME, APRIME), APRIME, dims),
         ingredients={"algebra": alg, "algebra_prime": alg_prime},
         basis_a=alg.basis_names,
         basis_aprime=alg_prime.basis_names)
+    _require_assoc(alg, "algebra")
+    _require_assoc(alg_prime, "second algebra")
 
 
 def _build_abelian_extension(kind, cocycle):
     """(x,u)(y,v) = (x.y, rho(x)v + mu(y)u + omega(x,y)).
 
-    omega is accepted exactly when this product is associative; we build
-    first and let the caller's validation decide (the operational cocycle
-    condition).
+    omega is accepted exactly when this product is associative (the
+    operational cocycle condition): once the algebra and the
+    representation pass, a failed validation names omega.
     """
     rep = cocycle.rep
-    _require_assoc(rep.algebra, "algebra")
-    _require(check_representation(rep), "representation")
     dims = rep.rho.dims
-    q = QuasiTwilledAlgebra.from_components(
+    yield QuasiTwilledAlgebra.from_components(
         dims, kind=kind,
         pi=rep.algebra.product.with_dims(dims),
         rho=rep.rho, mu=rep.mu,
@@ -365,37 +379,28 @@ def _build_abelian_extension(kind, cocycle):
         ingredients={"algebra": rep.algebra, "rep": rep,
                      "omega": cocycle.omega},
         basis_a=rep.algebra.basis_names)
-    if not validate(q).is_zero():
-        raise IngredientError("omega is not a 2-cocycle: the extension "
-                              "product fails associativity")
-    return q
+    _require_assoc(rep.algebra, "algebra")
+    _require(check_representation(rep), "representation")
+    raise IngredientError("omega is not a 2-cocycle: the extension "
+                          "product fails associativity")
 
 
 def _build_reynolds(kind, alg):
     """Abelian extension over the regular representation with omega = product."""
-    _require_assoc(alg, "algebra")
     rep = regular_representation(alg)
-    dims = rep.rho.dims
-    omega = alg.product.with_dims(dims).relabel((A, A), APRIME, dims)
-    q = _build_abelian_extension(None, Cocycle2(rep, omega))
-    return QuasiTwilledAlgebra(
-        q.pi, q.xi, q.eta, q.beta, q.rho, q.mu, q.theta, kind=kind,
-        ingredients={"algebra": alg, "rep": rep, "omega": omega},
+    omega = rep.algebra.product.relabel((A, A), APRIME)
+    yield QuasiTwilledAlgebra.from_components(
+        rep.rho.dims, kind=kind, pi=rep.algebra.product, rho=rep.rho, mu=rep.mu,
+        theta=omega, ingredients={"algebra": alg, "rep": rep, "omega": omega},
         basis_a=alg.basis_names,
         basis_aprime=[n + "'" for n in alg.basis_names])
+    _require_assoc(alg, "algebra")
 
 
 def _build_matched_pair(kind, mp):
     """(x,u)(y,v) = (x.y + xi(v)x + eta(u)y, u.v + rho(x)v + mu(y)u)."""
-    _require_assoc(mp.alg_a, "algebra A")
-    _require_assoc(mp.alg_prime, "algebra A'")
-    _require(check_representation(mp.representation_on_prime()),
-             "(A'; rho, mu) representation")
-    _require(check_representation(mp.representation_on_a()),
-             "(A; eta, xi) representation")
-    _require(check_matched_pair(mp), "matched pair compatibility")
     dims = mp.dims
-    return QuasiTwilledAlgebra.from_components(
+    yield QuasiTwilledAlgebra.from_components(
         dims, kind=kind,
         pi=mp.alg_a.product.with_dims(dims),
         beta=mp.alg_prime.product.with_dims(dims),
@@ -403,6 +408,13 @@ def _build_matched_pair(kind, mp):
         ingredients={"matched_pair": mp},
         basis_a=mp.alg_a.basis_names,
         basis_aprime=mp.alg_prime.basis_names)
+    _require_assoc(mp.alg_a, "algebra A")
+    _require_assoc(mp.alg_prime, "algebra A'")
+    _require(check_representation(mp.representation_on_prime()),
+             "(A'; rho, mu) representation")
+    _require(check_representation(mp.representation_on_a()),
+             "(A; eta, xi) representation")
+    _require(check_matched_pair(mp), "matched pair compatibility")
 
 
 # -- the catalogue of builder kinds -------------------------------------------
@@ -450,7 +462,7 @@ def _doc_matched_pair(t, basis_a, basis_aprime):
 class _Kind(NamedTuple):
     """One row of the paper's catalogue: a builder kind and its data."""
 
-    build: object           # the _build_* function: (kind, *keywords)
+    build: object           # _build_*(kind, *keywords): yields, then checks
     keywords: tuple         # build_standard ingredients, in `build` order
     tables: tuple           # builder tables of a document
     from_tables: object     # (table maps, basis_a, basis_aprime) -> keywords

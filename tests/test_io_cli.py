@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from qta import DimensionError, ParseError, SchemaError, validate
+from qta import DimensionError, ParseError, SchemaError, quasitwilled, validate
 from qta.catalog import catalog_names, emit_example, get_entry
 import qta.cli
 from qta.cli import main as cli_main
@@ -473,3 +473,69 @@ def test_cached_parser_gives_the_reports_of_fresh_parsers(
     monkeypatch.setattr(qta.cli, "make_parser", qta.cli.make_parser.__wrapped__)
     fresh = _reports(argvs, capsys)
     assert cached == fresh
+
+
+def _catalog_calls(name, path):
+    """Every document command on one catalog document, each map and side."""
+    yield ["validate", path]
+    for map_name, side in get_entry(name).deformation_maps:
+        common = ["--map", map_name, "--side", side, path]
+        for cmd in ("classify", "twist", "mc"):
+            yield [cmd, *common]
+        yield ["cohomology", "--max-degree", "1", *common]
+        yield ["jacobi", "--side", side, "--arity", "2", "--samples", "1",
+               path]
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_each_cli_call_builds_and_validates_once(
+        tmp_path, capsys, monkeypatch, name):
+    # loading a document and running any command costs one Delta (the one
+    # msum of qta.quasitwilled) and one validate
+    path = _write_example(tmp_path, name)
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(quasitwilled, "msum", counting(quasitwilled.msum))
+    monkeypatch.setattr(quasitwilled, "validate",
+                        counting(quasitwilled.validate))
+    # the CLI imports validate by name: give it the counting one too
+    monkeypatch.setattr(qta.cli, "validate", quasitwilled.validate)
+    for argv in _catalog_calls(name, path):
+        calls.clear()
+        assert cli_main(["--json", *argv]) == 0, argv
+        capsys.readouterr()
+        assert sorted(calls) == ["msum", "validate"], argv
+
+
+# a Reynolds document on K^2 with e1.e1 = e2, e2.e1 = e1: not associative,
+# since (e2.e1).e1 = e2 but e2.(e1.e1) = 0
+NONASSOCIATIVE_REYNOLDS = """{"field": "rational",
+ "spaces": {"A": {"dim": 2}, "Aprime": {"dim": 2}},
+ "builder": {"kind": "reynolds",
+             "tables": {"product": [[["0", "1"], ["0", "0"]],
+                                    [["1", "0"], ["0", "0"]]]}},
+ "maps": {"B": [["0", "0"], ["0", "0"]]}}"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["mc", "--map", "B", "--side", "left"],
+    ["twist", "--map", "B", "--side", "left"],
+    ["cohomology", "--map", "B", "--side", "left"],
+])
+def test_cli_nonassociative_builder_exit_2(tmp_path, capsys, argv):
+    p = tmp_path / "nonassociative.json"
+    p.write_text(NONASSOCIATIVE_REYNOLDS, encoding="utf-8")
+    assert cli_main(["--json"] + argv + [str(p)]) == 2
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["exit_status"] == 2 and report["verdict"] == "error"
+    assert report["details"]["error"] == \
+        "IngredientError: algebra is not associative"
+    assert err == ""

@@ -72,23 +72,39 @@ def _count_validate(monkeypatch):
     return calls
 
 
+def _count_msum(monkeypatch):
+    # Delta is the one msum of the quasitwilled module (`total_product`)
+    builds = []
+
+    def counting(maps):
+        builds.append(maps)
+        return msum(maps)
+
+    monkeypatch.setattr(quasitwilled, "msum", counting)
+    return builds
+
+
 def test_equal_structure_is_verified_once(monkeypatch):
-    # the verdict lives on the structure: one object is validated once for
-    # every caller, and an equal but distinct object once, on its own
-    q = build_standard("reynolds", algebra=dual_numbers())
-    # built before counting: the cocycle builder validates its output
-    again = build_standard("reynolds", algebra=dual_numbers())
+    # the verdict lives on the structure: building it validates it once,
+    # every later caller reads that pass, and an equal but distinct object
+    # is validated once, on its own
     calls = _count_validate(monkeypatch)
+    builds = _count_msum(monkeypatch)
+    q = build_standard("reynolds", algebra=dual_numbers())
+    assert calls == [q]
     b = left_map(q, [[-1, 0], [0, -1]])
     cohomology_dims(q, b, "left", 1)
     controlling_structure(q, "left")
     controlling_structure(q, "right")
     conjugation_twist(q, b, "left")
     assert calls == [q]
+    assert len(builds) == 1
+    again = build_standard("reynolds", algebra=dual_numbers())
     assert again is not q
     s = controlling_structure(again, "left")
     controlling_structure(again, "right")
     assert calls == [q, again]
+    assert len(builds) == 2
     assert s.vdata.q is again
 
 
@@ -117,33 +133,33 @@ def test_verdict_is_shared_by_both_sides(monkeypatch):
 
 def test_cohomology_and_controlling_algebra_share_one_verdict(monkeypatch):
     # the cohomology of a deformation map and the controlling algebra read
-    # the same verdict, kept on the structure: an equal but distinct
-    # structure is validated once more, on its own
-    q = build_standard("semidirect", rep=regular_representation(trunc3()))
-    again = build_standard("semidirect",
-                           rep=regular_representation(trunc3()))
+    # the same verdict, kept on the structure: by its build, or else by the
+    # first reader; an equal but distinct structure is validated on its own
     calls = _count_validate(monkeypatch)
+    builds = _count_msum(monkeypatch)
+    q = build_standard("semidirect", rep=regular_representation(trunc3()))
+    assert calls == [q]
     d = right_map(q, [[0, 0, 0], [0, 1, 0], [0, 1, 2]])
     cohomology_dims(q, d, "right", 1)
-    assert len(calls) == 1
     controlling_structure(q, "right")
     controlling_structure(q, "left")
     conjugation_twist(q, d, "right")
     assert calls == [q]
-    controlling_structure(again, "left")
+    again = QuasiTwilledAlgebra(**q.components())  # no build, no verdict
+    cohomology_dims(again, d, "right", 1)
     assert calls == [q, again]
+    controlling_structure(again, "right")
+    controlling_structure(again, "left")
+    conjugation_twist(again, d, "right")
+    assert calls == [q, again]
+    assert len(builds) == 2
 
 
 def test_delta_is_built_once_per_structure(monkeypatch):
+    calls = _count_validate(monkeypatch)
+    builds = _count_msum(monkeypatch)
     q = build_standard("semidirect", rep=regular_representation(trunc3()))
     d = right_map(q, [[0, 0, 0], [0, 1, 0], [0, 1, 2]])
-    builds = []
-
-    def counting(maps):
-        builds.append(maps)
-        return msum(maps)
-
-    monkeypatch.setattr(quasitwilled, "msum", counting)
     delta = require_quasi_twilled(q)
     conjugation_twist(q, d, "right")
     assert graph_residual(q, d).is_zero()
@@ -151,6 +167,7 @@ def test_delta_is_built_once_per_structure(monkeypatch):
         assert VData(q, side).delta is delta
     assert total_product(q) is delta
     assert len(builds) == 1
+    assert calls == [q]
 
 
 @pytest.mark.parametrize("side", ["right", "left"])

@@ -10,6 +10,7 @@ from qta import (
     gerstenhaber, insert, koszul_sign, lift, project, random_map, seeded_rng,
     unshuffles,
 )
+from qta.multilinear import _label_size
 
 DIMS = (1, 1)
 PI = MultilinearMap.from_table([[[1]]], (A, A), A, DIMS)
@@ -274,3 +275,44 @@ def test_koszul_multiplicative_with_parity(perm, degrees):
     # all-even degrees give +1
     if all(d % 2 == 0 for d in degrees):
         assert koszul_sign(perm, degrees) == 1
+
+
+# -- stored shapes ---------------------------------------------------------------
+
+def _shape_of(m):
+    return (tuple(_label_size(lab, m.dims) for lab in m.domain),
+            _label_size(m.codomain, m.dims))
+
+
+def test_stored_shapes_match_the_labels_on_every_construction_path():
+    dims = (2, 3)
+    rng = seeded_rng(5)
+    f = random_map(rng, (A, APRIME), A, dims)
+    g = random_map(rng, (APRIME, A), APRIME, dims)
+    h = random_map(rng, (A, A), A, dims)
+    built = [
+        MultilinearMap((A, TOTAL), APRIME, dims, {0: 1}),
+        MultilinearMap.zero((APRIME,), TOTAL, dims),
+        MultilinearMap.unit((TOTAL, A, APRIME), A, dims, 7),
+        MultilinearMap.identity(APRIME, dims),
+        MultilinearMap.from_function((A,), APRIME, dims,
+                                     lambda t: [t[0], 0, 1]),
+        MultilinearMap.from_table([[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+                                  (A, A), A, dims),
+        f.relabel((A, APRIME), A),
+        h.relabel((A, A), APRIME, (2, 2)),
+        h.with_dims((2, 5)),
+        insert(f, g, 1),
+        insert(g, f, 1),
+        circle(h, h),
+        circle(lift(f), lift(g)),
+        lift(g),
+        project(lift(f), (A, APRIME), A),
+        project(lift(g), (APRIME, TOTAL), APRIME),
+    ]
+    for m in built:
+        assert (m.slot_sizes, m.cod_size) == _shape_of(m), m
+        for name in ("slot_sizes", "cod_size"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, ())
+        assert (m.slot_sizes, m.cod_size) == _shape_of(m), m

@@ -5,10 +5,16 @@ import pytest
 from qta import (
     A, APRIME, IngredientError, MultilinearMap, QuasiTwilledAlgebra,
     AssociativeAlgebra, UnknownKind, build_standard, circle, project,
-    structure_residuals, total_product, validate,
+    seeded_rng, structure_residuals, total_product, validate,
 )
+from qta import quasitwilled
+from qta.algebras import (
+    check_associative_representation, check_matched_pair,
+    check_representation,
+)
+from qta.quasitwilled import _KINDS, BUILDER_KINDS
 
-from conftest import builder_instances, dual_numbers, one_dim_algebra
+from conftest import DUAL_TABLE, builder_instances, dual_numbers, one_dim_algebra
 
 
 @pytest.mark.parametrize("algname", ["one", "dual"])
@@ -306,3 +312,88 @@ def test_perturbed_raw_oracle_agrees():
         if not raw_ok:
             disagreements += 1
     assert disagreements > 0
+
+
+# -- ingredient checks run only on a failed validation --------------------------
+
+def _upfront_checks(kind, ing, raw):
+    """The ingredient checks each builder ran before it built, in that
+    order (and, for an abelian extension, the validation of the built
+    structure `raw`): the oracle for the error a failing build raises."""
+    req, assoc = quasitwilled._require, quasitwilled._require_assoc
+    if kind in ("modified_direct_sum", "reynolds"):
+        assoc(ing["algebra"], "algebra")
+    elif kind == "direct_product":
+        assoc(ing["algebra"], "algebra")
+        assoc(ing["algebra_prime"], "second algebra")
+    elif kind in ("semidirect", "abelian_extension"):
+        rep = ing["rep"] if kind == "semidirect" else ing["cocycle"].rep
+        assoc(rep.algebra, "algebra")
+        req(check_representation(rep), "representation")
+        if kind == "abelian_extension" and not validate(raw).is_zero():
+            raise IngredientError("omega is not a 2-cocycle: the extension "
+                                  "product fails associativity")
+    elif kind == "semidirect_assoc":
+        ar = ing["assoc_rep"]
+        assoc(ar.algebra, "algebra")
+        assoc(AssociativeAlgebra(ar.prime_product), "module algebra")
+        req(check_associative_representation(ar),
+            "associative representation")
+    else:
+        mp = ing["matched_pair"]
+        assoc(mp.alg_a, "algebra A")
+        assoc(mp.alg_prime, "algebra A'")
+        req(check_representation(mp.representation_on_prime()),
+            "(A'; rho, mu) representation")
+        req(check_representation(mp.representation_on_a()),
+            "(A; eta, xi) representation")
+        req(check_matched_pair(mp), "matched pair compatibility")
+
+
+def _dual_number_tables():
+    """Builder tables (see qta.io) of every kind over the dual numbers at
+    dims (2,2): regular actions, omega the product, eta = xi = 0."""
+    prod = MultilinearMap.from_table(DUAL_TABLE, (A, A), A, (2, 2))
+    return {"product": prod,
+            "product_prime": prod.relabel((APRIME, APRIME), APRIME),
+            "rho": prod.relabel((A, APRIME), APRIME),
+            "mu": prod.relabel((APRIME, A), APRIME),
+            "eta": MultilinearMap.zero((APRIME, A), A, (2, 2)),
+            "xi": MultilinearMap.zero((A, APRIME), A, (2, 2)),
+            "omega": prod.relabel((A, A), APRIME)}
+
+
+def _error_text(fn):
+    try:
+        fn()
+    except IngredientError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("kind", BUILDER_KINDS)
+def test_failed_validation_names_the_upfront_ingredient_error(kind):
+    # seeded perturbations of one builder table entry: a build fails with
+    # the IngredientError text of the old upfront checks, and an
+    # ingredient check fails exactly when validate does
+    row = _KINDS[kind]
+    rng = seeded_rng(sorted(BUILDER_KINDS).index(kind))
+    texts = []
+    for trial in range(30):
+        tables = _dual_number_tables()
+        if trial:  # trial 0 keeps the valid ingredients
+            name = rng.choice(row.tables)
+            m = tables[name]
+            store = dict(m.store)
+            i = rng.randrange(len(m.coeffs))
+            store[i] = store.get(i, 0) + rng.choice([-2, -1, 1, Fraction(1, 2)])
+            tables[name] = MultilinearMap(m.domain, m.codomain, m.dims, store)
+        ing = row.from_tables(tables, ["1", "t"], ["1'", "t'"])
+        ing.update({key: Fraction(4) for key in row.scalars})
+        # the structure a builder yields before its ingredient checks
+        raw = next(row.build(kind, *(ing[k] for k in row.keywords)))
+        want = _error_text(lambda: _upfront_checks(kind, ing, raw))
+        assert _error_text(lambda: build_standard(kind, **ing)) == want
+        assert (want is None) == validate(raw).is_zero()
+        texts.append(want)
+    assert texts[0] is None and any(texts), texts
