@@ -22,7 +22,7 @@ from .closed_formulas import explicit_formula, explicit_formula_check
 from .deformation import (
     TwistResult, classify_operator, conjugation_twist, duality_check,
     graph_residual, induced_left_structures, induced_right_structures,
-    left_residual, right_residual, twist_left, twist_right,
+    left_residual, right_residual, twist_blocks, twist_left, twist_right,
 )
 from .errors import (
     ArityError, BlockError, DegreeError, DimensionError, IngredientError,
@@ -41,7 +41,8 @@ from .multilinear import (
 )
 from .quasitwilled import (
     BUILDER_KINDS, QuasiTwilledAlgebra, StructureResidual, build_standard,
-    require_quasi_twilled, structure_residuals, total_product, validate,
+    equation_rows, require_quasi_twilled, structure_residuals, total_product,
+    validate,
 )
 
 __version__ = "0.1.0"

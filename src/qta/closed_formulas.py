@@ -130,7 +130,7 @@ def explicit_formula(q, side, k, args):
         raise DegreeError(f"l_{k} needs {k} arguments, got {len(args)}")
     if k == 1:
         f, = args
-        return _evaluate(_structural_terms(spec, q), f).scale(
+        return _evaluate(_structural_terms(*spec.induced(q)), f).scale(
             _sign(f.arity - 1))
     if k == 2:
         return _six_sum(*side_spec(_OTHER[side]).induced(q), *args)

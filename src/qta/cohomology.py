@@ -13,16 +13,16 @@ This is the Hochschild complex of the twisted product with coefficients
 in the twisted bimodule, and `hochschild_complex(product, left, right)`
 assembles it for any such triple.  The theorem needs a deformation map
 of a quasi-twilled algebra, and each entry point checks just that,
-through one twist per call (`checked_twist` of the side table):
-InvalidQTA unless the structure passes
-`qta.quasitwilled.require_quasi_twilled`, NotDeformationMap unless the
-twist's residual component (theta^D on the right, gamma^B on the left)
-vanishes.  The complex runs over the integers: the nonzero structure
-constants of the triple are cleared to ints over one common denominator
-L (the lcm of their denominators, 1 for integral tables), each d_n is
-assembled once, sparsely, as L d_n in integer rows, and d_(n+1) d_n = 0
-is asserted as an integer sparse product that stops at its first nonzero
-row.  `cohomology_dims` ranks those rows with the fraction-free
+through one `twist_blocks` call (`checked_triple` of the side table),
+which computes the triple and the residual block only: InvalidQTA
+unless the structure passes `qta.quasitwilled.require_quasi_twilled`,
+NotDeformationMap unless the residual block (theta^D on the right,
+gamma^B on the left) vanishes.  The complex runs over the integers: the
+nonzero structure constants of the triple are cleared to ints over one
+common denominator L (the lcm of their denominators, 1 for integral
+tables), each d_n is assembled once, sparsely, as L d_n in integer rows,
+and d_(n+1) d_n = 0 is asserted as an integer sparse product that stops
+at its first nonzero row.  `cohomology_dims` ranks those rows with the fraction-free
 elimination `linalg._echelon` and builds no Fraction matrix; the
 functions that return matrices wrap the same rows as
 `linalg.ExactMatrix` with entries v / L, which keeps only its nonzeros.
@@ -67,7 +67,7 @@ def _check_cochain(q, side, f):
 def coboundary_apply(q, m, side, f):
     """d f via the twisted components, for f in C^n, n >= 1."""
     spec = side_spec(side)
-    terms = _structural_terms(spec, spec.twist(q, m))
+    terms = _structural_terms(*spec.induced(spec.twist(q, m)))
     _check_cochain(q, side, f)
     return _evaluate(terms, f)
 
@@ -107,10 +107,9 @@ def _evaluate(terms, f):
            for g, s, p in right])
 
 
-def _structural_terms(spec, tw):
-    """d from the (product, left action, right action) of tw: a twist, or
-    any structure (the closed l_1 of `qta.closed_formulas`)."""
-    prod, act_l, act_r = spec.induced(tw)
+def _structural_terms(prod, act_l, act_r):
+    """d from a (product, left action, right action): a twisted triple, or
+    that of any structure (the closed l_1 of `qta.closed_formulas`)."""
     return ((act_l, 1, None),), (prod,), ((act_r, 1, None),)
 
 
@@ -153,10 +152,9 @@ def _nonzeros(g):
 
 def _checked_triple(q, m, side):
     """The twisted (product, left action, right action) of a deformation
-    map m of a quasi-twilled algebra q; `checked_twist` raises unless q
+    map m of a quasi-twilled algebra q; `checked_triple` raises unless q
     and m are such, the hypotheses under which d o d = 0."""
-    spec = side_spec(side)
-    return spec.induced(spec.checked_twist(q, m))
+    return side_spec(side).checked_triple(q, m)
 
 
 def _table(product, left, right):
@@ -328,8 +326,7 @@ def l1_vs_d(q, m, side, f):
     This is a theorem for deformation maps, so the return value is always
     True; the function is a verification harness.
     """
-    spec = side_spec(side)
-    terms = _structural_terms(spec, spec.checked_twist(q, m))
+    terms = _structural_terms(*side_spec(side).checked_triple(q, m))
     s = controlling_structure(q, side).twist(m)
     lhs = s.bracket(1, [f])
     _check_cochain(q, side, f)

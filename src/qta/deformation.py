@@ -2,11 +2,14 @@
 
 A right deformation map D: A -> A' makes the graph {(x, Dx)} a subalgebra
 of the total product; a left deformation map B: A' -> A satisfies the
-mirrored condition.  Twisting by such a map is conjugation of the total
-product by e^(lifted map); since a lifted block map squares to zero the
-exponential truncates to Id + lift, and the twist has closed component
-formulas.  Both routes are implemented and their equality is a standing
-test.
+mirrored condition.  Both sides are one construction: twisting the total
+product Delta by e^(lift(f)) = Id + lift(f) (a lifted block map squares to
+zero).  `twist_blocks` computes any blocks of that twist straight from
+the components, for either side; the residual of f is one block of it
+(theta on the right, gamma on the left), and f is a deformation map iff
+that block vanishes.  `conjugation_twist` composes the lifted maps on the
+total space instead: a test oracle, as are the closed component formulas
+of `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from .multilinear import (
     linear_map_from_matrix, matrix_from_linear_map, msum, project,
 )
 from .quasitwilled import (
-    _KINDS, QuasiTwilledAlgebra, require_quasi_twilled, total_product,
+    _KINDS, COMPONENT_SIGNATURES, QuasiTwilledAlgebra, require_quasi_twilled,
+    total_product,
 )
 
 
@@ -31,35 +35,35 @@ class _Side(NamedTuple):
     name: str
     slot: SpaceLabel        # domain of the map = slot space of its cochains
     cod: SpaceLabel         # codomain of the map and of its cochains
-    # named, not stored: looked up among the module globals at each call,
-    # so a wrapper installed over a global (the perfbench tracer) sees it
-    residual_fn: str
-    twist_fn: str
-    residual_part: str      # twisted component equal to the residual
+    residual_part: str      # twisted block equal to the residual
     triple: tuple           # twisted (product, left action, right action)
     basis: str              # attribute holding the basis of the slot space
+    plan: dict              # block name -> (inner terms, block subtracted)
 
     def residual(self, q, m):
-        return globals()[self.residual_fn](q, m)
+        """The twist's residual block: zero iff m is a deformation map."""
+        return twist_blocks(q, m, self.name,
+                            (self.residual_part,))[self.residual_part]
 
     def twist(self, q, m):
-        return globals()[self.twist_fn](q, m)
+        return TwistResult(self.name, **twist_blocks(q, m, self.name))
 
-    def checked_twist(self, q, m):
-        """The twist by m, raising InvalidQTA unless q is quasi-twilled
-        (`require_quasi_twilled`) and NotDeformationMap unless m is a
-        deformation map of this side: the hypotheses of the induced
-        structures and the cohomology.  The map check reads the twist's
-        residual component (theta^D on the right, gamma^B on the left),
-        which is the residual itself, so the residual is computed once.
+    def checked_triple(self, q, m):
+        """The twisted (product, left action, right action) of m, raising
+        InvalidQTA unless q is quasi-twilled (`require_quasi_twilled`) and
+        NotDeformationMap unless m is a deformation map of this side: the
+        hypotheses of the induced structures and the cohomology.  One
+        `twist_blocks` call computes the triple and the residual block
+        (theta^D on the right, gamma^B on the left) and no other block.
         """
         require_quasi_twilled(q)
-        tw = self.twist(q, m)
-        res = getattr(tw, self.residual_part)
+        blocks = twist_blocks(q, m, self.name,
+                              self.triple + (self.residual_part,))
+        res = blocks[self.residual_part]
         if not res.is_zero():
             raise NotDeformationMap(
                 f"{self.name} residual nonzero at {res.first_witness()}")
-        return tw
+        return tuple(blocks[name] for name in self.triple)
 
     def induced(self, tw):
         """The twisted (product, left action, right action) of tw."""
@@ -70,11 +74,38 @@ class _Side(NamedTuple):
         return (self.slot,) * arity, self.cod
 
 
+# The eight blocks of a binary product on A + A': the seven component
+# signatures and the A'A' -> A block gamma, which no component fills.
+BLOCKS = {**COMPONENT_SIGNATURES, "gamma": ((APRIME, APRIME), A)}
+
+
+def _plan(x, y):
+    """How `twist_blocks` builds each block for a map f: x -> y.
+
+    The inner sum of block dom -> cod, Delta((Id + f^) -, (Id + f^) -) on
+    dom -> cod, has a term (component, slots taking f) for each component
+    landing in cod whose slots carry the labels of dom, or y in place of
+    x.  Id - f^ then subtracts f of the inner sum of dom -> x from each
+    block landing in y: (terms, that block's name, else None).
+    """
+    names = {sig: name for name, sig in BLOCKS.items()}
+    plan = {}
+    for name, (dom, cod) in BLOCKS.items():
+        terms = tuple(
+            (comp, tuple(i for i, (d, s) in enumerate(zip(dom, sig))
+                         if s is not d))
+            for comp, (sig, target) in COMPONENT_SIGNATURES.items()
+            if target is cod and all(s is d or (d is x and s is y)
+                                     for d, s in zip(dom, sig)))
+        plan[name] = (terms, names[(dom, x)] if cod is y else None)
+    return plan
+
+
 _SIDES = {
-    "right": _Side("right", A, APRIME, "right_residual", "twist_right",
-                   "theta", ("pi", "rho", "mu"), "basis_a"),
-    "left": _Side("left", APRIME, A, "left_residual", "twist_left",
-                  "gamma", ("beta", "eta", "xi"), "basis_aprime"),
+    "right": _Side("right", A, APRIME, "theta", ("pi", "rho", "mu"),
+                   "basis_a", _plan(A, APRIME)),
+    "left": _Side("left", APRIME, A, "gamma", ("beta", "eta", "xi"),
+                  "basis_aprime", _plan(APRIME, A)),
 }
 
 
@@ -96,29 +127,50 @@ def _check_side_map(q, m, side):
         raise DimensionError("map dims do not match the ambient structure")
 
 
+def twist_blocks(q, f, side, names=tuple(BLOCKS)):
+    """The named blocks (`BLOCKS`) of e^(-f^) Delta (e^(f^) (x) e^(f^)),
+    the twist of the total product by a map f of the side, f^ = lift(f).
+
+    Each block comes straight from the components by the side's plan
+    (`_plan`): its inner sum, minus f of the inner sum it names.  Nothing
+    is lifted to the total space, and each inner sum is computed once.
+    """
+    spec = side_spec(side)
+    _check_side_map(q, f, side)
+    inner = {}
+
+    def inner_sum(name):
+        if name not in inner:
+            parts = []
+            for comp, slots in spec.plan[name][0]:
+                m = getattr(q, comp)
+                for slot in slots:
+                    m = insert(m, f, slot)
+                parts.append(m)
+            inner[name] = sum(parts, MultilinearMap.zero(*BLOCKS[name],
+                                                         q.dims))
+        return inner[name]
+
+    out = {}
+    for name in names:
+        block, below = inner_sum(name), spec.plan[name][1]
+        out[name] = (block if below is None
+                     else block - insert(f, inner_sum(below), 0))
+    return out
+
+
 def right_residual(q, d):
     """rho(x,Dy) + mu(Dx,y) + beta(Dx,Dy) + theta(x,y)
-       - D(pi(x,y) + xi(x,Dy) + eta(Dx,y)); zero iff D is a right
-       deformation map."""
-    _check_side_map(q, d, "right")
-    return (insert(q.rho, d, 1) + insert(q.mu, d, 0)
-            + insert(insert(q.beta, d, 0), d, 1) + q.theta
-            - insert(d, q.pi, 0)
-            - insert(d, insert(q.xi, d, 1), 0)
-            - insert(d, insert(q.eta, d, 0), 0))
+       - D(pi(x,y) + xi(x,Dy) + eta(Dx,y)): the theta block of the twist
+       by D, zero iff D is a right deformation map."""
+    return side_spec("right").residual(q, d)
 
 
 def left_residual(q, b):
     """pi(Bu,Bv) + xi(Bu,v) + eta(u,Bv)
-       - B(beta(u,v) + rho(Bu,v) + mu(u,Bv) + theta(Bu,Bv)); zero iff B
-       is a left deformation map."""
-    _check_side_map(q, b, "left")
-    return (insert(insert(q.pi, b, 0), b, 1)
-            + insert(q.xi, b, 0) + insert(q.eta, b, 1)
-            - insert(b, q.beta, 0)
-            - insert(b, insert(q.rho, b, 0), 0)
-            - insert(b, insert(q.mu, b, 1), 0)
-            - insert(b, insert(insert(q.theta, b, 0), b, 1), 0))
+       - B(beta(u,v) + rho(Bu,v) + mu(u,Bv) + theta(Bu,Bv)): the gamma
+       block of the twist by B, zero iff B is a left deformation map."""
+    return side_spec("left").residual(q, b)
 
 
 def graph_residual(q, d):
@@ -165,16 +217,11 @@ class TwistResult:
         self.dims = pi.dims
 
     def components(self):
-        out = {"pi": self.pi, "xi": self.xi, "eta": self.eta,
-               "beta": self.beta, "rho": self.rho, "mu": self.mu,
-               "theta": self.theta}
-        return out
+        return {name: getattr(self, name) for name in COMPONENT_SIGNATURES}
 
     def reassemble(self):
         """Total binary product including the gamma block."""
-        parts = [lift(m) for m in self.components().values()]
-        parts.append(lift(self.gamma))
-        return msum(parts)
+        return msum([lift(getattr(self, name)) for name in BLOCKS])
 
     def is_quasi_twilled(self):
         return self.gamma.is_zero()
@@ -186,48 +233,23 @@ class TwistResult:
 
 
 def twist_right(q, d):
-    """Closed component formulas for the twist by D: A -> A'.
-
-    xi, eta, beta are unchanged; the new theta equals right_residual(q, D),
-    so D is a right deformation map iff the twisted theta vanishes.
-    """
-    _check_side_map(q, d, "right")
-    pi_d = q.pi + insert(q.eta, d, 0) + insert(q.xi, d, 1)
-    rho_d = q.rho + insert(q.beta, d, 0) - insert(d, q.xi, 0)
-    mu_d = q.mu + insert(q.beta, d, 1) - insert(d, q.eta, 0)
-    theta_d = right_residual(q, d)
-    gamma = MultilinearMap.zero((APRIME, APRIME), A, q.dims)
-    return TwistResult("right", pi_d, q.xi, q.eta, q.beta,
-                       rho_d, mu_d, theta_d, gamma)
+    """Every block of the twist by D: A -> A'.  xi, eta and beta come out
+    unchanged, gamma zero, and theta is right_residual(q, D)."""
+    return side_spec("right").twist(q, d)
 
 
 def twist_left(q, b):
-    """Closed component formulas for the twist by B: A' -> A.
-
-    theta is unchanged; the new A'A' -> A block gamma equals
-    left_residual(q, B).
-    """
-    _check_side_map(q, b, "left")
-    pi_b = q.pi - insert(b, q.theta, 0)
-    xi_b = (q.xi + insert(q.pi, b, 1) - insert(b, q.rho, 0)
-            - insert(b, insert(q.theta, b, 1), 0))
-    eta_b = (q.eta + insert(q.pi, b, 0) - insert(b, q.mu, 0)
-             - insert(b, insert(q.theta, b, 0), 0))
-    beta_b = (q.beta + insert(q.rho, b, 0) + insert(q.mu, b, 1)
-              + insert(insert(q.theta, b, 0), b, 1))
-    rho_b = q.rho + insert(q.theta, b, 1)
-    mu_b = q.mu + insert(q.theta, b, 0)
-    gamma = left_residual(q, b)
-    return TwistResult("left", pi_b, xi_b, eta_b, beta_b,
-                       rho_b, mu_b, q.theta, gamma)
+    """Every block of the twist by B: A' -> A.  theta comes out unchanged,
+    and the A'A' -> A block gamma is left_residual(q, B)."""
+    return side_spec("left").twist(q, b)
 
 
 def conjugation_twist(q, f, side):
     """(Id - lift(f)) o Omega o ((Id + lift(f)) (x) (Id + lift(f))).
 
     The lift of a block map between the two summands squares to zero, so
-    e^(lift) = Id + lift exactly; the result is the twisted total product
-    and agrees with the closed component formulas.
+    e^(lift) = Id + lift exactly; the result is the twisted total product,
+    whose blocks `twist_blocks` computes without the total space.
     """
     _check_side_map(q, f, side)
     omega = total_product(q)
@@ -256,7 +278,7 @@ def duality_check(q, d):
 
 def _induced_structures(q, m, side):
     spec = side_spec(side)
-    prod, act_l, act_r = spec.induced(spec.checked_twist(q, m))
+    prod, act_l, act_r = spec.checked_triple(q, m)
     alg = AssociativeAlgebra(prod, getattr(q, spec.basis))
     return alg, RepresentationPair(alg, act_l, act_r)
 

@@ -8,15 +8,16 @@ The total product decomposes into seven components
     theta: A  (x) A  -> A'
 
 with no A'(x)A' -> A component (that block being zero is exactly the
-subalgebra condition).  Associativity of the total product is equivalent
-to sixteen block equations; fifteen involve the components and the
-sixteenth (the A'A'A' -> A block) holds automatically for data of this
-shape.  A structure is immutable and builds its total product once.
-`validate` computes its half-bracket; `structure_residuals` evaluates the
-component equations one by one, and their agreement is a library test.
-`require_quasi_twilled` is the one validity verdict, kept on the structure,
-that the controlling algebra, the cohomology, the induced structures and
-the CLI `twist` read.
+subalgebra condition).  A structure is immutable and builds its total
+product Delta once.  Being quasi-twilled is one equation, [Delta, Delta] =
+0, and `validate` computes its half-bracket.  Its sixteen blocks are the
+sixteen block equations of associativity (`EQUATIONS`): fifteen involve
+the components, and the sixteenth (the A'A'A' -> A block) holds
+automatically for data of this shape.  `structure_residuals` reads the
+rows off the one bracket; the literal evaluation of each displayed
+equation is a test oracle.  `require_quasi_twilled` is the one validity
+verdict, kept on the structure as `verified`, that the controlling
+algebra, the cohomology, the induced structures and the CLI read.
 """
 
 from __future__ import annotations
@@ -31,10 +32,7 @@ from .algebras import (
     check_matched_pair, check_representation, regular_representation,
 )
 from .errors import DimensionError, IngredientError, InvalidQTA, UnknownKind
-from .multilinear import (
-    A, APRIME, MultilinearMap, circle, gerstenhaber, insert,
-    lift, msum, project,
-)
+from .multilinear import A, APRIME, MultilinearMap, circle, lift, msum, project
 
 COMPONENT_SIGNATURES = {
     "pi": ((A, A), A),
@@ -53,12 +51,13 @@ class QuasiTwilledAlgebra:
     """The seven structure components, plus builder provenance.
 
     An immutable value, as `MultilinearMap` is.  Construction checks the
-    signatures and the builder kind; whether the structure equations hold
-    is the job of `validate` / `structure_residuals`.
+    signatures, the number of basis names and the builder kind; whether
+    the structure equations hold is the job of `validate`, and `verified`
+    records a pass of `require_quasi_twilled`.
     """
 
     __slots__ = COMPONENT_NAMES + ("dims", "kind", "ingredients", "basis_a",
-                                   "basis_aprime", "_delta", "_verified")
+                                   "basis_aprime", "_delta", "verified")
 
     def __init__(self, pi, xi, eta, beta, rho, mu, theta,
                  kind=None, ingredients=None,
@@ -80,12 +79,17 @@ class QuasiTwilledAlgebra:
         for key in scalars:
             if key not in ingredients:
                 raise IngredientError(f"{kind} needs the ingredient {key!r}")
+        basis_a = tuple(basis_a or (f"e{i+1}" for i in range(dims[0])))
+        basis_aprime = tuple(
+            basis_aprime or (f"f{i+1}" for i in range(dims[1])))
+        if (len(basis_a), len(basis_aprime)) != dims:
+            raise DimensionError(
+                f"basis names ({len(basis_a)}, {len(basis_aprime)}) do not "
+                f"match dims {dims}")
         fields = dict(
             comps, dims=dims, kind=kind, ingredients=ingredients,
-            basis_a=tuple(basis_a or (f"e{i+1}" for i in range(dims[0]))),
-            basis_aprime=tuple(
-                basis_aprime or (f"f{i+1}" for i in range(dims[1]))),
-            _delta=None, _verified=False)
+            basis_a=basis_a, basis_aprime=basis_aprime,
+            _delta=None, verified=False)
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
@@ -153,10 +157,10 @@ def require_quasi_twilled(q):
     """The total product Delta of q, raising InvalidQTA unless q is
     quasi-twilled ([Delta, Delta] = 0).  A pass is kept on q for both
     sides and every caller; a failure raises again on every call."""
-    if not q._verified and not validate(q).is_zero():
+    if not q.verified and not validate(q).is_zero():
         raise InvalidQTA("structure equations fail; not a quasi-twilled "
                          "algebra")
-    object.__setattr__(q, "_verified", True)
+    object.__setattr__(q, "verified", True)
     return total_product(q)
 
 
@@ -166,84 +170,51 @@ class StructureResidual(NamedTuple):
     residual: object   # MultilinearMap on that block
 
 
+# The sixteen block equations of [Delta, Delta] = 0: each displayed
+# left-hand side, its block, and its multiple of the half-bracket's block
+# (the displayed [beta,beta] is the full bracket).  The last block carries
+# no component equation and vanishes structurally.
+EQUATIONS = (
+    ("1/2[pi,pi] - (xi o theta)_2 + (eta o theta)_1", ((A, A, A), A), 1),
+    ("(rho o pi)_1 + 1/2[rho,rho] - (theta o xi)_2 + (beta o theta)_1",
+     ((A, A, APRIME), APRIME), 1),
+    ("-(mu o pi)_2 + 1/2[mu,mu] + (theta o eta)_1 - (beta o theta)_2",
+     ((APRIME, A, A), APRIME), 1),
+    ("(pi o xi)_1 - (pi o eta)_2 + (eta o rho)_1 - (xi o mu)_2",
+     ((A, APRIME, A), A), 1),
+    ("-(pi o xi)_2 + (xi o pi)_1 - (xi o rho)_2", ((A, A, APRIME), A), 1),
+    ("(pi o eta)_1 - (eta o pi)_2 + (eta o mu)_1", ((APRIME, A, A), A), 1),
+    ("theta o pi - (rho o theta)_2 + (mu o theta)_1",
+     ((A, A, A), APRIME), 1),
+    ("[rho,mu] + (theta o xi)_1 - (theta o eta)_2",
+     ((A, APRIME, A), APRIME), 1),
+    ("(rho o xi)_1 + (beta o rho)_1 - (rho o beta)_2",
+     ((A, APRIME, APRIME), APRIME), 1),
+    ("(rho o eta)_1 - (beta o rho)_2 - (mu o xi)_2 + (beta o mu)_1",
+     ((APRIME, A, APRIME), APRIME), 1),
+    ("-(mu o eta)_2 + (mu o beta)_1 - (beta o mu)_2",
+     ((APRIME, APRIME, A), APRIME), 1),
+    ("1/2[xi,xi] - (xi o beta)_2", ((A, APRIME, APRIME), A), 1),
+    ("[xi,eta]", ((APRIME, A, APRIME), A), 1),
+    ("1/2[eta,eta] + (eta o beta)_1", ((APRIME, APRIME, A), A), 1),
+    ("[beta,beta]", ((APRIME, APRIME, APRIME), APRIME), 2),
+    ("A'A'A' -> A block (zero: A' is a subalgebra)",
+     ((APRIME, APRIME, APRIME), A), 1),
+)
+
+
+def equation_rows(half):
+    """The sixteen `EQUATIONS` rows read off one half-bracket: each is the
+    projection of `half` to its block, times its multiple."""
+    return [StructureResidual(name, block,
+                              project(half, *block).scale(multiple))
+            for name, block, multiple in EQUATIONS]
+
+
 def structure_residuals(q):
-    """The sixteen block equations equivalent to associativity.
-
-    Each entry evaluates one displayed left-hand side literally (lifted
-    components, circle-product calculus) and restricts it to its block.
-    The last entry is the A'A'A' -> A block, which carries no component
-    equation and vanishes structurally.
-    """
-    pi, xi, eta = lift(q.pi), lift(q.xi), lift(q.eta)
-    beta, rho, mu, theta = lift(q.beta), lift(q.rho), lift(q.mu), lift(q.theta)
-
-    def p1(f, g):       # (f o g)_1(x1,x2,x3) = f(g(x1,x2),x3)
-        return insert(f, g, 0)
-
-    def p2(f, g):       # (f o g)_2(x1,x2,x3) = f(x1,g(x2,x3))
-        return insert(f, g, 1)
-
-    half = circle  # (1/2)[f,f] = f o f for binary f
-
-    rows = [
-        ("1/2[pi,pi] - (xi o theta)_2 + (eta o theta)_1",
-         ((A, A, A), A),
-         half(pi, pi) - p2(xi, theta) + p1(eta, theta)),
-        ("(rho o pi)_1 + 1/2[rho,rho] - (theta o xi)_2 + (beta o theta)_1",
-         ((A, A, APRIME), APRIME),
-         p1(rho, pi) + half(rho, rho) - p2(theta, xi) + p1(beta, theta)),
-        ("-(mu o pi)_2 + 1/2[mu,mu] + (theta o eta)_1 - (beta o theta)_2",
-         ((APRIME, A, A), APRIME),
-         -p2(mu, pi) + half(mu, mu) + p1(theta, eta) - p2(beta, theta)),
-        ("(pi o xi)_1 - (pi o eta)_2 + (eta o rho)_1 - (xi o mu)_2",
-         ((A, APRIME, A), A),
-         p1(pi, xi) - p2(pi, eta) + p1(eta, rho) - p2(xi, mu)),
-        ("-(pi o xi)_2 + (xi o pi)_1 - (xi o rho)_2",
-         ((A, A, APRIME), A),
-         -p2(pi, xi) + p1(xi, pi) - p2(xi, rho)),
-        ("(pi o eta)_1 - (eta o pi)_2 + (eta o mu)_1",
-         ((APRIME, A, A), A),
-         p1(pi, eta) - p2(eta, pi) + p1(eta, mu)),
-        ("theta o pi - (rho o theta)_2 + (mu o theta)_1",
-         ((A, A, A), APRIME),
-         circle(theta, pi) - p2(rho, theta) + p1(mu, theta)),
-        ("[rho,mu] + (theta o xi)_1 - (theta o eta)_2",
-         ((A, APRIME, A), APRIME),
-         gerstenhaber(rho, mu) + p1(theta, xi) - p2(theta, eta)),
-        ("(rho o xi)_1 + (beta o rho)_1 - (rho o beta)_2",
-         ((A, APRIME, APRIME), APRIME),
-         p1(rho, xi) + p1(beta, rho) - p2(rho, beta)),
-        ("(rho o eta)_1 - (beta o rho)_2 - (mu o xi)_2 + (beta o mu)_1",
-         ((APRIME, A, APRIME), APRIME),
-         p1(rho, eta) - p2(beta, rho) - p2(mu, xi) + p1(beta, mu)),
-        ("-(mu o eta)_2 + (mu o beta)_1 - (beta o mu)_2",
-         ((APRIME, APRIME, A), APRIME),
-         -p2(mu, eta) + p1(mu, beta) - p2(beta, mu)),
-        ("1/2[xi,xi] - (xi o beta)_2",
-         ((A, APRIME, APRIME), A),
-         half(xi, xi) - p2(xi, beta)),
-        ("[xi,eta]",
-         ((APRIME, A, APRIME), A),
-         gerstenhaber(xi, eta)),
-        ("1/2[eta,eta] + (eta o beta)_1",
-         ((APRIME, APRIME, A), A),
-         half(eta, eta) + p1(eta, beta)),
-        ("[beta,beta]",
-         ((APRIME, APRIME, APRIME), APRIME),
-         gerstenhaber(beta, beta)),
-        ("A'A'A' -> A block (zero: A' is a subalgebra)",
-         ((APRIME, APRIME, APRIME), A),
-         None),
-    ]
-    out = []
-    for name, block, total_map in rows:
-        dom, cod = block
-        if total_map is None:
-            res = MultilinearMap.zero(dom, cod, q.dims)
-        else:
-            res = project(total_map, dom, cod)
-        out.append(StructureResidual(name, block, res))
-    return out
+    """The sixteen block equations equivalent to associativity: the rows
+    of the one half-bracket validate(q)."""
+    return equation_rows(validate(q))
 
 
 # -- builders ----------------------------------------------------------------

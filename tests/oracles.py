@@ -1,0 +1,159 @@
+"""The closed formulas that production no longer evaluates, kept as
+reference oracles for the tests.
+
+`right_residual`, `left_residual`, `twist_right` and `twist_left` spell
+out the twist by a deformation map component by component, one formula
+per side and kind of result; `structure_residuals` evaluates the sixteen
+displayed block equations of associativity literally, on lifted
+components with the circle-product calculus.  The library derives all of
+these from one rule each (`qta.deformation.twist_blocks` and the blocks of
+`qta.quasitwilled.validate`); the tests assert that both agree exactly.
+"""
+
+from qta.deformation import TwistResult, _check_side_map
+from qta.multilinear import (
+    A, APRIME, MultilinearMap, circle, gerstenhaber, insert, lift, project,
+)
+from qta.quasitwilled import StructureResidual
+
+
+def right_residual(q, d):
+    """rho(x,Dy) + mu(Dx,y) + beta(Dx,Dy) + theta(x,y)
+       - D(pi(x,y) + xi(x,Dy) + eta(Dx,y)); zero iff D is a right
+       deformation map."""
+    _check_side_map(q, d, "right")
+    return (insert(q.rho, d, 1) + insert(q.mu, d, 0)
+            + insert(insert(q.beta, d, 0), d, 1) + q.theta
+            - insert(d, q.pi, 0)
+            - insert(d, insert(q.xi, d, 1), 0)
+            - insert(d, insert(q.eta, d, 0), 0))
+
+
+def left_residual(q, b):
+    """pi(Bu,Bv) + xi(Bu,v) + eta(u,Bv)
+       - B(beta(u,v) + rho(Bu,v) + mu(u,Bv) + theta(Bu,Bv)); zero iff B
+       is a left deformation map."""
+    _check_side_map(q, b, "left")
+    return (insert(insert(q.pi, b, 0), b, 1)
+            + insert(q.xi, b, 0) + insert(q.eta, b, 1)
+            - insert(b, q.beta, 0)
+            - insert(b, insert(q.rho, b, 0), 0)
+            - insert(b, insert(q.mu, b, 1), 0)
+            - insert(b, insert(insert(q.theta, b, 0), b, 1), 0))
+
+
+def twist_right(q, d):
+    """Closed component formulas for the twist by D: A -> A'.
+
+    xi, eta, beta are unchanged; the new theta equals right_residual(q, D),
+    so D is a right deformation map iff the twisted theta vanishes.
+    """
+    _check_side_map(q, d, "right")
+    pi_d = q.pi + insert(q.eta, d, 0) + insert(q.xi, d, 1)
+    rho_d = q.rho + insert(q.beta, d, 0) - insert(d, q.xi, 0)
+    mu_d = q.mu + insert(q.beta, d, 1) - insert(d, q.eta, 0)
+    theta_d = right_residual(q, d)
+    gamma = MultilinearMap.zero((APRIME, APRIME), A, q.dims)
+    return TwistResult("right", pi_d, q.xi, q.eta, q.beta,
+                       rho_d, mu_d, theta_d, gamma)
+
+
+def twist_left(q, b):
+    """Closed component formulas for the twist by B: A' -> A.
+
+    theta is unchanged; the new A'A' -> A block gamma equals
+    left_residual(q, B).
+    """
+    _check_side_map(q, b, "left")
+    pi_b = q.pi - insert(b, q.theta, 0)
+    xi_b = (q.xi + insert(q.pi, b, 1) - insert(b, q.rho, 0)
+            - insert(b, insert(q.theta, b, 1), 0))
+    eta_b = (q.eta + insert(q.pi, b, 0) - insert(b, q.mu, 0)
+             - insert(b, insert(q.theta, b, 0), 0))
+    beta_b = (q.beta + insert(q.rho, b, 0) + insert(q.mu, b, 1)
+              + insert(insert(q.theta, b, 0), b, 1))
+    rho_b = q.rho + insert(q.theta, b, 1)
+    mu_b = q.mu + insert(q.theta, b, 0)
+    gamma = left_residual(q, b)
+    return TwistResult("left", pi_b, xi_b, eta_b, beta_b,
+                       rho_b, mu_b, q.theta, gamma)
+
+
+def structure_residuals(q):
+    """The sixteen block equations equivalent to associativity.
+
+    Each entry evaluates one displayed left-hand side literally (lifted
+    components, circle-product calculus) and restricts it to its block.
+    The last entry is the A'A'A' -> A block, which carries no component
+    equation and vanishes structurally.
+    """
+    pi, xi, eta = lift(q.pi), lift(q.xi), lift(q.eta)
+    beta, rho, mu, theta = lift(q.beta), lift(q.rho), lift(q.mu), lift(q.theta)
+
+    def p1(f, g):       # (f o g)_1(x1,x2,x3) = f(g(x1,x2),x3)
+        return insert(f, g, 0)
+
+    def p2(f, g):       # (f o g)_2(x1,x2,x3) = f(x1,g(x2,x3))
+        return insert(f, g, 1)
+
+    half = circle  # (1/2)[f,f] = f o f for binary f
+
+    rows = [
+        ("1/2[pi,pi] - (xi o theta)_2 + (eta o theta)_1",
+         ((A, A, A), A),
+         half(pi, pi) - p2(xi, theta) + p1(eta, theta)),
+        ("(rho o pi)_1 + 1/2[rho,rho] - (theta o xi)_2 + (beta o theta)_1",
+         ((A, A, APRIME), APRIME),
+         p1(rho, pi) + half(rho, rho) - p2(theta, xi) + p1(beta, theta)),
+        ("-(mu o pi)_2 + 1/2[mu,mu] + (theta o eta)_1 - (beta o theta)_2",
+         ((APRIME, A, A), APRIME),
+         -p2(mu, pi) + half(mu, mu) + p1(theta, eta) - p2(beta, theta)),
+        ("(pi o xi)_1 - (pi o eta)_2 + (eta o rho)_1 - (xi o mu)_2",
+         ((A, APRIME, A), A),
+         p1(pi, xi) - p2(pi, eta) + p1(eta, rho) - p2(xi, mu)),
+        ("-(pi o xi)_2 + (xi o pi)_1 - (xi o rho)_2",
+         ((A, A, APRIME), A),
+         -p2(pi, xi) + p1(xi, pi) - p2(xi, rho)),
+        ("(pi o eta)_1 - (eta o pi)_2 + (eta o mu)_1",
+         ((APRIME, A, A), A),
+         p1(pi, eta) - p2(eta, pi) + p1(eta, mu)),
+        ("theta o pi - (rho o theta)_2 + (mu o theta)_1",
+         ((A, A, A), APRIME),
+         circle(theta, pi) - p2(rho, theta) + p1(mu, theta)),
+        ("[rho,mu] + (theta o xi)_1 - (theta o eta)_2",
+         ((A, APRIME, A), APRIME),
+         gerstenhaber(rho, mu) + p1(theta, xi) - p2(theta, eta)),
+        ("(rho o xi)_1 + (beta o rho)_1 - (rho o beta)_2",
+         ((A, APRIME, APRIME), APRIME),
+         p1(rho, xi) + p1(beta, rho) - p2(rho, beta)),
+        ("(rho o eta)_1 - (beta o rho)_2 - (mu o xi)_2 + (beta o mu)_1",
+         ((APRIME, A, APRIME), APRIME),
+         p1(rho, eta) - p2(beta, rho) - p2(mu, xi) + p1(beta, mu)),
+        ("-(mu o eta)_2 + (mu o beta)_1 - (beta o mu)_2",
+         ((APRIME, APRIME, A), APRIME),
+         -p2(mu, eta) + p1(mu, beta) - p2(beta, mu)),
+        ("1/2[xi,xi] - (xi o beta)_2",
+         ((A, APRIME, APRIME), A),
+         half(xi, xi) - p2(xi, beta)),
+        ("[xi,eta]",
+         ((APRIME, A, APRIME), A),
+         gerstenhaber(xi, eta)),
+        ("1/2[eta,eta] + (eta o beta)_1",
+         ((APRIME, APRIME, A), A),
+         half(eta, eta) + p1(eta, beta)),
+        ("[beta,beta]",
+         ((APRIME, APRIME, APRIME), APRIME),
+         gerstenhaber(beta, beta)),
+        ("A'A'A' -> A block (zero: A' is a subalgebra)",
+         ((APRIME, APRIME, APRIME), A),
+         None),
+    ]
+    out = []
+    for name, block, total_map in rows:
+        dom, cod = block
+        if total_map is None:
+            res = MultilinearMap.zero(dom, cod, q.dims)
+        else:
+            res = project(total_map, dom, cod)
+        out.append(StructureResidual(name, block, res))
+    return out

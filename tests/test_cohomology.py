@@ -193,19 +193,18 @@ def _count_calls(monkeypatch, module, names):
 
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_one_twist_and_one_residual_per_call(monkeypatch, side):
-    """The deformation check reads the twist's residual component, the
-    term tables are extracted once per call, whatever the degree, and
-    each degree is assembled once; the induced structures take the same
-    checked twist."""
+    """The deformation check reads the residual block of the one
+    `twist_blocks` call that gives the triple, with no separate residual
+    or full twist; the term tables are extracted once per call, whatever
+    the degree, and each degree is assembled once; the induced structures
+    take the same checked triple."""
     q = build_standard("semidirect",
                        rep=regular_representation(dual_numbers()))
     m = (right_map(q, [[0, 0], [0, 1]]) if side == "right"
          else left_map(q, [[0, 0], [0, 0]]))
-    twist = {"right": "twist_right", "left": "twist_left"}[side]
-    residual = {"right": "right_residual", "left": "left_residual"}[side]
     calls = _count_calls(monkeypatch, qta.deformation,
                          ["right_residual", "left_residual",
-                          "twist_right", "twist_left"])
+                          "twist_right", "twist_left", "twist_blocks"])
     nonzeros = _count_calls(monkeypatch, qta.cohomology,
                             ["_nonzeros", "_assemble"])
     extracted = {}
@@ -214,7 +213,7 @@ def test_one_twist_and_one_residual_per_call(monkeypatch, side):
             calls.clear()
             nonzeros.clear()
             fn(q, m, side, max_n)
-            assert calls == {twist: 1, residual: 1}, (fn.__name__, max_n)
+            assert calls == {"twist_blocks": 1}, (fn.__name__, max_n)
             degrees = 1 if fn is coboundary_matrix else max_n + 1
             assert nonzeros["_assemble"] == degrees, (fn.__name__, max_n)
             extracted.setdefault(fn.__name__, []).append(
@@ -224,7 +223,7 @@ def test_one_twist_and_one_residual_per_call(monkeypatch, side):
     calls.clear()
     {"right": induced_right_structures,
      "left": induced_left_structures}[side](q, m)
-    assert calls == {twist: 1, residual: 1}
+    assert calls == {"twist_blocks": 1}
 
 
 def test_degree_cap():
@@ -387,19 +386,25 @@ def test_perturbed_twist_fails_the_expanded_check(monkeypatch, side,
     m = (right_map(q, [[0, 0], [0, 1]]) if side == "right"
          else left_map(q, [[0, 0], [0, 0]]))
     assert cohomology_dims(q, m, side, 2)
-    honest = getattr(qta.deformation, twist_name)
+    honest = qta.deformation.twist_blocks
+    before = getattr(qta.deformation, twist_name)(q, m)
 
-    def perturbed(q, m):
-        tw = honest(q, m)
+    def perturbed(*args):
+        blocks = honest(*args)
         for component in components.split("+"):
-            g = getattr(tw, component)
-            coeffs = list(g.coeffs)
-            coeffs[0] += Fraction(1)
-            setattr(tw, component, MultilinearMap(g.domain, g.codomain,
-                                                  g.dims, coeffs))
-        return tw
+            g = blocks.get(component)
+            if g is not None:
+                coeffs = list(g.coeffs)
+                coeffs[0] += Fraction(1)
+                blocks[component] = MultilinearMap(g.domain, g.codomain,
+                                                   g.dims, coeffs)
+        return blocks
 
-    monkeypatch.setattr(qta.deformation, twist_name, perturbed)
+    # the one blockwise rule is what the public twist and the complex read
+    monkeypatch.setattr(qta.deformation, "twist_blocks", perturbed)
+    after = getattr(qta.deformation, twist_name)(q, m)
+    for component in components.split("+"):
+        assert getattr(after, component) != getattr(before, component)
     with pytest.raises(AssertionError):
         _assert_columns_equal_the_slow_paths(
             q, m, side, 2, (coboundary_apply_expanded,))

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -368,6 +369,62 @@ def test_cli_invalid_structure_exit_2(tmp_path, capsys, argv):
     assert report["exit_status"] == 2 and report["verdict"] == "error"
     assert report["details"]["error"].startswith("InvalidQTA: ")
     assert err == ""
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["validate-nonassociative-beta",
+                                  "validate-rho2"])
+def test_cli_validate_json_is_pinned(capsys, name):
+    # byte for byte apart from the timing line: the verdict, the bracket
+    # witness and all sixteen rows, the [beta,beta] row at twice its block
+    assert cli_main(["--json", "validate",
+                     str(GOLDEN / f"{name}.json")]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith('  "timing_ms": ')]
+    assert len(kept) == len(lines) - 1 and err == ""
+    assert "".join(kept) == (GOLDEN / f"{name}.out").read_text(
+        encoding="utf-8")
+
+
+def test_cli_validate_reads_one_bracket(tmp_path, capsys, monkeypatch):
+    # a components-form document that fails costs one validate call
+    p = tmp_path / "invalid.json"
+    p.write_text(INVALID_DOCUMENT, encoding="utf-8")
+    calls = []
+
+    def counting(q, _validate=quasitwilled.validate):
+        calls.append(q)
+        return _validate(q)
+
+    monkeypatch.setattr(quasitwilled, "validate", counting)
+    monkeypatch.setattr(qta.cli, "validate", counting)
+    assert cli_main(["--json", "validate", str(p)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+    assert report["details"]["detectors_agree"] is True
+    rho_row = report["details"]["equations"][1]
+    assert rho_row["equation"].startswith("(rho o pi)_1") \
+        and not rho_row["zero"] and "witness" in rho_row
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["--arity", "9"], "QtaError: jacobi arity must be between 0 and 4"),
+    (["--arity", "2", "--samples", "0"],
+     "QtaError: jacobi --samples must be at least 1"),
+], ids=["arity", "samples"])
+def test_cli_jacobi_checks_its_arguments_before_the_document(
+        tmp_path, capsys, argv, error):
+    # the argument error wins over InvalidQTA and over an unreadable file
+    p = tmp_path / "invalid.json"
+    p.write_text(INVALID_DOCUMENT, encoding="utf-8")
+    for path in (p, tmp_path / "missing.json"):
+        assert cli_main(["--json", "jacobi", "--side", "left", *argv,
+                         str(path)]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["details"]["error"] == error
 
 
 def test_cli_twist(tmp_path, capsys):

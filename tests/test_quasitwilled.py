@@ -14,6 +14,7 @@ from qta.algebras import (
 )
 from qta.quasitwilled import _KINDS, BUILDER_KINDS
 
+import oracles
 from conftest import DUAL_TABLE, builder_instances, dual_numbers, one_dim_algebra
 
 
@@ -86,12 +87,13 @@ def test_no_prime_prime_to_a_block():
 
 
 def test_residual_rows_match_bracket_blocks():
-    # every displayed row equals the matching block of (1/2)[Omega,Omega];
-    # the [beta,beta] row is twice its block (full bracket as displayed)
+    # every displayed row, evaluated literally by the oracle, equals the
+    # matching block of (1/2)[Omega,Omega]; the [beta,beta] row is twice
+    # its block (full bracket as displayed)
     for alg in (one_dim_algebra(), dual_numbers()):
         for kind, q in builder_instances(alg).items():
             half = validate(q)
-            for row in structure_residuals(q):
+            for row in oracles.structure_residuals(q):
                 dom, cod = row.block
                 blk = project(half, dom, cod)
                 expected = row.residual
@@ -122,7 +124,7 @@ def test_detectors_agree_on_perturbations():
             qbad = _perturb(q, rng)
             v_zero = validate(qbad).is_zero()
             rows_zero = all(r.residual.is_zero()
-                            for r in structure_residuals(qbad))
+                            for r in oracles.structure_residuals(qbad))
             assert v_zero == rows_zero, kind
             if not v_zero:
                 fired += 1
@@ -397,3 +399,19 @@ def test_failed_validation_names_the_upfront_ingredient_error(kind):
         assert (want is None) == validate(raw).is_zero()
         texts.append(want)
     assert texts[0] is None and any(texts), texts
+
+
+def test_basis_names_must_match_dims():
+    # names of the wrong length used to build a structure whose document
+    # the parser rejects (spaces.A.basis: need 2 names)
+    from qta import DimensionError
+    from qta.io import document_from_components, parse, print_document
+    for basis_a, basis_aprime in ((["x"], ["u"]), (["x", "y"], ["u", "v"]),
+                                  (["x"], ["u", "v", "w"])):
+        with pytest.raises(DimensionError, match="basis names"):
+            QuasiTwilledAlgebra.from_components(
+                (2, 1), basis_a=basis_a, basis_aprime=basis_aprime)
+    q = QuasiTwilledAlgebra.from_components(
+        (2, 1), basis_a=["x", "y"], basis_aprime=["u"])
+    doc = parse(print_document(document_from_components(q)))
+    assert (doc.basis_a, doc.basis_aprime) == (["x", "y"], ["u"])
