@@ -24,8 +24,8 @@ from fractions import Fraction
 from .deformation import side_spec
 from .errors import BlockError, DegreeError, NotMaurerCartan
 from .multilinear import (
-    MultilinearMap, _label_size, gerstenhaber, koszul_sign, lift, project,
-    unshuffles,
+    MultilinearMap, _label_size, gerstenhaber, koszul_sign, lift, msum,
+    project, unshuffles,
 )
 from .quasitwilled import require_quasi_twilled
 
@@ -73,10 +73,24 @@ class VData:
 def derived_bracket(v, args, delta=None):
     """l_k(x_1,...,x_k) = P([...[[Delta, x_1], x_2],...,x_k]); k = 0 is P(Delta).
     A given `delta` stands in for the V-data's Delta."""
-    cur = v.delta if delta is None else delta
+    return _lifted_bracket(v, v.delta if delta is None else delta,
+                           _checked_lifts(v, args))
+
+
+def _checked_lifts(v, args):
+    """lift(x) of every block cochain x, each checked to lie in F."""
+    lifted = []
     for x in args:
         v.check_arg(x)
-        cur = gerstenhaber(cur, lift(x))
+        lifted.append(lift(x))
+    return lifted
+
+
+def _lifted_bracket(v, delta, lifted):
+    """P([...[[delta, xhat_1], xhat_2],...,xhat_k]) of lifted cochains."""
+    cur = delta
+    for xhat in lifted:
+        cur = gerstenhaber(cur, xhat)
     return v.project(cur)
 
 
@@ -135,23 +149,26 @@ class CurvedLInftyStructure:
 
         sum_{i=0}^{n} sum_{(i,n-i)-unshuffles s} eps(s)
             l_{n-i+1}(l_i(x_{s(1)},...,x_{s(i)}), x_{s(i+1)},...,x_{s(n)})
+
+        Each argument and each inner bracket is checked and lifted once.
         """
         args = list(args)
         if len(args) != n:
             raise DegreeError(f"need {n} arguments")
-        for x in args:
-            self.vdata.check_arg(x)
+        v = self.vdata
+        delta = v.delta if self.delta is None else self.delta
+        lifted = _checked_lifts(v, args)
         degrees = [x.degree for x in args]
-        total = None
+        terms = []
         for i in range(0, n + 1):
             for sigma in unshuffles(i, n):
-                eps = koszul_sign(sigma, degrees)
-                inner = self.bracket(i, [args[j] for j in sigma[:i]])
-                outer = self.bracket(
-                    n - i + 1, [inner] + [args[j] for j in sigma[i:]])
-                term = outer.scale(eps)
-                total = term if total is None else total + term
-        return total
+                head = [lifted[j] for j in sigma[:i]]
+                tail = [lifted[j] for j in sigma[i:]]
+                inner = _lifted_bracket(v, delta, head)
+                outer = _lifted_bracket(
+                    v, delta, _checked_lifts(v, [inner]) + tail)
+                terms.append(outer.scale(koszul_sign(sigma, degrees)))
+        return msum(terms)
 
     def suspended_bracket(self, f, g):
         """(-1)^(m-1) l_2(f, g) for f of arity m: the graded Lie bracket on

@@ -22,6 +22,16 @@ These require a closed signature (every slot label equals the codomain
 label).  `circle` is one kernel pass (`kernel.circle`), which accumulates
 all m signed insertions into one store; `insert` is the unrestricted
 block-typed primitive for a single slot.
+
+A map has two entrances.  `MultilinearMap(...)` is the checked one, for
+outside data (documents, tables, user dicts, floats): it checks dims and
+every index and makes every value a Fraction.  A map the library derives
+from maps that passed it (`insert`, `circle`, `gerstenhaber`, `lift`,
+`project`, `+`, `-`, `scale`, `msum`) enters through `_adopt`, which
+takes its shape from the operands and checks nothing again.  It keeps
+`dict(store)`, never the store it is given: a kernel store that grew and
+then cancelled keeps its whole table (a dict never shrinks), and the
+C-level copy drops it, so a derived zero map holds an empty dict.
 """
 
 from __future__ import annotations
@@ -64,7 +74,9 @@ class MultilinearMap:
     DimensionError.  The map keeps only the nonzeros, in `store`, which
     must not be mutated; `coeffs` exports the dense table.  The shape,
     `slot_sizes` (one size per domain slot) and `cod_size`, is computed
-    once, at construction.
+    once, at construction.  This constructor is the checked entrance;
+    maps derived from checked maps are adopted by `_adopt` (see the
+    module docstring), which stores a compact copy of their nonzeros.
     """
 
     __slots__ = ("domain", "codomain", "dims", "store", "slot_sizes",
@@ -237,14 +249,19 @@ class MultilinearMap:
                                  % (self.signature(), other.signature()))
 
     def _with_store(self, store):
-        return MultilinearMap(self.domain, self.codomain, self.dims, store)
+        return _adopt(self.domain, self.codomain, self.dims, self.slot_sizes,
+                      self.cod_size, store)
 
     def __add__(self, other):
+        if not isinstance(other, MultilinearMap):
+            return NotImplemented
         self._check_same_signature(other)
         return self._with_store(kernel.axpy(dict(self.store), ONE,
                                             other.store))
 
     def __sub__(self, other):
+        if not isinstance(other, MultilinearMap):
+            return NotImplemented
         self._check_same_signature(other)
         return self._with_store(kernel.axpy(dict(self.store), -ONE,
                                             other.store))
@@ -292,6 +309,24 @@ class MultilinearMap:
                 f"dims={self.dims}, nnz={len(self.store)})")
 
 
+def _adopt(domain, codomain, dims, slot_sizes, cod_size, store):
+    """The trusted entrance: a map derived from checked maps, whose shape
+    (`slot_sizes`, `cod_size`) the caller reads off those operands.
+
+    `store` must hold nonzero Fractions at in-range indices.  The map keeps
+    `dict(store)`, which is never an operand's dict and holds no table
+    slots of entries that cancelled while `store` was accumulated.
+    """
+    m = object.__new__(MultilinearMap)
+    object.__setattr__(m, "domain", domain)
+    object.__setattr__(m, "codomain", codomain)
+    object.__setattr__(m, "dims", dims)
+    object.__setattr__(m, "store", dict(store))
+    object.__setattr__(m, "slot_sizes", slot_sizes)
+    object.__setattr__(m, "cod_size", cod_size)
+    return m
+
+
 def _label_size(label, dims):
     if label is A:  # a global: SpaceLabel.A costs an Enum metaclass lookup
         return dims[0]
@@ -332,9 +367,10 @@ def insert(f, g, slot):
             f"cannot plug {g.codomain.value}-valued map into a "
             f"{f.domain[slot].value} slot")
     domain = f.domain[:slot] + g.domain + f.domain[slot + 1:]
+    sizes = f.slot_sizes[:slot] + g.slot_sizes + f.slot_sizes[slot + 1:]
     store = kernel.insert(f.store, f.slot_sizes, f.cod_size,
                           g.store, g.slot_sizes, g.cod_size, slot)
-    return MultilinearMap(domain, f.codomain, f.dims, store)
+    return _adopt(domain, f.codomain, f.dims, sizes, f.cod_size, store)
 
 
 def _check_closed(f, name):
@@ -351,8 +387,9 @@ def circle(f, g):
         raise DimensionError("circle needs maps on the same space")
     store = kernel.circle(f.store, f.slot_sizes, f.cod_size,
                           g.store, g.slot_sizes, g.cod_size)
-    return MultilinearMap((f.codomain,) * (f.arity + g.arity - 1),
-                          f.codomain, f.dims, store)
+    arity = f.arity + g.arity - 1
+    return _adopt((f.codomain,) * arity, f.codomain, f.dims,
+                  (f.cod_size,) * arity, f.cod_size, store)
 
 
 def circle_parts(f, g):
@@ -403,7 +440,7 @@ def _reindex(f, domain, codomain, windows, new):
             at += (r + shift) * stride
         else:
             out[at] = v
-    return MultilinearMap(domain, codomain, f.dims, out)
+    return _adopt(domain, codomain, f.dims, tuple(new[:-1]), new[-1], out)
 
 
 def lift(f):
@@ -436,6 +473,7 @@ def project(f, domain, codomain):
                          % (f.codomain.value, codomain.value))
     da, dt = f.dims[0], f.dims[0] + f.dims[1]
     windows = []
+    new = []
     for want, have, size in zip(domain + (codomain,), f.domain + (f.codomain,),
                                 f.slot_sizes + (f.cod_size,)):
         if have is not TOTAL or want is TOTAL:
@@ -444,8 +482,8 @@ def project(f, domain, codomain):
             windows.append((0, da, 0))
         else:
             windows.append((da, dt, -da))
-    return _reindex(f, domain, codomain, windows,
-                    [hi - lo for lo, hi, _ in windows])
+        new.append(_label_size(want, f.dims))  # TypeError: not a label
+    return _reindex(f, domain, codomain, windows, new)
 
 
 def linear_map_from_matrix(rows, domain_label, codomain_label, dims):

@@ -8,11 +8,17 @@ displayed block equations of associativity literally, on lifted
 components with the circle-product calculus.  The library derives all of
 these from one rule each (`qta.deformation.twist_blocks` and the blocks of
 `qta.quasitwilled.validate`); the tests assert that both agree exactly.
+`jacobi_residual` is the generalized Jacobi sum built bracket by bracket
+through the public `CurvedLInftyStructure.bracket`, which lifts every
+argument again for each bracket it enters; the library lifts each
+argument and each inner bracket once.
 """
 
 from qta.deformation import TwistResult, _check_side_map
+from qta.errors import DegreeError
 from qta.multilinear import (
-    A, APRIME, MultilinearMap, circle, gerstenhaber, insert, lift, project,
+    A, APRIME, MultilinearMap, circle, gerstenhaber, insert, koszul_sign,
+    lift, project, unshuffles,
 )
 from qta.quasitwilled import StructureResidual
 
@@ -157,3 +163,26 @@ def structure_residuals(q):
             res = project(total_map, dom, cod)
         out.append(StructureResidual(name, block, res))
     return out
+
+
+def jacobi_residual(s, n, args):
+    """sum_{i=0}^{n} sum_{(i,n-i)-unshuffles sigma} eps(sigma)
+        l_{n-i+1}(l_i(x_{sigma(1)},...,x_{sigma(i)}), x_{sigma(i+1)},...)
+    of the (curved) L-infinity structure s, one `s.bracket` call per
+    bracket."""
+    args = list(args)
+    if len(args) != n:
+        raise DegreeError(f"need {n} arguments")
+    for x in args:
+        s.vdata.check_arg(x)
+    degrees = [x.degree for x in args]
+    total = None
+    for i in range(0, n + 1):
+        for sigma in unshuffles(i, n):
+            eps = koszul_sign(sigma, degrees)
+            inner = s.bracket(i, [args[j] for j in sigma[:i]])
+            outer = s.bracket(
+                n - i + 1, [inner] + [args[j] for j in sigma[i:]])
+            term = outer.scale(eps)
+            total = term if total is None else total + term
+    return total

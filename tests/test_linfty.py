@@ -5,7 +5,7 @@ import pytest
 
 from qta import linfty, quasitwilled
 from qta import (
-    A, APRIME, BlockError, DegreeError, DimensionError, InvalidQTA,
+    A, APRIME, TOTAL, BlockError, DegreeError, DimensionError, InvalidQTA,
     MultilinearMap, NotMaurerCartan, QuasiTwilledAlgebra, VData,
     build_standard, catalog_names, cohomology_dims, conjugation_twist,
     controlling_structure, derived_bracket, emit_example, explicit_formula,
@@ -17,6 +17,7 @@ from qta.deformation import side_spec
 from qta.io import build_quasi_twilled, parse
 from qta.multilinear import _label_size
 
+import oracles
 from conftest import (
     builder_instances, deformation_map_cases, dual_numbers, left_map,
     one_dim_algebra, right_map, trunc3,
@@ -521,6 +522,57 @@ def test_jacobi_on_twisted_structure():
     assert s.jacobi_residual(1, [f]).is_zero()
     g = rcochain(rng, q, 2)
     assert s.jacobi_residual(2, [f, g]).is_zero()
+
+
+def _jacobi_structures(side):
+    """A base structure, a twisted one and one whose delta is not square
+    zero, on one side; the last has nonzero Jacobi sums."""
+    rng = seeded_rng(74)
+    if side == "right":
+        q = build_standard("semidirect",
+                           rep=regular_representation(dual_numbers()))
+        m = right_map(q, [[0, 0], [0, 1]])
+    else:
+        q = build_standard("reynolds", algebra=dual_numbers())
+        m = left_map(q, [[-1, 0], [0, -1]])
+    s = controlling_structure(q, side)
+    v = s.vdata
+    broken = v.delta + random_map(rng, (TOTAL, TOTAL), TOTAL, q.dims, bound=1)
+    return [s, s.twist(m), linfty.CurvedLInftyStructure(v, delta=broken)]
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_jacobi_lifts_once_and_equals_the_per_bracket_sum(side, monkeypatch):
+    # n arguments and 2^n inner brackets (one per unshuffle), each lifted
+    # once; the sum equals the bracket-by-bracket oracle exactly
+    rng = seeded_rng(75)
+    lifted = []
+
+    def counting(f):
+        lifted.append(f)
+        return lift(f)
+
+    *valid, broken = _jacobi_structures(side)
+    nonzero = 0
+    for s in valid + [broken]:
+        v = s.vdata
+        for degrees in ((0, 0), (1, 0), (0, 0, 0), (1, 0, 0)):
+            n = len(degrees)
+            args = [random_map(rng, *v.f_signature(d + 1), v.dims)
+                    for d in degrees]
+            with monkeypatch.context() as patch:
+                patch.setattr(linfty, "lift", counting)
+                del lifted[:]
+                got = s.jacobi_residual(n, args)
+            assert len(lifted) == n + 2 ** n, (side, degrees)
+            assert all(x is y for x, y in zip(lifted, args))
+            want = oracles.jacobi_residual(s, n, args)
+            assert got == want, (side, degrees)
+            if s is broken:
+                nonzero += not got.is_zero()
+            else:
+                assert got.is_zero(), (side, degrees)
+    assert nonzero == 4
 
 
 # -- suspended bracket --------------------------------------------------------------

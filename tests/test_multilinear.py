@@ -1,5 +1,7 @@
+import sys
 from fractions import Fraction
 from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 from qta import (
     A, APRIME, TOTAL, ArityError, DimensionError, MultilinearMap, circle,
     circle_parts,
-    gerstenhaber, insert, koszul_sign, lift, project, random_map, seeded_rng,
-    unshuffles,
+    build_standard, gerstenhaber, insert, koszul_sign, lift, msum, project,
+    random_map, seeded_rng, unshuffles, validate,
 )
 from qta.multilinear import _label_size
+
+from conftest import change_of_basis, conjugated_structure, trunc3
 
 DIMS = (1, 1)
 PI = MultilinearMap.from_table([[[1]]], (A, A), A, DIMS)
@@ -316,3 +320,104 @@ def test_stored_shapes_match_the_labels_on_every_construction_path():
             with pytest.raises(AttributeError):
                 setattr(m, name, ())
         assert (m.slot_sizes, m.cod_size) == _shape_of(m), m
+
+
+# -- the two entrances -------------------------------------------------------------
+
+_VALUES = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2),
+                           Fraction(-3, 2)])
+_BLOCK = st.sampled_from([A, APRIME])
+
+
+@st.composite
+def _checked_maps(draw, domain, codomain, dims):
+    size = prod(_label_size(lab, dims) for lab in (*domain, codomain))
+    return MultilinearMap(domain, codomain, dims,
+                          draw(st.lists(_VALUES, min_size=size,
+                                        max_size=size)))
+
+
+def _assert_trusted(m):
+    """A derived map equals its rebuild through the checked entrance."""
+    checked = MultilinearMap(m.domain, m.codomain, m.dims, dict(m.store))
+    assert m == checked
+    assert (m.slot_sizes, m.cod_size) == (checked.slot_sizes,
+                                          checked.cod_size)
+    assert (m.slot_sizes, m.cod_size) == _shape_of(m)
+    assert all(type(v) is Fraction and v for v in m.store.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_derived_maps_equal_their_checked_rebuild(data):
+    dims = data.draw(st.tuples(st.integers(0, 2), st.integers(1, 2)))
+    domain = tuple(data.draw(st.lists(_BLOCK, min_size=1, max_size=2)))
+    codomain = data.draw(_BLOCK)
+    slot = data.draw(st.integers(0, len(domain) - 1))
+    f = data.draw(_checked_maps(domain, codomain, dims))
+    g = data.draw(_checked_maps(domain, codomain, dims))
+    h = data.draw(_checked_maps(
+        tuple(data.draw(st.lists(_BLOCK, min_size=1, max_size=2))),
+        domain[slot], dims))
+    zero = MultilinearMap.zero(domain, codomain, dims)
+    other = tuple(data.draw(st.lists(_BLOCK, min_size=len(domain),
+                                     max_size=len(domain))))
+    other_cod = data.draw(_BLOCK)
+    lf, lh = lift(f), lift(h)
+    # (result, operands): sums that cancel, scale(0) and empty stores too
+    derived = [
+        (f + g, (f, g)), (f - g, (f, g)), (f - f, (f,)), (f + zero, (f, zero)),
+        (zero - f, (zero, f)), (-f, (f,)), (f.scale(0), (f,)),
+        (f.scale(1), (f,)), (f.scale(Fraction(-1, 3)), (f,)),
+        (2 * f, (f,)), (zero.scale(3), (zero,)),
+        (msum([f]), (f,)), (msum([f, g, -f]), (f, g)),
+        (msum([f, -f]), (f,)),
+        (insert(f, h, slot), (f, h)), (insert(zero, h, slot), (zero, h)),
+        (lf, (f,)), (lift(zero), (zero,)),
+        (project(lf, domain, codomain), (lf,)),
+        (project(lf, other, other_cod), (lf,)),
+        (circle(lf, lh), (lf, lh)), (circle(lh, lf), (lh, lf)),
+        (gerstenhaber(lf, lh), (lf, lh)), (gerstenhaber(lf, lf), (lf,)),
+    ]
+    snapshots = []
+    for m, operands in derived:
+        _assert_trusted(m)
+        assert all(m.store is not op.store for op in operands)
+        snapshots.append(dict(m.store))
+    assert project(lf, domain, codomain) == f
+    # a result never shares a store with the maps it was derived from
+    for op in (f, g, h, zero):
+        op.store.clear()
+        op.store[0] = Fraction(7)
+    assert [m.store for m, _ in derived] == snapshots
+
+
+def test_derived_stores_are_compact():
+    # the half-bracket of a valid dims-(3,3) structure in a dense basis
+    # cancels to zero inside the kernel; the map must not keep the table
+    # that the cancelled entries grew
+    q = build_standard("reynolds", algebra=trunc3())
+    push = change_of_basis(q.dims, [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+                           [[2, 1, 0], [1, 1, 1], [0, 1, 1]])
+    h = validate(conjugated_structure(q, push))
+    assert h.is_zero()
+    assert sys.getsizeof(h.store) == sys.getsizeof({})
+
+
+def test_adding_a_non_map_is_a_type_error():
+    m = MultilinearMap((A,), A, (1, 1), [3])
+    for bad in (1, 0, Fraction(1, 2), "m", None):
+        for op in (lambda: m + bad, lambda: m - bad, lambda: bad + m,
+                   lambda: bad - m):
+            with pytest.raises(TypeError):
+                op()
+
+
+def test_project_rejects_a_label_that_is_not_a_space_label():
+    # the projection's labels come from the caller, so the adopted map's
+    # shape is read off them only after they are checked
+    f = lift(random_map(seeded_rng(6), (A, APRIME), A, (1, 2)))
+    for domain, codomain in (((A, "A'"), A), ((A, APRIME), "A"),
+                             ((None, APRIME), A)):
+        with pytest.raises(TypeError):
+            project(f, domain, codomain)
