@@ -29,8 +29,10 @@ from .deformation import conjugation_twist, operator_name, side_spec
 from .errors import QtaError
 from .io import Report, build_quasi_twilled, parse, side_map, witness_text
 from .linfty import controlling_structure
-from .multilinear import TOTAL, MultilinearMap, random_map, seeded_rng
-from .quasitwilled import equation_rows, require_quasi_twilled, validate
+from .multilinear import random_map, seeded_rng
+from .quasitwilled import (
+    EQUATIONS, equation_rows, require_quasi_twilled, validate,
+)
 
 
 def _load(path):
@@ -55,16 +57,20 @@ def _degree_cap():
 
 def _cmd_validate(args):
     doc, q = _load(args.file)
-    # the verdict, its witness and the sixteen rows read one half-bracket;
-    # a structure that has passed (any builder document) has a zero one
-    half = (MultilinearMap.zero((TOTAL,) * 3, TOTAL, q.dims) if q.verified
-            else validate(q))
-    ok = half.is_zero()
-    rows = []
-    for r in equation_rows(half):
-        rows.append({"equation": r.name, "zero": r.residual.is_zero()})
-        if not r.residual.is_zero():
-            rows[-1]["witness"] = witness_text(r.residual.first_witness())
+    # a structure that has passed (any builder document) has a zero
+    # half-bracket and sixteen zero rows; otherwise the verdict, its
+    # witness and the rows read one half-bracket
+    if q.verified:
+        half = None
+        rows = [{"equation": name, "zero": True} for name, _, _ in EQUATIONS]
+    else:
+        half = validate(q)
+        rows = []
+        for r in equation_rows(half):
+            rows.append({"equation": r.name, "zero": r.residual.is_zero()})
+            if not r.residual.is_zero():
+                rows[-1]["witness"] = witness_text(r.residual.first_witness())
+    ok = half is None or half.is_zero()
     details = {
         "bracket": "zero" if ok else f"nonzero ({_residual_text(half)})",
         "equations": rows,
@@ -258,11 +264,35 @@ def make_parser():
     sp.add_argument("name", nargs="?", default=None)
     sp.add_argument("--list", action="store_true")
 
+    p.commands = sub.choices  # command name -> its parser, for parse_args
     return p
 
 
+def parse_args(argv=None):
+    """`make_parser().parse_args(argv)`, parsing a well-formed call once.
+
+    A call that is an optional leading `--json`, a command name and that
+    command's own arguments is parsed by the command's parser alone; the
+    top-level parser would scan every token and then hand them to it.
+    Anything else (no or an unknown command, a leading flag other than
+    `--json`, a `--` token, tokens the command leaves over) goes to the
+    full parser, so every usage message and exit is argparse's own.
+    """
+    parser = make_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    lead = 1 if argv[:1] == ["--json"] else 0
+    command = parser.commands.get(argv[lead]) if len(argv) > lead else None
+    if command is not None and "--" not in argv:
+        args, extra = command.parse_known_args(argv[lead + 1:])
+        if not extra:
+            return argparse.Namespace(**{"json": bool(lead),
+                                         "command": argv[lead],
+                                         **vars(args)})
+    return parser.parse_args(argv)
+
+
 def main(argv=None):
-    args = make_parser().parse_args(argv)
+    args = parse_args(argv)
     # looked up on each call rather than bound into the cached parser, so
     # a `_cmd_*` function replaced at run time (by a tracer) is the one run
     command = globals()[f"_cmd_{args.command}"]

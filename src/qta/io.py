@@ -103,13 +103,25 @@ def format_fraction(value):
 
 
 def _parse_table(node, shape, path):
-    """Nested fraction-string table of the given shape."""
-    if len(shape) == 0:
-        return parse_fraction(node, path)
+    """Nested fraction-string table of the given shape.
+
+    An error names the offending entry, as in `path[1][0]`; that text is
+    written only on failure, each level adding its index on the way out.
+    """
     if not isinstance(node, list) or len(node) != shape[0]:
         raise SchemaError(f"{path}: expected a list of length {shape[0]}")
-    return [_parse_table(sub, shape[1:], f"{path}[{i}]")
-            for i, sub in enumerate(node)]
+    out = []
+    try:
+        if len(shape) == 1:
+            for v in node:
+                out.append(parse_fraction(v, ""))
+        else:
+            rest = shape[1:]
+            for sub in node:
+                out.append(_parse_table(sub, rest, ""))
+    except (SchemaError, ValueError) as exc:
+        raise type(exc)(f"{path}[{len(out)}]{exc}") from exc.__cause__
+    return out
 
 
 def _format_table(table):
@@ -238,9 +250,8 @@ def parse(text):
             raise SchemaError(
                 f"maps.{name}: shape {len(rows)}x{ncols} matches neither "
                 f"A->A' ({dim_ap}x{dim_a}) nor A'->A ({dim_a}x{dim_ap})")
-        doc.maps[name] = [
-            [parse_fraction(v, f"maps.{name}[{i}][{j}]")
-             for j, v in enumerate(r)] for i, r in enumerate(rows)]
+        doc.maps[name] = _parse_table(rows, (len(rows), ncols),
+                                      f"maps.{name}")
     return doc
 
 
@@ -272,7 +283,7 @@ InputDocument.to_dict = to_dict
 
 
 def print_document(doc):
-    return json.dumps(to_dict(doc), indent=2) + "\n"
+    return json_text(to_dict(doc)) + "\n"
 
 
 def build_quasi_twilled(doc):
@@ -359,7 +370,7 @@ class Report:
                    d["details"], d["timing_ms"])
 
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return json_text(self.to_dict()) + "\n"
 
     def to_text(self):
         lines = [f"command : {self.command}",
@@ -388,3 +399,82 @@ def witness_text(witness):
     t, k, v = witness
     args = ", ".join(str(i) for i in t)
     return f"basis tuple ({args}) -> coefficient {format_fraction(v)} at output {k}"
+
+
+# -- JSON text ------------------------------------------------------------------
+
+_ESCAPE = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+# indent characters past which a value goes to json (64 levels)
+_DEPTH_CAP = 2 * 64
+
+
+class _Unwritten(Exception):
+    """A value that `json_text` leaves to `json.dumps`."""
+
+
+def json_text(value):
+    """`json.dumps(value, indent=2)`, byte for byte.
+
+    Whenever `indent` is set, CPython's json runs its pure-Python encoder,
+    whose nested closures leave garbage cycles.  This writer covers what
+    reports and documents hold: dicts with str keys, lists, str, int,
+    float, bool and None, through plain recursion.  Anything else, or a
+    value nested deeper than 64 levels, goes to `json.dumps` whole, which
+    gives its own text or its own error.
+    """
+    out = []
+    try:
+        _write(value, "\n", out.append)
+    except _Unwritten:
+        return json.dumps(value, indent=2)
+    return "".join(out)
+
+
+def _write(v, nl, out):
+    """Append the text of `v`, whose lines are indented as `nl` ends."""
+    t = type(v)
+    if t is str:
+        out(_ESCAPE(v))
+    elif t is dict or t is list:
+        if not v:
+            out("{}" if t is dict else "[]")
+            return
+        if len(nl) > _DEPTH_CAP:
+            raise _Unwritten
+        inner = nl + "  "
+        if t is dict:
+            sep = "{" + inner
+            for key, item in v.items():
+                if type(key) is not str:
+                    raise _Unwritten
+                out(sep + _ESCAPE(key) + ": ")
+                _write(item, inner, out)
+                sep = "," + inner
+            out(nl + "}")
+        else:
+            sep = "[" + inner
+            for item in v:
+                out(sep)
+                _write(item, inner, out)
+                sep = "," + inner
+            out(nl + "]")
+    elif v is None:
+        out("null")
+    elif v is True:
+        out("true")
+    elif v is False:
+        out("false")
+    elif t is int:
+        out(int.__repr__(v))
+    elif t is float:
+        if v != v:
+            out("NaN")
+        elif v == _INF:
+            out("Infinity")
+        elif v == -_INF:
+            out("-Infinity")
+        else:
+            out(float.__repr__(v))
+    else:
+        raise _Unwritten

@@ -31,7 +31,11 @@ from maps that passed it (`insert`, `circle`, `gerstenhaber`, `lift`,
 takes its shape from the operands and checks nothing again.  It keeps
 `dict(store)`, never the store it is given: a kernel store that grew and
 then cancelled keeps its whole table (a dict never shrinks), and the
-C-level copy drops it, so a derived zero map holds an empty dict.
+C-level copy drops it, so a derived zero map holds an empty dict.  The
+constructors that index their own entries (`zero`, `from_table` and so
+`linear_map_from_matrix`, `relabel`, `with_dims`) check the signature
+and dims once (`_checked_shape`), make each value a Fraction at most
+once, and enter through `_adopt` too.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from __future__ import annotations
 import random
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, product as iterproduct
+from itertools import chain, combinations, product as iterproduct
 from math import prod
 
 from . import kernel
@@ -83,22 +87,9 @@ class MultilinearMap:
                  "cod_size")
 
     def __init__(self, domain, codomain, dims, coeffs):
-        domain = tuple(domain)
-        if not domain:
-            raise ArityError("maps must have arity >= 1")
-        try:
-            da, db = dims
-        except (TypeError, ValueError):
-            da = None
-        if type(da) is not int or type(db) is not int or da < 0 or db < 0:
-            raise DimensionError(
-                f"dims must be two non-negative ints, got {dims!r}")
-        dims = (da, db)
-        size = cod_size = _label_size(codomain, dims)
-        slot_sizes = []  # a loop: before Python 3.12 a comprehension is a call
-        for lab in domain:
-            slot_sizes.append(_label_size(lab, dims))
-            size *= slot_sizes[-1]
+        domain, dims, slot_sizes, cod_size = _checked_shape(domain, codomain,
+                                                            dims)
+        size = prod(slot_sizes) * cod_size
         if isinstance(coeffs, dict):
             items = coeffs.items()
         else:
@@ -127,7 +118,7 @@ class MultilinearMap:
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "store", store)
-        object.__setattr__(self, "slot_sizes", tuple(slot_sizes))
+        object.__setattr__(self, "slot_sizes", slot_sizes)
         object.__setattr__(self, "cod_size", cod_size)
 
     def __setattr__(self, name, value):
@@ -158,7 +149,9 @@ class MultilinearMap:
 
     @classmethod
     def zero(cls, domain, codomain, dims):
-        return cls(domain, codomain, dims, {})
+        domain, dims, slot_sizes, cod_size = _checked_shape(domain, codomain,
+                                                            dims)
+        return _adopt(domain, codomain, dims, slot_sizes, cod_size, {})
 
     @classmethod
     def unit(cls, domain, codomain, dims, index):
@@ -184,19 +177,28 @@ class MultilinearMap:
 
     @classmethod
     def from_table(cls, table, domain, codomain, dims):
-        """Nested-list structure constants: table[i1][i2]...[k]."""
+        """Nested-list structure constants: table[i1][i2]...[k].
+
+        A value that is not a Fraction becomes one; a Fraction (say, from
+        `qta.io.parse`) is kept as it is.
+        """
+        domain, dims, slot_sizes, cod_size = _checked_shape(domain, codomain,
+                                                            dims)
         # level by level: a recursive closure would be a garbage cycle
         nodes = [table]
-        for depth, lab in enumerate(domain):
-            size = _label_size(lab, dims)
+        for depth, size in enumerate(slot_sizes):
             if any(len(node) != size for node in nodes):
                 raise DimensionError("bad table length at depth %d" % depth)
             nodes = [sub for node in nodes for sub in node]
-        cod = _label_size(codomain, dims)
-        if any(len(node) != cod for node in nodes):
+        if any(len(node) != cod_size for node in nodes):
             raise DimensionError("bad codomain length in table")
-        return cls(domain, codomain, dims,
-                   [Fraction(v) for node in nodes for v in node])
+        store = {}
+        for i, v in enumerate(chain.from_iterable(nodes)):
+            if type(v) is not Fraction:
+                v = Fraction(v)
+            if v:
+                store[i] = v
+        return _adopt(domain, codomain, dims, slot_sizes, cod_size, store)
 
     @classmethod
     def identity(cls, label, dims):
@@ -205,11 +207,12 @@ class MultilinearMap:
 
     def relabel(self, domain, codomain, dims=None):
         """Same coefficients under a new signature of identical sizes."""
-        dims = self.dims if dims is None else dims
-        out = MultilinearMap(domain, codomain, dims, self.store)
-        if out.slot_sizes != self.slot_sizes or out.cod_size != self.cod_size:
+        domain, dims, slot_sizes, cod_size = _checked_shape(
+            domain, codomain, self.dims if dims is None else dims)
+        if slot_sizes != self.slot_sizes or cod_size != self.cod_size:
             raise DimensionError("relabel changes slot sizes")
-        return out
+        return _adopt(domain, codomain, dims, slot_sizes, cod_size,
+                      self.store)
 
     def with_dims(self, dims):
         return self.relabel(self.domain, self.codomain, dims)
@@ -325,6 +328,26 @@ def _adopt(domain, codomain, dims, slot_sizes, cod_size, store):
     object.__setattr__(m, "slot_sizes", slot_sizes)
     object.__setattr__(m, "cod_size", cod_size)
     return m
+
+
+def _checked_shape(domain, codomain, dims):
+    """(domain, dims, slot_sizes, cod_size) of a signature, checked: the
+    domain is a nonempty tuple of labels and dims two non-negative ints."""
+    domain = tuple(domain)
+    if not domain:
+        raise ArityError("maps must have arity >= 1")
+    try:
+        da, db = dims
+    except (TypeError, ValueError):
+        da = None
+    if type(da) is not int or type(db) is not int or da < 0 or db < 0:
+        raise DimensionError(
+            f"dims must be two non-negative ints, got {dims!r}")
+    dims = (da, db)
+    slot_sizes = []  # a loop: before Python 3.12 a comprehension is a call
+    for lab in domain:
+        slot_sizes.append(_label_size(lab, dims))
+    return domain, dims, tuple(slot_sizes), _label_size(codomain, dims)
 
 
 def _label_size(label, dims):
@@ -494,10 +517,8 @@ def linear_map_from_matrix(rows, domain_label, codomain_label, dims):
         raise DimensionError(
             f"matrix must be {cod}x{dom} for {domain_label.value} -> "
             f"{codomain_label.value}")
-    coeffs = []
-    for j in range(dom):
-        coeffs.extend(Fraction(rows[k][j]) for k in range(cod))
-    return MultilinearMap((domain_label,), codomain_label, dims, coeffs)
+    return MultilinearMap.from_table([[r[j] for r in rows] for j in range(dom)],
+                                     (domain_label,), codomain_label, dims)
 
 
 def matrix_from_linear_map(f):

@@ -140,10 +140,12 @@ class QuasiTwilledAlgebra:
 
 
 def total_product(q):
-    """The total binary product on A + A', built once per structure."""
+    """The total binary product on A + A', built once per structure from
+    the lifts of its nonzero components (one zero lift if all are zero)."""
     if q._delta is None:
+        comps = q.components().values()
         object.__setattr__(q, "_delta", msum(
-            [lift(m) for m in q.components().values()]))
+            [lift(m) for m in comps if not m.is_zero()] or [lift(q.pi)]))
     return q._delta
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import tracemalloc
 from pathlib import Path
@@ -527,9 +528,61 @@ def test_cached_parser_gives_the_reports_of_fresh_parsers(
         ["--json", "validate", path],
     ]
     cached = _reports(argvs, capsys)
+    # a well-formed call is parsed by its command's parser alone, and
+    # gives the Namespace of the full parser
+    full = qta.cli.make_parser().parse_args
+    with monkeypatch.context() as m:
+        m.setattr(argparse.ArgumentParser, "parse_args", None)
+        fast = [qta.cli.parse_args(argv) for argv in argvs]
+    assert fast == [full(argv) for argv in argvs]
+    # every other call gives the Namespace, or the exit code, stdout and
+    # stderr, of the full parser
+    for argv in DISPATCH_ARGVS:
+        assert _parsed(qta.cli.parse_args, argv, capsys) == \
+            _parsed(full, argv, capsys), argv
     monkeypatch.setattr(qta.cli, "make_parser", qta.cli.make_parser.__wrapped__)
     fresh = _reports(argvs, capsys)
     assert cached == fresh
+
+
+DISPATCH_ARGVS = [
+    # --json before, after and around the command
+    ["--json", "validate", "f.json"], ["validate", "--json", "f.json"],
+    ["validate", "f.json", "--json"],
+    ["--json", "--json", "validate", "f.json"],
+    ["--json", "validate", "--json", "f.json"],
+    ["--js", "validate", "f.json"], ["validate", "--js", "f.json"],
+    ["--json=1", "validate", "f.json"],
+    # -h everywhere
+    ["-h"], ["--json", "-h"], ["--help", "validate"],
+    *([cmd, "-h"] for cmd in ("validate", "classify", "twist", "mc",
+                              "cohomology", "jacobi", "example")),
+    ["--json", "cohomology", "--help"],
+    # usage errors
+    ["classify", "--side", "left", "f.json"],
+    ["classify", "--map", "B", "--side", "up", "f.json"],
+    ["cohomology", "--map", "B", "--side", "left", "--max-degree", "two",
+     "f.json"],
+    ["cohomology", "--map", "B", "--side", "left", "--max-degree=-1",
+     "f.json"],
+    ["--json", "cohomology", "--m", "B", "--side", "left", "f.json"],
+    ["validate", "f.json", "extra"], ["--json", "validate"],
+    ["no-such-command", "f.json"], ["--verbose", "validate", "f.json"],
+    [], ["--json"], ["--", "validate", "f.json"],
+    ["--json", "validate", "--", "f.json"],
+    ["jacobi", "--side", "left", "--arity", "2", "--seed", "-3", "f.json"],
+    ["jacobi", "--side", "left", "f.json"],
+    ["example"], ["example", "--list", "extra", "more"],
+]
+
+
+def _parsed(parse, argv, capsys):
+    """(vars of the Namespace or the exit code, stdout, stderr)."""
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return result, *capsys.readouterr()
 
 
 def _catalog_calls(name, path):
@@ -548,7 +601,7 @@ def _catalog_calls(name, path):
 def test_each_cli_call_builds_and_validates_once(
         tmp_path, capsys, monkeypatch, name):
     # loading a document and running any command costs one Delta (the one
-    # msum of qta.quasitwilled) and one validate
+    # msum of qta.quasitwilled) and one validate, and no equation rows
     path = _write_example(tmp_path, name)
     calls = []
 
@@ -563,6 +616,9 @@ def test_each_cli_call_builds_and_validates_once(
                         counting(quasitwilled.validate))
     # the CLI imports validate by name: give it the counting one too
     monkeypatch.setattr(qta.cli, "validate", quasitwilled.validate)
+    # a verified structure's sixteen rows are zero: none is projected
+    monkeypatch.setattr(qta.cli, "equation_rows",
+                        counting(qta.cli.equation_rows))
     for argv in _catalog_calls(name, path):
         calls.clear()
         assert cli_main(["--json", *argv]) == 0, argv

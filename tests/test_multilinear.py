@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from qta import (
     A, APRIME, TOTAL, ArityError, DimensionError, MultilinearMap, circle,
     circle_parts,
-    build_standard, gerstenhaber, insert, koszul_sign, lift, msum, project,
-    random_map, seeded_rng, unshuffles, validate,
+    build_standard, gerstenhaber, insert, koszul_sign, lift,
+    linear_map_from_matrix, msum, project, random_map, seeded_rng,
+    unshuffles, validate,
 )
 from qta.multilinear import _label_size
 
@@ -378,6 +379,7 @@ def test_derived_maps_equal_their_checked_rebuild(data):
         (project(lf, other, other_cod), (lf,)),
         (circle(lf, lh), (lf, lh)), (circle(lh, lf), (lh, lf)),
         (gerstenhaber(lf, lh), (lf, lh)), (gerstenhaber(lf, lf), (lf,)),
+        (f.relabel(domain, codomain), (f,)), (f.with_dims(dims), (f,)),
     ]
     snapshots = []
     for m, operands in derived:
@@ -390,6 +392,24 @@ def test_derived_maps_equal_their_checked_rebuild(data):
         op.store.clear()
         op.store[0] = Fraction(7)
     assert [m.store for m, _ in derived] == snapshots
+
+
+def test_table_constructors_make_each_value_a_fraction_once():
+    # a Fraction is kept as it is; anything else becomes one, as the
+    # checked constructor makes it
+    half = Fraction(1, 2)
+    m = MultilinearMap.from_table(
+        [[[half, 0], ["1/3", 2]], [[0.5, Fraction(0)], [0, -1]]],
+        (A, A), A, (2, 0))
+    assert m.store[0] is half
+    assert m == MultilinearMap((A, A), A, (2, 0),
+                               [half, 0, Fraction(1, 3), 2, half, 0, 0, -1])
+    b = linear_map_from_matrix([[half, 0], [1, "2"]], A, APRIME, (2, 2))
+    assert b.store[0] is half
+    assert b == MultilinearMap((A,), APRIME, (2, 2), [half, 1, 0, 2])
+    for out in (m, b):
+        _assert_trusted(out)
+
 
 
 def test_derived_stores_are_compact():

@@ -4,8 +4,8 @@ import pytest
 
 from qta import (
     A, APRIME, IngredientError, MultilinearMap, QuasiTwilledAlgebra,
-    AssociativeAlgebra, UnknownKind, build_standard, circle, project,
-    seeded_rng, structure_residuals, total_product, validate,
+    AssociativeAlgebra, UnknownKind, build_standard, circle, lift, msum,
+    project, seeded_rng, structure_residuals, total_product, validate,
 )
 from qta import quasitwilled
 from qta.algebras import (
@@ -76,6 +76,28 @@ def test_total_product_examples():
 
     # all components zero
     assert total_product(QuasiTwilledAlgebra.from_components((1, 1))).is_zero()
+
+
+def test_total_product_lifts_only_the_nonzero_components(monkeypatch):
+    # Delta is the sum of the lifts of all seven components, read from the
+    # nonzero ones (one lift of a zero component when all are zero)
+    lifts = []
+
+    def counting(m):
+        lifts.append(m)
+        return lift(m)
+
+    monkeypatch.setattr(quasitwilled, "lift", counting)
+    # fresh objects, whose Delta is not built yet
+    structures = [QuasiTwilledAlgebra(**q.components())
+                  for q in builder_instances(dual_numbers()).values()]
+    structures.append(QuasiTwilledAlgebra.from_components((2, 1)))
+    for q in structures:
+        comps = list(q.components().values())
+        every = msum([lift(m) for m in comps])
+        lifts.clear()
+        assert total_product(q) == every
+        assert len(lifts) == max(1, sum(not m.is_zero() for m in comps))
 
 
 def test_no_prime_prime_to_a_block():
