@@ -5,18 +5,21 @@ deformation maps and their residuals, twisting, derived-bracket (curved)
 L-infinity controlling algebras, Maurer-Cartan checks, and the cochain
 complexes and cohomology of deformation maps.  All arithmetic is exact
 over the rationals.
+
+`import qta` loads the structure layers only: errors, kernel, multilinear,
+algebras, quasitwilled, linalg, deformation and closed_formulas.  The
+cohomology, linfty and catalog modules, and the names exported from them,
+load on first use (PEP 562); a command-line call thus reads only the
+modules it runs.
 """
+
+from types import ModuleType as _ModuleType
 
 from .algebras import (
     AssociativeAlgebra, AssociativeRepresentation, Cocycle2, MatchedPairData,
     RepresentationPair, ResidualReport, check_associative,
     check_associative_representation, check_matched_pair,
     check_representation, regular_representation,
-)
-from .catalog import catalog_names, emit_example, get_entry
-from .cohomology import (
-    coboundary_apply, coboundary_apply_expanded, coboundary_matrix,
-    cochain_complex, cohomology_dims, hochschild_complex, l1_vs_d,
 )
 from .closed_formulas import explicit_formula, explicit_formula_check
 from .deformation import (
@@ -30,10 +33,6 @@ from .errors import (
     SchemaError, SingularMap, UnknownExample, UnknownKind,
 )
 from .linalg import ExactMatrix, invert
-from .linfty import (
-    CurvedLInftyStructure, VData, controlling_structure, derived_bracket,
-    mc_residual,
-)
 from .multilinear import (
     A, APRIME, TOTAL, MultilinearMap, SpaceLabel, circle, circle_parts,
     gerstenhaber, insert, koszul_sign, lift, linear_map_from_matrix,
@@ -50,3 +49,37 @@ __version__ = "0.1.0"
 # The one coefficient kernel, qta.kernel, is pure Python; run records of the
 # benchmark name it.
 KERNEL_BACKEND = "python"
+
+# lazily exported name -> the qta module that defines it; a module's own
+# name is the module
+_LAZY = {name: module for module, names in (
+    ("catalog", ("catalog", "catalog_names", "emit_example", "get_entry")),
+    ("cohomology", (
+        "cohomology", "coboundary_apply", "coboundary_apply_expanded",
+        "coboundary_matrix", "cochain_complex", "cohomology_dims",
+        "hochschild_complex", "l1_vs_d")),
+    ("linfty", (
+        "linfty", "CurvedLInftyStructure", "VData", "controlling_structure",
+        "derived_bracket", "mc_residual")),
+) for name in names}
+
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
+__all__ += [name for name, module in _LAZY.items() if name != module]
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # once imported, the submodule is bound here by the import system
+    loaded = globals().get(module)
+    if loaded is None:
+        from importlib import import_module
+        loaded = import_module(f"{__name__}.{module}")
+    # returned, not bound here: a name stays the module's own attribute
+    return loaded if name == module else getattr(loaded, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

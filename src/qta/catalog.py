@@ -3,12 +3,15 @@
 Every entry parses, passes `validate`, and carries at least one named
 linear map; `deformation_maps` lists which (map, side) pairs are honest
 deformation maps (used by the test suite and handy for demos).
+
+Each document is already canonical, in the key order and fraction
+strings that `qta.io.print_document` writes, so `emit_example` prints it
+as it stands.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import UnknownExample
 
@@ -21,19 +24,9 @@ _DUAL_P = {"dim": 2, "basis": ["1'", "t'"]}
 _PROD1 = [[["1"]]]
 _PROD_DUAL = [[["1", "0"], ["0", "1"]], [["0", "1"], ["0", "0"]]]
 
-
-def _reg_actions(prod):
-    """rho/mu tables of the regular actions, from a product table."""
-    return {"rho": prod, "mu": prod}
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    description: str
-    document: dict
-    deformation_maps: tuple  # of (map name, side)
-
+# deformation_maps: a tuple of (map name, side) pairs
+CatalogEntry = namedtuple(
+    "CatalogEntry", ("name", "description", "document", "deformation_maps"))
 
 _ENTRIES = [
     CatalogEntry(
@@ -70,8 +63,8 @@ _ENTRIES = [
             "field": "rational",
             "spaces": {"A": _DUAL, "Aprime": _DUAL_P},
             "builder": {"kind": "semidirect",
-                        "tables": {"product": _PROD_DUAL,
-                                   **_reg_actions(_PROD_DUAL)}},
+                        "tables": {"mu": _PROD_DUAL, "product": _PROD_DUAL,
+                                   "rho": _PROD_DUAL}},
             "maps": {"D": [["0", "0"], ["0", "1"]]},
         },
         (("D", "right"),),
@@ -85,8 +78,9 @@ _ENTRIES = [
             "field": "rational",
             "spaces": {"A": _ONE_DIM, "Aprime": _ONE_DIM_P},
             "builder": {"kind": "semidirect",
-                        "tables": {"product": _PROD1, **_reg_actions(_PROD1)}},
-            "maps": {"D": [["0"]], "B": [["0"]]},
+                        "tables": {"mu": _PROD1, "product": _PROD1,
+                                   "rho": _PROD1}},
+            "maps": {"B": [["0"]], "D": [["0"]]},
         },
         (("D", "right"), ("B", "left")),
     ),
@@ -112,9 +106,8 @@ _ENTRIES = [
             "field": "rational",
             "spaces": {"A": _ONE_DIM, "Aprime": _ONE_DIM_P},
             "builder": {"kind": "semidirect_assoc",
-                        "tables": {"product": _PROD1,
-                                   "product_prime": _PROD1,
-                                   **_reg_actions(_PROD1)}},
+                        "tables": {"mu": _PROD1, "product": _PROD1,
+                                   "product_prime": _PROD1, "rho": _PROD1}},
             "maps": {"D": [["-1"]]},
         },
         (("D", "right"),),
@@ -127,10 +120,10 @@ _ENTRIES = [
             "field": "rational",
             "spaces": {"A": _ONE_DIM, "Aprime": _ONE_DIM_P},
             "builder": {"kind": "matched_pair",
-                        "tables": {"product": _PROD1,
-                                   "product_prime": _PROD1,
-                                   **_reg_actions(_PROD1),
-                                   "eta": [[["0"]]], "xi": [[["0"]]]}},
+                        "tables": {"eta": [[["0"]]], "mu": _PROD1,
+                                   "product": _PROD1,
+                                   "product_prime": _PROD1, "rho": _PROD1,
+                                   "xi": [[["0"]]]}},
             "maps": {"B": [["-1"]]},
         },
         (("B", "left"),),
@@ -144,9 +137,8 @@ _ENTRIES = [
             "field": "rational",
             "spaces": {"A": _ONE_DIM, "Aprime": _ONE_DIM_P},
             "builder": {"kind": "abelian_extension",
-                        "tables": {"product": _PROD1,
-                                   **_reg_actions(_PROD1),
-                                   "omega": _PROD1}},
+                        "tables": {"mu": _PROD1, "omega": _PROD1,
+                                   "product": _PROD1, "rho": _PROD1}},
             "maps": {"B": [["-1"]]},
         },
         (("B", "left"),),
@@ -183,6 +175,5 @@ def get_entry(name):
 
 def emit_example(name):
     """Canonical document text of a catalog example."""
-    entry = get_entry(name)
-    from .io import parse, print_document
-    return print_document(parse(json.dumps(entry.document)))
+    from .io import json_text
+    return json_text(get_entry(name).document) + "\n"

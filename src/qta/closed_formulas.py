@@ -42,11 +42,12 @@ CurvedLInftyStructure.bracket output.
 
 from __future__ import annotations
 
-from .cohomology import _evaluate, _structural_terms
 from .deformation import side_spec
 from .errors import DegreeError
-from .linfty import controlling_structure
 from .multilinear import MultilinearMap, _sign, insert, msum
+
+# `cohomology` and `linfty` are imported in the functions that use them:
+# `import qta` loads this module but not those two.
 
 _OTHER = {"right": "left", "left": "right"}
 
@@ -129,6 +130,7 @@ def explicit_formula(q, side, k, args):
     if len(args) != k:
         raise DegreeError(f"l_{k} needs {k} arguments, got {len(args)}")
     if k == 1:
+        from .cohomology import _evaluate, _structural_terms
         f, = args
         return _evaluate(_structural_terms(*spec.induced(q)), f).scale(
             _sign(f.arity - 1))
@@ -145,6 +147,7 @@ def explicit_formula(q, side, k, args):
 
 def explicit_formula_check(q, side, k, args):
     """Whether the closed formula agrees with the derived bracket. It must."""
+    from .linfty import controlling_structure
     formula = explicit_formula(q, side, k, args)
     derived = controlling_structure(q, side).bracket(k, list(args))
     return formula == derived

@@ -48,7 +48,6 @@ from .deformation import side_spec
 from .errors import DegreeError, DimensionError
 from .linalg import ExactMatrix, _echelon, _row_products
 from .multilinear import _sign, insert, msum
-from .linfty import controlling_structure
 
 MAX_DEGREE_CAP = 5
 
@@ -326,6 +325,8 @@ def l1_vs_d(q, m, side, f):
     This is a theorem for deformation maps, so the return value is always
     True; the function is a verification harness.
     """
+    # imported here, by its only user, so a cohomology call loads no linfty
+    from .linfty import controlling_structure
     terms = _structural_terms(*side_spec(side).checked_triple(q, m))
     s = controlling_structure(q, side).twist(m)
     lhs = s.bracket(1, [f])

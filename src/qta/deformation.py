@@ -14,14 +14,14 @@ of `tests/oracles.py`.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import DimensionError, InvalidQTA, NotDeformationMap, UnknownKind
 from .algebras import AssociativeAlgebra, RepresentationPair
 from .linalg import ExactMatrix, invert
 from .multilinear import (
-    A, APRIME, TOTAL, MultilinearMap, SpaceLabel, insert, lift,
-    linear_map_from_matrix, matrix_from_linear_map, msum, project,
+    A, APRIME, TOTAL, MultilinearMap, insert, lift, linear_map_from_matrix,
+    matrix_from_linear_map, msum, project,
 )
 from .quasitwilled import (
     _KINDS, COMPONENT_SIGNATURES, QuasiTwilledAlgebra, require_quasi_twilled,
@@ -29,16 +29,18 @@ from .quasitwilled import (
 )
 
 
-class _Side(NamedTuple):
+class _Side(namedtuple("_Side", (
+        "name",
+        "slot",             # domain of the map = slot space of its cochains
+        "cod",              # codomain of the map and of its cochains
+        "residual_part",    # twisted block equal to the residual
+        "triple",           # twisted (product, left action, right action)
+        "basis",            # attribute holding the basis of the slot space
+        "plan",             # block name -> (inner terms, block subtracted)
+))):
     """What tells right maps D: A -> A' from left maps B: A' -> A."""
 
-    name: str
-    slot: SpaceLabel        # domain of the map = slot space of its cochains
-    cod: SpaceLabel         # codomain of the map and of its cochains
-    residual_part: str      # twisted block equal to the residual
-    triple: tuple           # twisted (product, left action, right action)
-    basis: str              # attribute holding the basis of the slot space
-    plan: dict              # block name -> (inner terms, block subtracted)
+    __slots__ = ()
 
     def residual(self, q, m):
         """The twist's residual block: zero iff m is a deformation map."""

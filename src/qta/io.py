@@ -34,7 +34,6 @@ their names.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .deformation import side_spec
@@ -130,17 +129,21 @@ def _format_table(table):
     return format_fraction(table)
 
 
-@dataclass
 class InputDocument:
     """Validated document contents with all scalars canonicalized."""
 
-    dim_a: int
-    dim_aprime: int
-    basis_a: list
-    basis_aprime: list
-    builder: dict | None = None      # {"kind", "tables", scalars}
-    components: dict | None = None   # name -> nested Fraction table
-    maps: dict = field(default_factory=dict)  # name -> row-major Fractions
+    def __init__(self, dim_a, dim_aprime, basis_a, basis_aprime,
+                 builder=None, components=None, maps=None):
+        self.dim_a = dim_a
+        self.dim_aprime = dim_aprime
+        self.basis_a = basis_a
+        self.basis_aprime = basis_aprime
+        self.builder = builder          # {"kind", "tables", scalars}
+        self.components = components    # name -> nested Fraction table
+        self.maps = {} if maps is None else maps  # name -> row-major Fractions
+
+    def __repr__(self):
+        return f"InputDocument({self.to_dict()!r})"
 
     def __eq__(self, other):
         if not isinstance(other, InputDocument):
@@ -345,15 +348,23 @@ def side_map(doc, q, name, side):
 
 # -- reports ------------------------------------------------------------------
 
-@dataclass
 class Report:
     """Outcome of one command, in machine- and human-readable form."""
 
-    command: str
-    verdict: str          # "pass" or "fail"
-    exit_status: int
-    details: dict
-    timing_ms: float = 0.0
+    def __init__(self, command, verdict, exit_status, details, timing_ms=0.0):
+        self.command = command
+        self.verdict = verdict            # "pass" or "fail"
+        self.exit_status = exit_status
+        self.details = details
+        self.timing_ms = timing_ms
+
+    def __repr__(self):
+        return f"Report({self.to_dict()!r})"
+
+    def __eq__(self, other):
+        if not isinstance(other, Report):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
 
     def to_dict(self):
         return {

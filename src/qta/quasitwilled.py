@@ -22,9 +22,9 @@ algebra, the cohomology, the induced structures and the CLI read.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .algebras import (
     AssociativeAlgebra, AssociativeRepresentation, Cocycle2, MatchedPairData,
@@ -166,10 +166,12 @@ def require_quasi_twilled(q):
     return total_product(q)
 
 
-class StructureResidual(NamedTuple):
-    name: str          # left-hand side, in component notation
-    block: tuple       # (domain labels, codomain label) the equation lives on
-    residual: object   # MultilinearMap on that block
+class StructureResidual(namedtuple("StructureResidual", (
+        "name",        # left-hand side, in component notation
+        "block",       # (domain labels, codomain label) the equation lives on
+        "residual",    # MultilinearMap on that block
+))):
+    __slots__ = ()
 
 
 # The sixteen block equations of [Delta, Delta] = 0: each displayed
@@ -432,17 +434,19 @@ def _doc_matched_pair(t, basis_a, basis_aprime):
         t["rho"], t["mu"], t["eta"], t["xi"])}
 
 
-class _Kind(NamedTuple):
+class _Kind(namedtuple("_Kind", (
+        "build",            # _build_*(kind, *keywords): yields, then checks
+        "keywords",         # build_standard ingredients, in `build` order
+        "tables",           # builder tables of a document
+        "from_tables",      # (table maps, basis_a, basis_aprime) -> keywords
+        "scalars",          # scalar ingredients, top-level builder keys
+        "same_dims",        # whether dim A' must equal dim A
+        "right",            # name of its right deformation maps and
+        "left",             # of its left ones (or None); {scalar} filled in
+))):
     """One row of the paper's catalogue: a builder kind and its data."""
 
-    build: object           # _build_*(kind, *keywords): yields, then checks
-    keywords: tuple         # build_standard ingredients, in `build` order
-    tables: tuple           # builder tables of a document
-    from_tables: object     # (table maps, basis_a, basis_aprime) -> keywords
-    scalars: tuple          # scalar ingredients, top-level builder keys
-    same_dims: bool         # whether dim A' must equal dim A
-    right: str | None       # name of its right deformation maps and
-    left: str | None        # of its left ones; {scalar} fields filled in
+    __slots__ = ()
 
 
 _KINDS = {

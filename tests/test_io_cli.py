@@ -180,6 +180,15 @@ def test_catalog_roundtrip_and_validity():
         assert validate(q).is_zero(), name
 
 
+def test_catalog_documents_are_canonical():
+    # `emit_example` writes an entry as it stands, so each must already be
+    # in the key order and fraction strings that parse-and-print gives
+    for name in catalog_names():
+        document = get_entry(name).document
+        assert emit_example(name) == print_document(
+            parse(json.dumps(document))), name
+
+
 def test_components_document_roundtrip():
     entry = get_entry("reynolds-dual-numbers")
     q = build_quasi_twilled(parse(json.dumps(entry.document)))
