@@ -17,15 +17,13 @@ from types import ModuleType as _ModuleType
 
 from .algebras import (
     AssociativeAlgebra, AssociativeRepresentation, Cocycle2, MatchedPairData,
-    RepresentationPair, ResidualReport, check_associative,
-    check_associative_representation, check_matched_pair,
-    check_representation, regular_representation,
+    RepresentationPair, check_associative, regular_representation,
 )
 from .closed_formulas import explicit_formula, explicit_formula_check
 from .deformation import (
-    TwistResult, classify_operator, conjugation_twist, duality_check,
-    graph_residual, induced_left_structures, induced_right_structures,
-    left_residual, right_residual, twist_blocks, twist_left, twist_right,
+    TwistResult, classify_operator, conjugation_twist, graph_residual,
+    induced_left_structures, induced_right_structures, left_residual,
+    right_residual, twist_blocks, twist_left, twist_right,
 )
 from .errors import (
     ArityError, BlockError, DegreeError, DimensionError, IngredientError,
@@ -57,7 +55,7 @@ _LAZY = {name: module for module, names in (
     ("cohomology", (
         "cohomology", "coboundary_apply", "coboundary_apply_expanded",
         "coboundary_matrix", "cochain_complex", "cohomology_dims",
-        "hochschild_complex", "l1_vs_d")),
+        "hochschild_complex")),
     ("linfty", (
         "linfty", "CurvedLInftyStructure", "VData", "controlling_structure",
         "derived_bracket", "mc_residual")),

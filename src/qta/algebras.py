@@ -1,9 +1,13 @@
 """Concrete finite-dimensional associative algebras and their representations.
 
-Structure constants are the input format; all axioms are checked on basis
-tuples only, which suffices by multilinearity.  Checks return the offending
-multilinear map (a residual) rather than a boolean, so callers can report a
-witness basis tuple.
+Structure constants are the input format.  These are the ingredients of
+the stock builders, and they hold data only: each ingredient identity
+(associativity, the representation, associative-representation and
+matched-pair identities) is a row of the one bracket that
+`qta.quasitwilled.validate` computes for the structure built from them,
+and `build_standard` names the first ingredient whose rows are nonzero.
+`check_associative` is one product's associator, the half-bracket
+(1/2)[pi,pi], returned as a map so that a caller can report a witness.
 
 Slot conventions for action maps, matching the component signatures of the
 split-space product:
@@ -16,30 +20,7 @@ split-space product:
 from __future__ import annotations
 
 from .errors import DimensionError
-from .multilinear import (
-    A, APRIME, MultilinearMap, circle, insert,
-)
-
-
-class ResidualReport:
-    """Named residual maps; zero iff the checked axioms hold."""
-
-    def __init__(self, named_residuals):
-        self.residuals = list(named_residuals)
-
-    @property
-    def is_zero(self):
-        return all(m.is_zero() for _, m in self.residuals)
-
-    def nonzero_names(self):
-        return [name for name, m in self.residuals if not m.is_zero()]
-
-    def __iter__(self):
-        return iter(self.residuals)
-
-    def __repr__(self):
-        bad = self.nonzero_names()
-        return "ResidualReport(zero)" if not bad else f"ResidualReport(nonzero={bad})"
+from .multilinear import A, APRIME, MultilinearMap, circle
 
 
 class AssociativeAlgebra:
@@ -106,23 +87,6 @@ class RepresentationPair:
                 f"space dim {self.space_dim})")
 
 
-def check_representation(rep):
-    """Residuals of the three representation identities.
-
-    rho(x.y) = rho(x)rho(y),  mu(x.y) = mu(y)mu(x),  rho(x)mu(y) = mu(y)rho(x).
-    """
-    pi = rep.algebra.product.with_dims(rep.rho.dims)
-    rho, mu = rep.rho, rep.mu
-    r_left = insert(rho, pi, 0) - insert(rho, rho, 1)
-    r_right = insert(mu, pi, 1) - insert(mu, mu, 0)
-    r_mixed = insert(rho, mu, 1) - insert(mu, rho, 0)
-    return ResidualReport([
-        ("rho(x.y) - rho(x)rho(y)", r_left),
-        ("mu(x.y) - mu(y)mu(x)", r_right),
-        ("rho(x)mu(y) - mu(y)rho(x)", r_mixed),
-    ])
-
-
 class AssociativeRepresentation(RepresentationPair):
     """A representation on a space that carries its own associative product."""
 
@@ -134,30 +98,11 @@ class AssociativeRepresentation(RepresentationPair):
         self.prime_product = prime_product.with_dims(rho.dims)
 
 
-def check_associative_representation(ar):
-    """Representation residuals plus the three product compatibilities.
-
-    rho(x)(u.v) = (rho(x)u).v,  u.(rho(x)v) = (mu(x)u).v,
-    u.(mu(x)v) = mu(x)(u.v).
-    """
-    base = check_representation(ar)
-    rho, mu, star = ar.rho, ar.mu, ar.prime_product
-    # domains: c1 (alg, sp, sp); c2 (sp, alg, sp); c3 (sp, sp, alg)
-    c1 = insert(rho, star, 1) - insert(star, rho, 0)
-    c2 = insert(star, rho, 1) - insert(star, mu, 0)
-    c3 = insert(star, mu, 1) - insert(mu, star, 0)
-    return ResidualReport(list(base) + [
-        ("rho(x)(u.v) - (rho(x)u).v", c1),
-        ("u.(rho(x)v) - (mu(x)u).v", c2),
-        ("u.(mu(x)v) - mu(x)(u.v)", c3),
-    ])
-
-
 class Cocycle2:
     """A 2-cochain omega: (alg, alg) -> space attached to a representation.
 
-    Accepted as a cocycle exactly when the extension product built from
-    (rho, mu, omega) is associative; that check lives with the builders.
+    A cocycle exactly when the extension product built from (rho, mu,
+    omega) is associative, which `build_standard` checks.
     """
 
     def __init__(self, rep, omega):
@@ -204,35 +149,6 @@ class MatchedPairData:
             AssociativeAlgebra(self.alg_prime.product.with_dims(self.dims),
                                self.alg_prime.basis_names),
             self.eta, self.xi)
-
-
-def check_matched_pair(mp):
-    """Residuals of the six matched-pair compatibility identities."""
-    pi = mp.alg_a.product.with_dims(mp.dims)
-    beta = mp.alg_prime.product.with_dims(mp.dims)
-    rho, mu, eta, xi = mp.rho, mp.mu, mp.eta, mp.xi
-    # domain (A, A', A'): rho(x)(u.v) = rho(xi(u)x)v + (rho(x)u).v
-    r1 = insert(rho, beta, 1) - insert(rho, xi, 0) - insert(beta, rho, 0)
-    # domain (A', A', A): mu(x)(u.v) = mu(eta(v)x)u + u.(mu(x)v)
-    r2 = insert(mu, beta, 0) - insert(mu, eta, 1) - insert(beta, mu, 1)
-    # domain (A', A, A): eta(u)(x.y) = eta(mu(x)u)y + (eta(u)x).y
-    r3 = insert(eta, pi, 1) - insert(eta, mu, 0) - insert(pi, eta, 0)
-    # domain (A, A, A'): xi(u)(x.y) = xi(rho(y)u)x + x.(xi(u)y)
-    r4 = insert(xi, pi, 0) - insert(xi, rho, 1) - insert(pi, xi, 1)
-    # domain (A', A, A'): rho(eta(u)x)v + (mu(x)u).v = mu(xi(v)x)u + u.(rho(x)v)
-    r5 = (insert(rho, eta, 0) + insert(beta, mu, 0)
-          - insert(mu, xi, 1) - insert(beta, rho, 1))
-    # domain (A, A', A): eta(rho(x)u)y + (xi(u)x).y = xi(mu(y)u)x + x.(eta(u)y)
-    r6 = (insert(eta, rho, 0) + insert(pi, xi, 0)
-          - insert(xi, mu, 1) - insert(pi, eta, 1))
-    return ResidualReport([
-        ("rho(x)(u.v) - rho(xi(u)x)v - (rho(x)u).v", r1),
-        ("mu(x)(u.v) - mu(eta(v)x)u - u.(mu(x)v)", r2),
-        ("eta(u)(x.y) - eta(mu(x)u)y - (eta(u)x).y", r3),
-        ("xi(u)(x.y) - xi(rho(y)u)x - x.(xi(u)y)", r4),
-        ("rho(eta(u)x)v + (mu(x)u).v - mu(xi(v)x)u - u.(rho(x)v)", r5),
-        ("eta(rho(x)u)y + (xi(u)x).y - xi(mu(y)u)x - x.(eta(u)y)", r6),
-    ])
 
 
 def regular_representation(alg, dims=None):

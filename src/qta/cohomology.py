@@ -318,18 +318,3 @@ def cohomology_dims(q, m, side, max_n=3):
         prev_rank = rank
     return dims
 
-
-def l1_vs_d(q, m, side, f):
-    """Whether the twisted l_1 equals (-1)^(m-1) d on a cochain of arity m.
-
-    This is a theorem for deformation maps, so the return value is always
-    True; the function is a verification harness.
-    """
-    # imported here, by its only user, so a cohomology call loads no linfty
-    from .linfty import controlling_structure
-    terms = _structural_terms(*side_spec(side).checked_triple(q, m))
-    s = controlling_structure(q, side).twist(m)
-    lhs = s.bracket(1, [f])
-    _check_cochain(q, side, f)
-    rhs = _evaluate(terms, f).scale(_sign(f.arity - 1))
-    return lhs == rhs

@@ -1,4 +1,4 @@
-"""Right and left deformation maps: residuals, twisting, duality, naming.
+"""Right and left deformation maps: residuals, twisting, naming.
 
 A right deformation map D: A -> A' makes the graph {(x, Dx)} a subalgebra
 of the total product; a left deformation map B: A' -> A satisfies the
@@ -18,10 +18,8 @@ from collections import namedtuple
 
 from .errors import DimensionError, InvalidQTA, NotDeformationMap, UnknownKind
 from .algebras import AssociativeAlgebra, RepresentationPair
-from .linalg import ExactMatrix, invert
 from .multilinear import (
-    A, APRIME, TOTAL, MultilinearMap, insert, lift, linear_map_from_matrix,
-    matrix_from_linear_map, msum, project,
+    A, APRIME, TOTAL, MultilinearMap, insert, lift, msum, project,
 )
 from .quasitwilled import (
     _KINDS, COMPONENT_SIGNATURES, QuasiTwilledAlgebra, require_quasi_twilled,
@@ -260,22 +258,6 @@ def conjugation_twist(q, f, side):
     e_plus = ident + fhat
     e_minus = ident - fhat
     return insert(e_minus, insert(insert(omega, e_plus, 0), e_plus, 1), 0)
-
-
-def duality_check(q, d):
-    """Right residual of D vanishes iff the left residual of D^{-1} does.
-
-    This is a theorem, so the returned value is always True; the function
-    exists as a verification harness.  Raises SingularMap when D is not
-    invertible and DimensionError when dim A != dim A'.
-    """
-    _check_side_map(q, d, "right")
-    if q.dim_a != q.dim_aprime:
-        raise DimensionError("duality needs dim A == dim A'")
-    mat = ExactMatrix.from_rows(matrix_from_linear_map(d))
-    inv = invert(mat)  # SingularMap if not invertible
-    b = linear_map_from_matrix(inv.rows(), APRIME, A, q.dims)
-    return right_residual(q, d).is_zero() == left_residual(q, b).is_zero()
 
 
 def _induced_structures(q, m, side):

@@ -18,6 +18,13 @@ rows off the one bracket; the literal evaluation of each displayed
 equation is a test oracle.  `require_quasi_twilled` is the one validity
 verdict, kept on the structure as `verified`, that the controlling
 algebra, the cohomology, the induced structures and the CLI read.
+
+The stock builders (`build_standard`) read their ingredient verdicts off
+the same rows: for the zero blocks of a kind, each of its ingredient
+identities (associativity, the representation, associative-representation
+and matched-pair identities, the cocycle condition) is one row times a
+fixed nonzero scalar.  A failed build names the first ingredient whose
+rows are nonzero; the per-identity checks are test oracles.
 """
 
 from __future__ import annotations
@@ -28,8 +35,7 @@ from types import MappingProxyType
 
 from .algebras import (
     AssociativeAlgebra, AssociativeRepresentation, Cocycle2, MatchedPairData,
-    RepresentationPair, check_associative, check_associative_representation,
-    check_matched_pair, check_representation, regular_representation,
+    RepresentationPair, regular_representation,
 )
 from .errors import DimensionError, IngredientError, InvalidQTA, UnknownKind
 from .multilinear import A, APRIME, MultilinearMap, circle, lift, msum, project
@@ -224,17 +230,6 @@ def structure_residuals(q):
 # -- builders ----------------------------------------------------------------
 
 
-def _require(check_report, what):
-    if not check_report.is_zero:
-        raise IngredientError(
-            f"{what} fails: {check_report.nonzero_names()}")
-
-
-def _require_assoc(alg, what):
-    if not check_associative(alg).is_zero():
-        raise IngredientError(f"{what} is not associative")
-
-
 def build_standard(kind, **ingredients):
     """Instantiate one of the stock split structures.
 
@@ -252,10 +247,12 @@ def build_standard(kind, **ingredients):
       reynolds              algebra
       matched_pair          matched_pair (MatchedPairData)
 
-    The output is validated once and carries the pass.  Only if that fails
-    is the builder resumed after its `yield`, to run the kind's ingredient
-    checks in order and raise IngredientError at the first failing one: a
-    kind is quasi-twilled exactly when its ingredient conditions hold.
+    The output is validated once and carries the pass.  For the shape of
+    its kind, each ingredient identity is one row of `EQUATIONS`, so a
+    structure is quasi-twilled exactly when its ingredient conditions
+    hold.  Only if validation fails are the rows read, and IngredientError
+    names the first ingredient, in the kind's check order, whose rows are
+    nonzero (`_KINDS`, `ingredient_rows`).
     """
     if kind not in BUILDER_KINDS:
         raise UnknownKind(f"unknown builder kind {kind!r}")
@@ -268,12 +265,16 @@ def build_standard(kind, **ingredients):
     missing = [k for k in row.keywords if k not in ingredients]
     if missing:
         raise IngredientError(f"{kind} needs the ingredient {missing[0]!r}")
-    build = row.build(kind, *(ingredients[k] for k in row.keywords))
-    q = next(build)
+    q = row.build(kind, *(ingredients[k] for k in row.keywords))
     try:
         require_quasi_twilled(q)
     except InvalidQTA:
-        next(build, None)  # the ingredient checks raise IngredientError
+        rows = structure_residuals(q)
+        for message, identities in row.ingredient_rows:
+            failed = [name for i, name in identities
+                      if not rows[i].residual.is_zero()]
+            if failed:
+                raise IngredientError(message.format(failed))
         raise
     return q
 
@@ -283,7 +284,7 @@ def _build_modified(kind, alg, weight):
     weight = Fraction(weight)
     dims = (alg.dim, alg.dim)
     prod = alg.product.with_dims(dims)
-    yield QuasiTwilledAlgebra.from_components(
+    return QuasiTwilledAlgebra.from_components(
         dims, kind=kind,
         xi=prod.relabel((A, APRIME), A),
         eta=prod.relabel((APRIME, A), A),
@@ -292,61 +293,52 @@ def _build_modified(kind, alg, weight):
         ingredients={"algebra": alg, "weight": weight},
         basis_a=alg.basis_names,
         basis_aprime=[n + "'" for n in alg.basis_names])
-    _require_assoc(alg, "algebra")
 
 
 def _build_semidirect(kind, rep):
     """(x,u)(y,v) = (x.y, rho(x)v + mu(y)u)."""
     dims = rep.rho.dims
-    yield QuasiTwilledAlgebra.from_components(
+    return QuasiTwilledAlgebra.from_components(
         dims, kind=kind,
         pi=rep.algebra.product.with_dims(dims),
         rho=rep.rho, mu=rep.mu,
         ingredients={"algebra": rep.algebra, "rep": rep},
         basis_a=rep.algebra.basis_names)
-    _require_assoc(rep.algebra, "algebra")
-    _require(check_representation(rep), "representation")
 
 
 def _build_semidirect_assoc(kind, ar):
     """(x,u)(y,v) = (x.y, rho(x)v + mu(y)u + u.v)."""
     dims = ar.rho.dims
-    yield QuasiTwilledAlgebra.from_components(
+    return QuasiTwilledAlgebra.from_components(
         dims, kind=kind,
         pi=ar.algebra.product.with_dims(dims),
         beta=ar.prime_product,
         rho=ar.rho, mu=ar.mu,
         ingredients={"algebra": ar.algebra, "assoc_rep": ar},
         basis_a=ar.algebra.basis_names)
-    _require_assoc(ar.algebra, "algebra")
-    _require_assoc(AssociativeAlgebra(ar.prime_product), "module algebra")
-    _require(check_associative_representation(ar), "associative representation")
 
 
 def _build_direct_product(kind, alg, alg_prime):
     """(x,u)(y,v) = (x.y, u.v)."""
     dims = (alg.dim, alg_prime.dim)
-    yield QuasiTwilledAlgebra.from_components(
+    return QuasiTwilledAlgebra.from_components(
         dims, kind=kind,
         pi=alg.product.with_dims(dims),
         beta=alg_prime.product.relabel((APRIME, APRIME), APRIME, dims),
         ingredients={"algebra": alg, "algebra_prime": alg_prime},
         basis_a=alg.basis_names,
         basis_aprime=alg_prime.basis_names)
-    _require_assoc(alg, "algebra")
-    _require_assoc(alg_prime, "second algebra")
 
 
 def _build_abelian_extension(kind, cocycle):
     """(x,u)(y,v) = (x.y, rho(x)v + mu(y)u + omega(x,y)).
 
     omega is accepted exactly when this product is associative (the
-    operational cocycle condition): once the algebra and the
-    representation pass, a failed validation names omega.
+    operational cocycle condition).
     """
     rep = cocycle.rep
     dims = rep.rho.dims
-    yield QuasiTwilledAlgebra.from_components(
+    return QuasiTwilledAlgebra.from_components(
         dims, kind=kind,
         pi=rep.algebra.product.with_dims(dims),
         rho=rep.rho, mu=rep.mu,
@@ -354,28 +346,23 @@ def _build_abelian_extension(kind, cocycle):
         ingredients={"algebra": rep.algebra, "rep": rep,
                      "omega": cocycle.omega},
         basis_a=rep.algebra.basis_names)
-    _require_assoc(rep.algebra, "algebra")
-    _require(check_representation(rep), "representation")
-    raise IngredientError("omega is not a 2-cocycle: the extension "
-                          "product fails associativity")
 
 
 def _build_reynolds(kind, alg):
     """Abelian extension over the regular representation with omega = product."""
     rep = regular_representation(alg)
     omega = rep.algebra.product.relabel((A, A), APRIME)
-    yield QuasiTwilledAlgebra.from_components(
+    return QuasiTwilledAlgebra.from_components(
         rep.rho.dims, kind=kind, pi=rep.algebra.product, rho=rep.rho, mu=rep.mu,
         theta=omega, ingredients={"algebra": alg, "rep": rep, "omega": omega},
         basis_a=alg.basis_names,
         basis_aprime=[n + "'" for n in alg.basis_names])
-    _require_assoc(alg, "algebra")
 
 
 def _build_matched_pair(kind, mp):
     """(x,u)(y,v) = (x.y + xi(v)x + eta(u)y, u.v + rho(x)v + mu(y)u)."""
     dims = mp.dims
-    yield QuasiTwilledAlgebra.from_components(
+    return QuasiTwilledAlgebra.from_components(
         dims, kind=kind,
         pi=mp.alg_a.product.with_dims(dims),
         beta=mp.alg_prime.product.with_dims(dims),
@@ -383,13 +370,40 @@ def _build_matched_pair(kind, mp):
         ingredients={"matched_pair": mp},
         basis_a=mp.alg_a.basis_names,
         basis_aprime=mp.alg_prime.basis_names)
-    _require_assoc(mp.alg_a, "algebra A")
-    _require_assoc(mp.alg_prime, "algebra A'")
-    _require(check_representation(mp.representation_on_prime()),
-             "(A'; rho, mu) representation")
-    _require(check_representation(mp.representation_on_a()),
-             "(A; eta, xi) representation")
-    _require(check_matched_pair(mp), "matched pair compatibility")
+
+
+# -- ingredient identities as rows of the one bracket -------------------------
+#
+# An ingredient is (IngredientError text, ((EQUATIONS row, identity), ...)):
+# on the zero blocks of its kind, each row is its identity's residual times
+# one fixed nonzero scalar (the associator of pi is row 0, that of beta row
+# 14; the cocycle condition of an abelian extension is row 6).  The text
+# takes the list of failing identities.
+
+
+def _algebra(what, row):
+    """An algebra ingredient: its associator is the row."""
+    return (f"{what} is not associative", ((row, None),))
+
+
+def _identities(what, rows, names):
+    """An ingredient of several identities, each one row; its text lists
+    the failing ones by name."""
+    return (what + " fails: {}", tuple(zip(rows, names)))
+
+
+_REPRESENTATION = ("rho(x.y) - rho(x)rho(y)", "mu(x.y) - mu(y)mu(x)",
+                   "rho(x)mu(y) - mu(y)rho(x)")
+_ASSOCIATIVE_REPRESENTATION = _REPRESENTATION + (
+    "rho(x)(u.v) - (rho(x)u).v", "u.(rho(x)v) - (mu(x)u).v",
+    "u.(mu(x)v) - mu(x)(u.v)")
+_MATCHED_PAIR = (
+    "rho(x)(u.v) - rho(xi(u)x)v - (rho(x)u).v",
+    "mu(x)(u.v) - mu(eta(v)x)u - u.(mu(x)v)",
+    "eta(u)(x.y) - eta(mu(x)u)y - (eta(u)x).y",
+    "xi(u)(x.y) - xi(rho(y)u)x - x.(xi(u)y)",
+    "rho(eta(u)x)v + (mu(x)u).v - mu(xi(v)x)u - u.(rho(x)v)",
+    "eta(rho(x)u)y + (xi(u)x).y - xi(mu(y)u)x - x.(eta(u)y)")
 
 
 # -- the catalogue of builder kinds -------------------------------------------
@@ -435,7 +449,8 @@ def _doc_matched_pair(t, basis_a, basis_aprime):
 
 
 class _Kind(namedtuple("_Kind", (
-        "build",            # _build_*(kind, *keywords): yields, then checks
+        "build",            # _build_*(kind, *keywords) -> the structure
+        "ingredient_rows",  # its ingredients, in check order (see above)
         "keywords",         # build_standard ingredients, in `build` order
         "tables",           # builder tables of a document
         "from_tables",      # (table maps, basis_a, basis_aprime) -> keywords
@@ -451,32 +466,55 @@ class _Kind(namedtuple("_Kind", (
 
 _KINDS = {
     "modified_direct_sum": _Kind(
-        _build_modified, ("algebra", "weight"), ("product",),
+        _build_modified, (_algebra("algebra", 14),),
+        ("algebra", "weight"), ("product",),
         _doc_algebra, ("weight",), True,
         "modified Rota-Baxter operator of weight {weight}", None),
     "semidirect": _Kind(
-        _build_semidirect, ("rep",), ("product", "rho", "mu"),
+        _build_semidirect,
+        (_algebra("algebra", 0),
+         _identities("representation", (1, 2, 7), _REPRESENTATION)),
+        ("rep",), ("product", "rho", "mu"),
         _doc_semidirect, (), False,
         "derivation", "relative Rota-Baxter operator of weight 0"),
     "semidirect_assoc": _Kind(
-        _build_semidirect_assoc, ("assoc_rep",),
+        _build_semidirect_assoc,
+        (_algebra("algebra", 0), _algebra("module algebra", 14),
+         _identities("associative representation", (1, 2, 7, 8, 9, 10),
+                     _ASSOCIATIVE_REPRESENTATION)),
+        ("assoc_rep",),
         ("product", "product_prime", "rho", "mu"),
         _doc_semidirect_assoc, (), False, "crossed homomorphism", None),
     "direct_product": _Kind(
-        _build_direct_product, ("algebra", "algebra_prime"),
+        _build_direct_product,
+        (_algebra("algebra", 0), _algebra("second algebra", 14)),
+        ("algebra", "algebra_prime"),
         ("product", "product_prime"),
         _doc_direct_product, (), False,
         "associative algebra homomorphism", None),
     "abelian_extension": _Kind(
-        _build_abelian_extension, ("cocycle",),
+        _build_abelian_extension,
+        (_algebra("algebra", 0),
+         _identities("representation", (1, 2, 7), _REPRESENTATION),
+         ("omega is not a 2-cocycle: the extension product fails "
+          "associativity", ((6, None),))),
+        ("cocycle",),
         ("product", "rho", "mu", "omega"),
         _doc_abelian_extension, (), False,
         None, "twisted Rota-Baxter operator"),
     "reynolds": _Kind(
-        _build_reynolds, ("algebra",), ("product",),
+        _build_reynolds, (_algebra("algebra", 0),), ("algebra",), ("product",),
         _doc_algebra, (), True, None, "Reynolds operator"),
     "matched_pair": _Kind(
-        _build_matched_pair, ("matched_pair",),
+        _build_matched_pair,
+        (_algebra("algebra A", 0), _algebra("algebra A'", 14),
+         _identities("(A'; rho, mu) representation", (1, 2, 7),
+                     _REPRESENTATION),
+         _identities("(A; eta, xi) representation", (13, 11, 12),
+                     _REPRESENTATION),
+         _identities("matched pair compatibility", (8, 10, 5, 4, 9, 3),
+                     _MATCHED_PAIR)),
+        ("matched_pair",),
         ("product", "product_prime", "rho", "mu", "eta", "xi"),
         _doc_matched_pair, (), False,
         None, "deformation map of a matched pair"),

@@ -27,6 +27,12 @@ TRUNC3_TABLE = [
     [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
     [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
 ]
+# upper triangular 2x2 matrices T_2, basis (e11, e12, e22): not commutative
+T2_TABLE = [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+    [[0, 0, 0], [0, 0, 0], [0, 1, 0]],
+    [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
+]
 
 
 def one_dim_algebra():
@@ -40,6 +46,11 @@ def dual_numbers():
 def trunc3():
     return AssociativeAlgebra.from_table(TRUNC3_TABLE, 3,
                                          basis_names=["1", "t", "t2"])
+
+
+def upper_triangular():
+    return AssociativeAlgebra.from_table(T2_TABLE, 3,
+                                         basis_names=["e11", "e12", "e22"])
 
 
 @pytest.fixture

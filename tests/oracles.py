@@ -1,4 +1,4 @@
-"""The closed formulas that production no longer evaluates, kept as
+"""Second derivations that production no longer evaluates, kept as
 reference oracles for the tests.
 
 `right_residual`, `left_residual`, `twist_right` and `twist_left` spell
@@ -12,13 +12,26 @@ these from one rule each (`qta.deformation.twist_blocks` and the blocks of
 through the public `CurvedLInftyStructure.bracket`, which lifts every
 argument again for each bracket it enters; the library lifts each
 argument and each inner bracket once.
+
+The ingredient checks (`check_representation`,
+`check_associative_representation`, `check_matched_pair`,
+`cocycle_residual`, with `require` and `require_assoc` raising the
+builders' IngredientError texts) evaluate each classical identity on its
+own ingredients; `build_standard` reads the same verdicts off rows of the
+one bracket.  `l1_vs_d` and `duality_check` return True by theorem.
 """
 
-from qta.deformation import TwistResult, _check_side_map
-from qta.errors import DegreeError
+from qta.algebras import check_associative
+from qta.cohomology import _check_cochain, _evaluate, _structural_terms
+from qta import deformation
+from qta.deformation import TwistResult, _check_side_map, side_spec
+from qta.errors import DegreeError, DimensionError, IngredientError
+from qta.linalg import ExactMatrix, invert
+from qta.linfty import controlling_structure
 from qta.multilinear import (
-    A, APRIME, MultilinearMap, circle, gerstenhaber, insert, koszul_sign,
-    lift, project, unshuffles,
+    A, APRIME, MultilinearMap, _sign, circle, gerstenhaber, insert,
+    koszul_sign, lift, linear_map_from_matrix, matrix_from_linear_map,
+    project, unshuffles,
 )
 from qta.quasitwilled import StructureResidual
 
@@ -186,3 +199,146 @@ def jacobi_residual(s, n, args):
             term = outer.scale(eps)
             total = term if total is None else total + term
     return total
+
+
+# -- the ingredient identities, one check per ingredient ----------------------
+
+
+class ResidualReport:
+    """Named residual maps; zero iff the checked identities hold."""
+
+    def __init__(self, named_residuals):
+        self.residuals = list(named_residuals)
+
+    @property
+    def is_zero(self):
+        return all(m.is_zero() for _, m in self.residuals)
+
+    def nonzero_names(self):
+        return [name for name, m in self.residuals if not m.is_zero()]
+
+    def __iter__(self):
+        return iter(self.residuals)
+
+    def __repr__(self):
+        bad = self.nonzero_names()
+        return "ResidualReport(zero)" if not bad else f"ResidualReport(nonzero={bad})"
+
+
+def check_representation(rep):
+    """Residuals of the three representation identities.
+
+    rho(x.y) = rho(x)rho(y),  mu(x.y) = mu(y)mu(x),  rho(x)mu(y) = mu(y)rho(x).
+    """
+    pi = rep.algebra.product.with_dims(rep.rho.dims)
+    rho, mu = rep.rho, rep.mu
+    r_left = insert(rho, pi, 0) - insert(rho, rho, 1)
+    r_right = insert(mu, pi, 1) - insert(mu, mu, 0)
+    r_mixed = insert(rho, mu, 1) - insert(mu, rho, 0)
+    return ResidualReport([
+        ("rho(x.y) - rho(x)rho(y)", r_left),
+        ("mu(x.y) - mu(y)mu(x)", r_right),
+        ("rho(x)mu(y) - mu(y)rho(x)", r_mixed),
+    ])
+
+
+def check_associative_representation(ar):
+    """Representation residuals plus the three product compatibilities.
+
+    rho(x)(u.v) = (rho(x)u).v,  u.(rho(x)v) = (mu(x)u).v,
+    u.(mu(x)v) = mu(x)(u.v).
+    """
+    base = check_representation(ar)
+    rho, mu, star = ar.rho, ar.mu, ar.prime_product
+    # domains: c1 (alg, sp, sp); c2 (sp, alg, sp); c3 (sp, sp, alg)
+    c1 = insert(rho, star, 1) - insert(star, rho, 0)
+    c2 = insert(star, rho, 1) - insert(star, mu, 0)
+    c3 = insert(star, mu, 1) - insert(mu, star, 0)
+    return ResidualReport(list(base) + [
+        ("rho(x)(u.v) - (rho(x)u).v", c1),
+        ("u.(rho(x)v) - (mu(x)u).v", c2),
+        ("u.(mu(x)v) - mu(x)(u.v)", c3),
+    ])
+
+
+def check_matched_pair(mp):
+    """Residuals of the six matched-pair compatibility identities."""
+    pi = mp.alg_a.product.with_dims(mp.dims)
+    beta = mp.alg_prime.product.with_dims(mp.dims)
+    rho, mu, eta, xi = mp.rho, mp.mu, mp.eta, mp.xi
+    # domain (A, A', A'): rho(x)(u.v) = rho(xi(u)x)v + (rho(x)u).v
+    r1 = insert(rho, beta, 1) - insert(rho, xi, 0) - insert(beta, rho, 0)
+    # domain (A', A', A): mu(x)(u.v) = mu(eta(v)x)u + u.(mu(x)v)
+    r2 = insert(mu, beta, 0) - insert(mu, eta, 1) - insert(beta, mu, 1)
+    # domain (A', A, A): eta(u)(x.y) = eta(mu(x)u)y + (eta(u)x).y
+    r3 = insert(eta, pi, 1) - insert(eta, mu, 0) - insert(pi, eta, 0)
+    # domain (A, A, A'): xi(u)(x.y) = xi(rho(y)u)x + x.(xi(u)y)
+    r4 = insert(xi, pi, 0) - insert(xi, rho, 1) - insert(pi, xi, 1)
+    # domain (A', A, A'): rho(eta(u)x)v + (mu(x)u).v = mu(xi(v)x)u + u.(rho(x)v)
+    r5 = (insert(rho, eta, 0) + insert(beta, mu, 0)
+          - insert(mu, xi, 1) - insert(beta, rho, 1))
+    # domain (A, A', A): eta(rho(x)u)y + (xi(u)x).y = xi(mu(y)u)x + x.(eta(u)y)
+    r6 = (insert(eta, rho, 0) + insert(pi, xi, 0)
+          - insert(xi, mu, 1) - insert(pi, eta, 1))
+    return ResidualReport([
+        ("rho(x)(u.v) - rho(xi(u)x)v - (rho(x)u).v", r1),
+        ("mu(x)(u.v) - mu(eta(v)x)u - u.(mu(x)v)", r2),
+        ("eta(u)(x.y) - eta(mu(x)u)y - (eta(u)x).y", r3),
+        ("xi(u)(x.y) - xi(rho(y)u)x - x.(xi(u)y)", r4),
+        ("rho(eta(u)x)v + (mu(x)u).v - mu(xi(v)x)u - u.(rho(x)v)", r5),
+        ("eta(rho(x)u)y + (xi(u)x).y - xi(mu(y)u)x - x.(eta(u)y)", r6),
+    ])
+
+
+def cocycle_residual(cocycle):
+    """rho(x)w(y,z) - w(x.y,z) + w(x,y.z) - mu(z)w(x,y), the Hochschild
+    coboundary of w = omega: zero iff omega is a 2-cocycle."""
+    rep, omega = cocycle.rep, cocycle.omega
+    pi = rep.algebra.product.with_dims(omega.dims)
+    return (insert(rep.rho, omega, 1) - insert(omega, pi, 0)
+            + insert(omega, pi, 1) - insert(rep.mu, omega, 0))
+
+
+def require(check_report, what):
+    if not check_report.is_zero:
+        raise IngredientError(
+            f"{what} fails: {check_report.nonzero_names()}")
+
+
+def require_assoc(alg, what):
+    if not check_associative(alg).is_zero():
+        raise IngredientError(f"{what} is not associative")
+
+
+# -- harnesses that return True by theorem ------------------------------------
+
+
+def l1_vs_d(q, m, side, f):
+    """Whether the twisted l_1 equals (-1)^(m-1) d on a cochain of arity m.
+
+    This is a theorem for deformation maps, so the return value is always
+    True; the function is a verification harness.
+    """
+    terms = _structural_terms(*side_spec(side).checked_triple(q, m))
+    s = controlling_structure(q, side).twist(m)
+    lhs = s.bracket(1, [f])
+    _check_cochain(q, side, f)
+    rhs = _evaluate(terms, f).scale(_sign(f.arity - 1))
+    return lhs == rhs
+
+
+def duality_check(q, d):
+    """Right residual of D vanishes iff the left residual of D^{-1} does.
+
+    This is a theorem, so the returned value is always True; the function
+    exists as a verification harness.  Raises SingularMap when D is not
+    invertible and DimensionError when dim A != dim A'.
+    """
+    _check_side_map(q, d, "right")
+    if q.dim_a != q.dim_aprime:
+        raise DimensionError("duality needs dim A == dim A'")
+    mat = ExactMatrix.from_rows(matrix_from_linear_map(d))
+    inv = invert(mat)  # SingularMap if not invertible
+    b = linear_map_from_matrix(inv.rows(), APRIME, A, q.dims)
+    return (deformation.right_residual(q, d).is_zero()
+            == deformation.left_residual(q, b).is_zero())

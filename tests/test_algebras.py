@@ -2,12 +2,15 @@ from fractions import Fraction
 
 from qta import (
     A, APRIME, AssociativeAlgebra, AssociativeRepresentation, MultilinearMap,
-    RepresentationPair, check_associative, check_associative_representation,
-    check_matched_pair, check_representation, regular_representation,
+    RepresentationPair, check_associative, regular_representation,
 )
 
 from conftest import (
     dual_numbers, one_dim_algebra, regular_assoc_rep, regular_matched_pair,
+)
+from oracles import (
+    check_associative_representation, check_matched_pair,
+    check_representation,
 )
 
 

@@ -10,8 +10,7 @@ from qta import (
     A, APRIME, DegreeError, DimensionError, ExactMatrix, InvalidQTA,
     MultilinearMap, NotDeformationMap, QuasiTwilledAlgebra, build_standard,
     coboundary_apply, coboundary_apply_expanded, coboundary_matrix,
-    cochain_complex, cohomology_dims, hochschild_complex, l1_vs_d,
-    emit_example,
+    cochain_complex, cohomology_dims, hochschild_complex, emit_example,
     induced_left_structures, induced_right_structures, random_map,
     regular_representation, seeded_rng,
 )
@@ -25,6 +24,7 @@ from conftest import (
     dual_numbers, left_map, one_dim_algebra, quotient_dim, right_map,
     row_reduce,
 )
+from oracles import l1_vs_d
 
 
 def semidirect_one():

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 from qta import (
     A, APRIME, AssociativeAlgebra, DimensionError, NotDeformationMap,
     SingularMap, UnknownKind, build_standard, catalog_names,
-    check_associative, check_representation, classify_operator,
-    coboundary_apply, coboundary_apply_expanded, coboundary_matrix,
-    cohomology_dims, conjugation_twist, controlling_structure,
-    duality_check, emit_example, explicit_formula, get_entry, graph_residual,
+    check_associative, classify_operator, coboundary_apply,
+    coboundary_apply_expanded, coboundary_matrix, cohomology_dims,
+    conjugation_twist, controlling_structure, emit_example,
+    explicit_formula, get_entry, graph_residual,
     induced_left_structures, induced_right_structures, left_residual,
     mc_residual, random_map, regular_representation, right_residual,
     seeded_rng, twist_left, twist_right, validate,
@@ -21,6 +21,7 @@ from conftest import (
     builder_instances, change_of_basis, conjugated_structure, dual_numbers,
     left_map, one_dim_algebra, right_map,
 )
+from oracles import check_representation, duality_check
 
 
 # -- residual grids (scalar substitutions, frozen) ---------------------------

@@ -7,15 +7,18 @@ from qta import (
     AssociativeAlgebra, UnknownKind, build_standard, circle, lift, msum,
     project, seeded_rng, structure_residuals, total_product, validate,
 )
-from qta import quasitwilled
-from qta.algebras import (
-    check_associative_representation, check_matched_pair,
-    check_representation,
-)
+from qta import check_associative, quasitwilled
 from qta.quasitwilled import _KINDS, BUILDER_KINDS
 
 import oracles
-from conftest import DUAL_TABLE, builder_instances, dual_numbers, one_dim_algebra
+from conftest import (
+    T2_TABLE, builder_instances, dual_numbers, one_dim_algebra,
+    upper_triangular,
+)
+from oracles import (
+    check_associative_representation, check_matched_pair,
+    check_representation,
+)
 
 
 @pytest.mark.parametrize("algname", ["one", "dual"])
@@ -203,10 +206,7 @@ def test_matched_pair_oracle_equivalence():
     # associative, both action pairs representations, and the six
     # compatibility identities -- tested by perturbing the raw components
     # (bypassing the builder's ingredient checks)
-    from qta import (
-        AssociativeAlgebra, MatchedPairData, check_associative,
-        check_matched_pair, check_representation, seeded_rng,
-    )
+    from qta import MatchedPairData
     from conftest import regular_matched_pair
     rng = seeded_rng(77)
     mp = regular_matched_pair(dual_numbers())
@@ -338,13 +338,13 @@ def test_perturbed_raw_oracle_agrees():
     assert disagreements > 0
 
 
-# -- ingredient checks run only on a failed validation --------------------------
+# -- ingredient verdicts read off the bracket rows ----------------------------
 
 def _upfront_checks(kind, ing, raw):
     """The ingredient checks each builder ran before it built, in that
     order (and, for an abelian extension, the validation of the built
     structure `raw`): the oracle for the error a failing build raises."""
-    req, assoc = quasitwilled._require, quasitwilled._require_assoc
+    req, assoc = oracles.require, oracles.require_assoc
     if kind in ("modified_direct_sum", "reynolds"):
         assoc(ing["algebra"], "algebra")
     elif kind == "direct_product":
@@ -374,17 +374,94 @@ def _upfront_checks(kind, ing, raw):
         req(check_matched_pair(mp), "matched pair compatibility")
 
 
-def _dual_number_tables():
-    """Builder tables (see qta.io) of every kind over the dual numbers at
-    dims (2,2): regular actions, omega the product, eta = xi = 0."""
-    prod = MultilinearMap.from_table(DUAL_TABLE, (A, A), A, (2, 2))
+def _ingredient_identities(kind, ing):
+    """The oracle's residuals of each ingredient of a kind, in check order:
+    per ingredient, its (identity name, map), with no name for an
+    algebra's associator and for the cocycle condition."""
+    def assoc(alg):
+        return [(None, check_associative(alg))]
+
+    if kind in ("modified_direct_sum", "reynolds"):
+        return [assoc(ing["algebra"])]
+    if kind == "direct_product":
+        return [assoc(ing["algebra"]), assoc(ing["algebra_prime"])]
+    if kind == "semidirect":
+        return [assoc(ing["rep"].algebra),
+                list(check_representation(ing["rep"]))]
+    if kind == "abelian_extension":
+        rep = ing["cocycle"].rep
+        return [assoc(rep.algebra), list(check_representation(rep)),
+                [(None, oracles.cocycle_residual(ing["cocycle"]))]]
+    if kind == "semidirect_assoc":
+        ar = ing["assoc_rep"]
+        return [assoc(ar.algebra), assoc(AssociativeAlgebra(ar.prime_product)),
+                list(check_associative_representation(ar))]
+    mp = ing["matched_pair"]
+    return [assoc(mp.alg_a), assoc(mp.alg_prime),
+            list(check_representation(mp.representation_on_prime())),
+            list(check_representation(mp.representation_on_a())),
+            list(check_matched_pair(mp))]
+
+
+def _regular_tables(alg):
+    """Builder tables (see qta.io) of every kind over alg at dims (d, d):
+    regular actions, omega the product, eta = xi = 0."""
+    dims = (alg.dim, alg.dim)
+    prod = alg.product.with_dims(dims)
     return {"product": prod,
             "product_prime": prod.relabel((APRIME, APRIME), APRIME),
             "rho": prod.relabel((A, APRIME), APRIME),
             "mu": prod.relabel((APRIME, A), APRIME),
-            "eta": MultilinearMap.zero((APRIME, A), A, (2, 2)),
-            "xi": MultilinearMap.zero((A, APRIME), A, (2, 2)),
+            "eta": MultilinearMap.zero((APRIME, A), A, dims),
+            "xi": MultilinearMap.zero((A, APRIME), A, dims),
             "omega": prod.relabel((A, A), APRIME)}
+
+
+def _matrix_tables():
+    """M_2 = T_2 + K e21, at dims (3, 1): both summands are subalgebras, so
+    the blocks of the matrix product are a matched pair, with eta and xi
+    nonzero (e21.e12 = e22, e12.e21 = e11); omega is zero."""
+    dims = (3, 1)
+    return {"product": MultilinearMap.from_table(T2_TABLE, (A, A), A, dims),
+            "product_prime": MultilinearMap.zero((APRIME, APRIME), APRIME,
+                                                 dims),
+            "rho": MultilinearMap.from_table(           # e22.e21 = e21
+                [[[0]], [[0]], [[1]]], (A, APRIME), APRIME, dims),
+            "mu": MultilinearMap.from_table(            # e21.e11 = e21
+                [[[1], [0], [0]]], (APRIME, A), APRIME, dims),
+            "eta": MultilinearMap.from_table(
+                [[[0, 0, 0], [0, 0, 1], [0, 0, 0]]], (APRIME, A), A, dims),
+            "xi": MultilinearMap.from_table(
+                [[[0, 0, 0]], [[1, 0, 0]], [[0, 0, 0]]], (A, APRIME), A,
+                dims),
+            "omega": MultilinearMap.zero((A, A), APRIME, dims)}
+
+
+def _regular_cases():
+    """(tables, basis of A, basis of A') of the regular tables over the
+    dual numbers and over the non-commutative T_2."""
+    for alg in (dual_numbers(), upper_triangular()):
+        yield (_regular_tables(alg), alg.basis_names,
+               [n + "'" for n in alg.basis_names])
+
+
+def _perturbed(tables, names, rng):
+    """The tables with one entry of one named table moved by a small
+    nonzero rational."""
+    tables = dict(tables)
+    name = rng.choice(names)
+    m = tables[name]
+    store = dict(m.store)
+    i = rng.randrange(len(m.coeffs))
+    store[i] = store.get(i, 0) + rng.choice([-2, -1, 1, Fraction(1, 2)])
+    tables[name] = MultilinearMap(m.domain, m.codomain, m.dims, store)
+    return tables
+
+
+def _ingredients(row, tables, basis_a, basis_aprime):
+    ing = row.from_tables(tables, basis_a, basis_aprime)
+    ing.update({key: Fraction(4) for key in row.scalars})
+    return ing
 
 
 def _error_text(fn):
@@ -397,30 +474,64 @@ def _error_text(fn):
 
 @pytest.mark.parametrize("kind", BUILDER_KINDS)
 def test_failed_validation_names_the_upfront_ingredient_error(kind):
-    # seeded perturbations of one builder table entry: a build fails with
-    # the IngredientError text of the old upfront checks, and an
-    # ingredient check fails exactly when validate does
+    # seeded perturbations of one builder table entry, over the dual
+    # numbers and the non-commutative T_2: a build fails with the
+    # IngredientError text of the old upfront checks, and an ingredient
+    # check fails exactly when validate does
     row = _KINDS[kind]
     rng = seeded_rng(sorted(BUILDER_KINDS).index(kind))
-    texts = []
-    for trial in range(30):
-        tables = _dual_number_tables()
-        if trial:  # trial 0 keeps the valid ingredients
-            name = rng.choice(row.tables)
-            m = tables[name]
-            store = dict(m.store)
-            i = rng.randrange(len(m.coeffs))
-            store[i] = store.get(i, 0) + rng.choice([-2, -1, 1, Fraction(1, 2)])
-            tables[name] = MultilinearMap(m.domain, m.codomain, m.dims, store)
-        ing = row.from_tables(tables, ["1", "t"], ["1'", "t'"])
-        ing.update({key: Fraction(4) for key in row.scalars})
-        # the structure a builder yields before its ingredient checks
-        raw = next(row.build(kind, *(ing[k] for k in row.keywords)))
-        want = _error_text(lambda: _upfront_checks(kind, ing, raw))
-        assert _error_text(lambda: build_standard(kind, **ing)) == want
-        assert (want is None) == validate(raw).is_zero()
-        texts.append(want)
-    assert texts[0] is None and any(texts), texts
+    for tables, basis_a, basis_aprime in _regular_cases():
+        texts = []
+        for trial in range(30):
+            # trial 0 keeps the valid ingredients
+            ing = _ingredients(
+                row, _perturbed(tables, row.tables, rng) if trial else tables,
+                basis_a, basis_aprime)
+            raw = row.build(kind, *(ing[k] for k in row.keywords))
+            want = _error_text(lambda: _upfront_checks(kind, ing, raw))
+            assert _error_text(lambda: build_standard(kind, **ing)) == want
+            assert (want is None) == validate(raw).is_zero()
+            texts.append(want)
+        assert texts[0] is None and any(texts), (basis_a, texts)
+
+
+@pytest.mark.parametrize("kind", BUILDER_KINDS)
+def test_each_mapped_row_is_its_identity(kind):
+    # on the zero blocks of its kind, each EQUATIONS row that names an
+    # ingredient identity is that identity's residual (the oracle's, from
+    # the ingredients alone) times one fixed nonzero scalar, coefficient
+    # for coefficient; every mapped row is seen nonzero
+    row = _KINDS[kind]
+    rng = seeded_rng(100 + sorted(BUILDER_KINDS).index(kind))
+    cases = list(_regular_cases())
+    if not row.same_dims and "omega" not in row.tables:
+        cases.append((_matrix_tables(), ["e11", "e12", "e22"], ["e21"]))
+    scalars = {}
+    for tables, basis_a, basis_aprime in cases:
+        for trial in range(12):
+            for _ in range(1 + trial % 3):
+                tables = _perturbed(tables, row.tables, rng)
+            ing = _ingredients(row, tables, basis_a, basis_aprime)
+            rows = structure_residuals(
+                row.build(kind, *(ing[k] for k in row.keywords)))
+            oracle = _ingredient_identities(kind, ing)
+            assert len(oracle) == len(row.ingredient_rows)
+            for (message, identities), named in zip(row.ingredient_rows,
+                                                    oracle):
+                assert [n for _, n in identities] == [n for n, _ in named]
+                for (i, name), (_, residual) in zip(identities, named):
+                    got, want = rows[i].residual.coeffs, residual.coeffs
+                    assert len(got) == len(want), (message, i)
+                    lead = next((k for k, v in enumerate(want) if v), None)
+                    if lead is None:
+                        assert not any(got), (message, i)
+                        continue
+                    c = scalars.setdefault(i, got[lead] / want[lead])
+                    assert c and list(got) == [c * v for v in want], (
+                        message, i)
+    mapped = {i for _, identities in row.ingredient_rows
+              for i, _ in identities}
+    assert set(scalars) == mapped, sorted(mapped - set(scalars))
 
 
 def test_basis_names_must_match_dims():

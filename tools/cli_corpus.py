@@ -13,9 +13,11 @@ in process through `qta.cli.main`.  The corpus is:
 * `classify`, `twist`, `mc` and `cohomology --max-degree 3` on every
   catalog (map, side) pair;
 * `jacobi` at arities 0-4 for seeds 0 and 1 on every catalog side;
-* failure documents: a structure that is not quasi-twilled, a Reynolds
-  document whose product is not associative, a map that is not a
-  deformation map, malformed documents and a missing file;
+* failure documents: a structure that is not quasi-twilled; builder
+  documents whose ingredient fails (a Reynolds product that is not
+  associative, a semidirect representation, a matched-pair compatibility
+  and an abelian-extension cocycle); a map that is not a deformation map,
+  malformed documents and a missing file;
 * usage errors: no command, an unknown command, a missing `--map`, a bad
   `--side`, a non-integer `--max-degree`, an extra token, `-h` on each
   command, `--js` and a repeated `--json`;
@@ -61,7 +63,33 @@ FAILURE_DOCUMENTS = {
                            "product": [[["0", "1"], ["0", "0"]],
                                        [["1", "0"], ["0", "0"]]]}},
                        "maps": {"B": [["0", "0"], ["0", "0"]]}},
+    # e.e = e with rho = 2: rho(e.e) = 2 but rho(e)rho(e) = 4
+    "bad-representation": {
+        "field": "rational",
+        "spaces": {"A": {"dim": 1}, "Aprime": {"dim": 1}},
+        "builder": {"kind": "semidirect", "tables": {
+            "product": [[["1"]]], "rho": [[["2"]]], "mu": [[["0"]]]}},
+        "maps": {"D": [["0"]], "B": [["0"]]}},
+    # e.e = e, f.f = f, rho = xi = 1, mu = eta = 0: two representations,
+    # but rho(e)(f.f) = f while rho(xi(f)e)f + (rho(e)f).f = 2f
+    "bad-matched-pair": {
+        "field": "rational",
+        "spaces": {"A": {"dim": 1}, "Aprime": {"dim": 1}},
+        "builder": {"kind": "matched_pair", "tables": {
+            "product": [[["1"]]], "product_prime": [[["1"]]],
+            "rho": [[["1"]]], "mu": [[["0"]]], "eta": [[["0"]]],
+            "xi": [[["1"]]]}},
+        "maps": {"B": [["0"]]}},
+    # e.e = e, rho = 1, mu = 0, omega = 1: d omega (e,e,e) = 1
+    "bad-cocycle": {
+        "field": "rational",
+        "spaces": {"A": {"dim": 1}, "Aprime": {"dim": 1}},
+        "builder": {"kind": "abelian_extension", "tables": {
+            "product": [[["1"]]], "rho": [[["1"]]], "mu": [[["0"]]],
+            "omega": [[["1"]]]}},
+        "maps": {"B": [["0"]]}},
 }
+SIDES = {"D": "right", "B": "left"}
 
 MALFORMED = {
     "field-tag": '{"field": "real", "spaces": {"A": {"dim": 1}, '
@@ -117,10 +145,9 @@ def corpus(docs):
     for name, doc in FAILURE_DOCUMENTS.items():
         path = str(docs / f"{name}.json")
         Path(path).write_text(json.dumps(doc), encoding="utf-8")
-        side_maps = (("D", "right"), ("B", "left")) if name == "invalid" \
-            else (("B", "left"),)
         calls.append((["--json", "validate", path], None))
-        for map_name, side in side_maps:
+        for map_name in doc["maps"]:
+            side = SIDES[map_name]
             for cmd in ("classify", "twist", "mc", "cohomology"):
                 calls.append((["--json", cmd, "--map", map_name, "--side",
                                side, path], None))
