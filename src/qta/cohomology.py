@@ -42,11 +42,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import lcm
 
 from .deformation import side_spec
 from .errors import DegreeError, DimensionError
-from .linalg import ExactMatrix, _echelon, _row_products
+from .linalg import (
+    ExactMatrix, _denominator, _echelon, _ints, _row_products,
+)
 from .multilinear import _sign, insert, msum
 
 MAX_DEGREE_CAP = 5
@@ -139,13 +140,14 @@ def _expanded_terms(q, m, side):
 
 
 def _nonzeros(g):
-    """(a, b, l, v) for every nonzero coefficient v of e_l in g(e_a, e_b)."""
+    """{(a, b, l): v} for every nonzero coefficient v of e_l in
+    g(e_a, e_b), in the order of the flat index."""
     second, cod = g.slot_sizes[1], g.cod_size
-    out = []
+    out = {}
     for idx in sorted(g.store):
         row, l = divmod(idx, cod)
         a, b = divmod(row, second)
-        out.append((a, b, l, g.store[idx]))
+        out[a, b, l] = g.store[idx]
     return out
 
 
@@ -161,7 +163,9 @@ def _table(product, left, right):
     denominator and the slot and codomain sizes.
 
     Every structure constant is an int over the lcm of the denominators
-    of all nonzero constants of the triple (1 for integral tables).
+    of all nonzero constants of the triple (1 for integral tables),
+    cleared by `linalg._denominator` and `_ints` as in
+    `ExactMatrix.matmul`.
     Raises DimensionError unless product is L L -> L, left is L M -> M
     and right is M L -> M for one pair of labels (L, M), on equal dims.
     """
@@ -173,9 +177,8 @@ def _table(product, left, right):
             "a Hochschild triple needs a product L L -> L, a left action "
             "L M -> M and a right action M L -> M on equal dims")
     nonzeros = (_nonzeros(left), _nonzeros(product), _nonzeros(right))
-    den = lcm(*{v.denominator for nz in nonzeros for *_, v in nz})
-    table = tuple([(a, b, l, v.numerator * (den // v.denominator))
-                   for a, b, l, v in nz] for nz in nonzeros)
+    den = _denominator(nonzeros)
+    table = tuple(_ints(nz, den) for nz in nonzeros)
     return table, den, left.slot_sizes[0], left.cod_size
 
 
@@ -202,19 +205,19 @@ def _assemble(table, n, d, c):
     left, inner, right = table
     rows = defaultdict(dict)
     dn = d ** n
-    for a, b, l, v in left:                     # left(e_a, f(S) = e_b)
+    for (a, b, l), v in left.items():           # left(e_a, f(S) = e_b)
         for s in range(dn):
             row = rows[(a * dn + s) * c + l]
             j = s * c + b
             row[j] = row.get(j, 0) + v
     sign = _sign(n + 1)
-    for a, b, l, v in right:                    # right(f(S) = e_a, e_b)
+    for (a, b, l), v in right.items():          # right(f(S) = e_a, e_b)
         val = sign * v
         for s in range(dn):
             row = rows[(s * d + b) * c + l]
             j = s * c + a
             row[j] = row.get(j, 0) + val
-    for a, b, p, v in inner:
+    for (a, b, p), v in inner.items():
         for i in range(1, n + 1):
             # column tuple (pre, p, suf) -> row tuple (pre, a, b, suf)
             lo = d ** (n - i)

@@ -13,6 +13,11 @@ c has the flat index space range(d1*...*dm*c); the entry for basis tuple
 A store is a dict {flat index: value} that holds only the nonzero entries.
 Every entry point accumulates into one output store and drops an entry as
 soon as its sum cancels to zero, so a store never holds a zero.
+
+The loops only negate, multiply, add and test for zero, so they work on
+any exact values: `quasitwilled.validate` feeds `circle` ints (Delta
+cleared to one common denominator), and every other caller feeds
+Fractions.
 """
 
 

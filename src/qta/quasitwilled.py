@@ -10,9 +10,13 @@ The total product decomposes into seven components
 with no A'(x)A' -> A component (that block being zero is exactly the
 subalgebra condition).  A structure is immutable and builds its total
 product Delta once.  Being quasi-twilled is one equation, [Delta, Delta] =
-0, and `validate` computes its half-bracket.  Its sixteen blocks are the
-sixteen block equations of associativity (`EQUATIONS`): fifteen involve
-the components, and the sixteenth (the A'A'A' -> A block) holds
+0, and `validate` computes its half-bracket over the integers: Delta is
+cleared to ints over one common denominator L, the kernel's circle product
+runs on those ints, and what survives comes back as Fractions over L^2, so
+the half-bracket is the Fraction one, bit for bit (brackets, twists and
+the controlling algebra still multiply Fractions).  Its sixteen blocks
+are the sixteen block equations of associativity (`EQUATIONS`): fifteen
+involve the components, and the sixteenth (the A'A'A' -> A block) holds
 automatically for data of this shape.  `structure_residuals` reads the
 rows off the one bracket; the literal evaluation of each displayed
 equation is a test oracle.  `require_quasi_twilled` is the one validity
@@ -23,8 +27,9 @@ The stock builders (`build_standard`) read their ingredient verdicts off
 the same rows: for the zero blocks of a kind, each of its ingredient
 identities (associativity, the representation, associative-representation
 and matched-pair identities, the cocycle condition) is one row times a
-fixed nonzero scalar.  A failed build names the first ingredient whose
-rows are nonzero; the per-identity checks are test oracles.
+fixed nonzero scalar.  A build computes the half-bracket once; if it
+fails, the rows of that same bracket name the first ingredient whose rows
+are nonzero.  The per-identity checks are test oracles.
 """
 
 from __future__ import annotations
@@ -33,12 +38,16 @@ from collections import namedtuple
 from fractions import Fraction
 from types import MappingProxyType
 
+from . import kernel
 from .algebras import (
     AssociativeAlgebra, AssociativeRepresentation, Cocycle2, MatchedPairData,
     RepresentationPair, regular_representation,
 )
 from .errors import DimensionError, IngredientError, InvalidQTA, UnknownKind
-from .multilinear import A, APRIME, MultilinearMap, circle, lift, msum, project
+from .linalg import _denominator, _ints
+from .multilinear import (
+    A, APRIME, MultilinearMap, _adopt, lift, msum, project,
+)
 
 COMPONENT_SIGNATURES = {
     "pi": ((A, A), A),
@@ -156,19 +165,45 @@ def total_product(q):
 
 
 def validate(q):
-    """Half-bracket of the total product; zero iff q is quasi-twilled."""
-    omega = total_product(q)
-    return circle(omega, omega)
+    """Half-bracket Delta o Delta = 1/2 [Delta, Delta] of the total
+    product; zero iff q is quasi-twilled.
+
+    It runs over the integers: the store of Delta is cleared to ints over
+    L, the lcm of its denominators (`linalg._denominator`, `_ints`), the
+    kernel's circle product runs on that int store, and each entry that
+    survives is v / L^2.  The result equals the circle product over
+    Fractions entry for entry, in the same store order.
+    """
+    delta = total_product(q)
+    den = _denominator((delta.store,))
+    ints = _ints(delta.store, den)
+    sizes, cod = delta.slot_sizes, delta.cod_size
+    den *= den
+    store = kernel.circle(ints, sizes, cod, ints, sizes, cod)
+    return _adopt((delta.codomain,) * 3, delta.codomain, delta.dims,
+                  (cod,) * 3, cod,
+                  {i: Fraction(v, den) for i, v in store.items()})
+
+
+def _passes(q, half):
+    """Whether the half-bracket `half` of q vanishes; a pass is kept on q
+    as `verified`."""
+    if half.is_zero():
+        object.__setattr__(q, "verified", True)
+        return True
+    return False
+
+
+_NOT_QUASI_TWILLED = ("structure equations fail; not a quasi-twilled "
+                      "algebra")
 
 
 def require_quasi_twilled(q):
     """The total product Delta of q, raising InvalidQTA unless q is
     quasi-twilled ([Delta, Delta] = 0).  A pass is kept on q for both
     sides and every caller; a failure raises again on every call."""
-    if not q.verified and not validate(q).is_zero():
-        raise InvalidQTA("structure equations fail; not a quasi-twilled "
-                         "algebra")
-    object.__setattr__(q, "verified", True)
+    if not q.verified and not _passes(q, validate(q)):
+        raise InvalidQTA(_NOT_QUASI_TWILLED)
     return total_product(q)
 
 
@@ -250,9 +285,10 @@ def build_standard(kind, **ingredients):
     The output is validated once and carries the pass.  For the shape of
     its kind, each ingredient identity is one row of `EQUATIONS`, so a
     structure is quasi-twilled exactly when its ingredient conditions
-    hold.  Only if validation fails are the rows read, and IngredientError
-    names the first ingredient, in the kind's check order, whose rows are
-    nonzero (`_KINDS`, `ingredient_rows`).
+    hold.  Only if validation fails are the rows read, off the same
+    half-bracket, and IngredientError names the first ingredient, in the
+    kind's check order, whose rows are nonzero (`_KINDS`,
+    `ingredient_rows`).
     """
     if kind not in BUILDER_KINDS:
         raise UnknownKind(f"unknown builder kind {kind!r}")
@@ -266,17 +302,16 @@ def build_standard(kind, **ingredients):
     if missing:
         raise IngredientError(f"{kind} needs the ingredient {missing[0]!r}")
     q = row.build(kind, *(ingredients[k] for k in row.keywords))
-    try:
-        require_quasi_twilled(q)
-    except InvalidQTA:
-        rows = structure_residuals(q)
-        for message, identities in row.ingredient_rows:
-            failed = [name for i, name in identities
-                      if not rows[i].residual.is_zero()]
-            if failed:
-                raise IngredientError(message.format(failed))
-        raise
-    return q
+    half = validate(q)
+    if _passes(q, half):
+        return q
+    rows = equation_rows(half)
+    for message, identities in row.ingredient_rows:
+        failed = [name for i, name in identities
+                  if not rows[i].residual.is_zero()]
+        if failed:
+            raise IngredientError(message.format(failed))
+    raise InvalidQTA(_NOT_QUASI_TWILLED)
 
 
 def _build_modified(kind, alg, weight):

@@ -4,15 +4,20 @@ import pytest
 
 from qta import (
     A, APRIME, IngredientError, MultilinearMap, QuasiTwilledAlgebra,
-    AssociativeAlgebra, UnknownKind, build_standard, circle, lift, msum,
-    project, seeded_rng, structure_residuals, total_product, validate,
+    AssociativeAlgebra, RepresentationPair, UnknownKind, build_standard,
+    catalog_names, circle, emit_example, lift, msum, project,
+    regular_representation, seeded_rng, structure_residuals, total_product,
+    validate,
 )
 from qta import check_associative, quasitwilled
-from qta.quasitwilled import _KINDS, BUILDER_KINDS
+from qta.io import build_quasi_twilled, parse
+from qta.linalg import _denominator
+from qta.quasitwilled import _KINDS, BUILDER_KINDS, equation_rows
 
 import oracles
 from conftest import (
-    T2_TABLE, builder_instances, dual_numbers, one_dim_algebra,
+    T2_TABLE, builder_instances, change_of_basis, conjugated_structure,
+    dual_numbers, one_dim_algebra, trunc3, twisted_structure,
     upper_triangular,
 )
 from oracles import (
@@ -166,11 +171,93 @@ def test_corrupted_semidirect_mu_detected():
     assert not validate(qbad).is_zero()
 
 
+def _perturbed_by(q, rng, amounts):
+    """q with distinct seeded entries of its components moved by the
+    amounts (Delta's blocks are the components', so its entries move
+    alike)."""
+    comps = q.components()
+    entries = rng.sample([(name, i) for name, m in sorted(comps.items())
+                          for i in range(len(m.coeffs))], len(amounts))
+    for (name, i), amount in zip(entries, amounts):
+        m = comps[name]
+        store = dict(m.store)
+        store[i] = store.get(i, 0) + amount
+        comps[name] = MultilinearMap(m.domain, m.codomain, m.dims, store)
+    return QuasiTwilledAlgebra(**comps)
+
+
+def _denominator_of_delta(q):
+    return _denominator((total_product(q).store,))
+
+
+def _fraction_half_bracket(q):
+    """The oracle: the circle product of Delta over Fractions."""
+    omega = total_product(q)
+    return circle(omega, omega)
+
+
+def _half_bracket_cases():
+    """(label, structure): every builder kind over the four stock
+    algebras, every catalog structure, twisted structures (fractional
+    Delta), a change of basis by non-unimodular matrices, and invalid
+    perturbations by 1 and by 1/2, 1/3 and 1/5 (common denominators 1
+    and 30)."""
+    for alg in (one_dim_algebra(), dual_numbers(), trunc3(),
+                upper_triangular()):
+        for kind, q in builder_instances(alg).items():
+            yield f"{kind} over {alg.basis_names}", q
+    for name in catalog_names():
+        yield name, build_quasi_twilled(parse(emit_example(name)))
+    for seed in (3, 5, 7):      # seeds whose twisted Delta is fractional
+        q = twisted_structure(dual_numbers(), seed)
+        assert _denominator_of_delta(q) > 1, seed
+        yield f"twisted, seed {seed}", q
+    q = builder_instances(dual_numbers())["matched_pair"]
+    push = change_of_basis(q.dims, [[2, 1], [0, 1]], [[1, 0], [1, 3]])
+    qc = conjugated_structure(q, push)
+    assert _denominator_of_delta(qc) == 6
+    yield "matched pair in a basis of determinants 2 and 3", qc
+    rng = seeded_rng(30)
+    for kind, q in builder_instances(dual_numbers()).items():
+        for amounts, den in (((1,), 1), ((Fraction(1, 2), Fraction(1, 3),
+                                          Fraction(1, 5)), 30)):
+            qbad = _perturbed_by(q, rng, amounts)
+            while _fraction_half_bracket(qbad).is_zero():
+                qbad = _perturbed_by(q, rng, amounts)
+            assert _denominator_of_delta(qbad) == den
+            yield f"{kind} perturbed by {amounts}", qbad
+
+
 def test_half_bracket_definition():
-    for alg in (one_dim_algebra(),):
-        q = build_standard("reynolds", algebra=alg)
-        omega = total_product(q)
-        assert validate(q) == circle(omega, omega)
+    # the integer verdict against the circle product over Fractions: the
+    # same entries in the same store order, each a Fraction, and so the
+    # same sixteen rows
+    for label, q in _half_bracket_cases():
+        oracle = _fraction_half_bracket(q)
+        half = validate(q)
+        assert half == oracle, label
+        assert list(half.store.items()) == list(oracle.store.items()), label
+        assert all(type(v) is Fraction for v in half.store.values()), label
+        assert structure_residuals(q) == equation_rows(oracle), label
+
+
+def test_a_failed_build_computes_one_bracket(monkeypatch):
+    # the verdict and the ingredient rows of a failed build read one
+    # half-bracket; a passing build computes one too
+    calls = []
+
+    def counting(q):
+        calls.append(q)
+        return validate(q)
+
+    monkeypatch.setattr(quasitwilled, "validate", counting)
+    rep = regular_representation(upper_triangular())
+    doubled = RepresentationPair(rep.algebra, rep.rho.scale(2), rep.mu)
+    with pytest.raises(IngredientError, match="^representation fails: "):
+        build_standard("semidirect", rep=doubled)
+    assert len(calls) == 1
+    build_standard("semidirect", rep=rep)
+    assert len(calls) == 2
 
 
 def test_builder_rejects_bad_ingredients():
