@@ -12,14 +12,18 @@ F_n = Hom((x)^{n+1} A, A'), curvature l_0 = theta, l_k = 0 for k >= 3.
 Left side: F_n = Hom((x)^{n+1} A', A), l_0 = 0, l_k = 0 for k >= 4.
 Degree-0 Maurer-Cartan elements are exactly the deformation maps of the
 matching side.  Twisting by one of them, x, gives the derived brackets of
-e^(ad x) Delta (ad x = [-, lift(x)]), the conjugation twist of Delta.
-`VData` reads Delta, which an immutable structure builds once, through
+e^(ad x) Delta (ad x = [-, lift(x)]), the twist of the total product by
+x.  Lifts of one side's maps compose to zero, so twisting by x and then
+by y is twisting by x + y: a structure is the base one or its twist by
+one map x.  The Maurer-Cartan residual of y is then one block of the
+twist by x + y, and the twisted element is the twisted product, both read
+off `qta.deformation.twist_blocks`; the series sum_n ad_x^n Delta / n! is
+a test oracle (`tests/oracles.py`).  `VData` reads Delta, which an
+immutable structure builds once, through
 `qta.quasitwilled.require_quasi_twilled`: InvalidQTA unless it is valid.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .deformation import side_spec
 from .errors import BlockError, DegreeError, NotMaurerCartan
@@ -95,14 +99,22 @@ def _lifted_bracket(v, delta, lifted):
 
 
 class CurvedLInftyStructure:
-    """The derived brackets of one square-zero element: the V-data's Delta
-    when `delta` is None, e^(ad x) Delta after twisting by x.
+    """The derived brackets of one element: the V-data's Delta (the base
+    structure), its twist e^(ad x) Delta by a map x of the side, or an
+    explicit `delta`.
+
+    A twist keeps x, the sum of the Maurer-Cartan elements it was twisted
+    by in turn, and `delta`, the twisted product of x.  A structure built
+    on an explicit `delta` alone has brackets and Jacobi sums, but no map
+    it is twisted by: its `mc_residual` and `twist` raise TypeError.
     """
 
-    def __init__(self, v, delta=None):
+    def __init__(self, v, delta=None, *, x=None):
         self.vdata = v
         self.side = v.side
-        self.delta = delta
+        self.x = x
+        self.explicit = delta is not None and x is None
+        self.delta = v.delta if delta is None else delta
 
     def bracket(self, k, args):
         """l_k (or the twisted l_k^x) on a tuple of block cochains."""
@@ -115,34 +127,35 @@ class CurvedLInftyStructure:
         """Curvature: P(Delta) for the base structure, zero after twisting."""
         return self.bracket(0, [])
 
-    def _exp(self, x):
-        """e^(ad x) Delta = sum_n ad_x^n Delta / n! for a degree-0 cochain x;
-        lift(x) squares to zero, so ad_x^n Delta = 0 for n > arity + 1."""
-        self.vdata.check_arg(x)
-        if x.arity != 1:
+    def _shifted(self, y):
+        """x + y for a degree-0 cochain y (y itself on the base structure):
+        e^(ad y) delta is the twist of Delta by this map."""
+        if self.explicit:
+            raise TypeError("a structure on an explicit element has no "
+                            "Maurer-Cartan residual or twist")
+        self.vdata.check_arg(y)
+        if y.arity != 1:
             raise DegreeError("Maurer-Cartan candidates have degree 0")
-        xhat = lift(x)
-        term = total = self.vdata.delta if self.delta is None else self.delta
-        for n in range(1, term.arity + 3):
-            term = gerstenhaber(term, xhat).scale(Fraction(1, n))
-            if term.is_zero():
-                return total
-            total = total + term
-        raise AssertionError("ad_x^n Delta nonzero for n > arity + 1")
+        return y if self.x is None else self.x + y
 
-    def mc_residual(self, x):
-        """l_0 + sum_k l_k(x,...,x)/k! = P(e^(ad x) Delta) for a degree-0
-        cochain x."""
-        return self.vdata.project(self._exp(x))
+    def mc_residual(self, y):
+        """l_0 + sum_k l_k(y,...,y)/k! = P(e^(ad y) delta) for a degree-0
+        cochain y: the side's residual of x + y."""
+        v = self.vdata
+        return v.spec.residual(v.q, self._shifted(y))
 
-    def twist(self, x):
-        """Twisted structure by a Maurer-Cartan element (zero curvature)."""
-        delta = self._exp(x)
-        res = self.vdata.project(delta)
+    def twist(self, y):
+        """Twisted structure by a Maurer-Cartan element (zero curvature).
+        One twist of the total product by x + y gives both the residual
+        block, which must vanish, and the new element."""
+        x = self._shifted(y)
+        v = self.vdata
+        tw = v.spec.twist(v.q, x)
+        res = getattr(tw, v.spec.residual_part)
         if not res.is_zero():
             raise NotMaurerCartan(
                 f"residual nonzero at {res.first_witness()}")
-        return CurvedLInftyStructure(self.vdata, delta)
+        return CurvedLInftyStructure(v, tw.reassemble(), x=x)
 
     def jacobi_residual(self, n, args):
         """Generalized Jacobi sum at arity n; zero for every valid structure.
@@ -155,8 +168,7 @@ class CurvedLInftyStructure:
         args = list(args)
         if len(args) != n:
             raise DegreeError(f"need {n} arguments")
-        v = self.vdata
-        delta = v.delta if self.delta is None else self.delta
+        v, delta = self.vdata, self.delta
         lifted = _checked_lifts(v, args)
         degrees = [x.degree for x in args]
         terms = []
@@ -177,7 +189,8 @@ class CurvedLInftyStructure:
         return self.bracket(2, [f, g]).scale(sign)
 
     def __repr__(self):
-        kind = "twisted" if self.delta is not None else "base"
+        kind = ("explicit" if self.explicit
+                else "base" if self.x is None else "twisted")
         return f"CurvedLInftyStructure({self.side}, {kind})"
 
 

@@ -288,7 +288,8 @@ def build_standard(kind, **ingredients):
     hold.  Only if validation fails are the rows read, off the same
     half-bracket, and IngredientError names the first ingredient, in the
     kind's check order, whose rows are nonzero (`_KINDS`,
-    `ingredient_rows`).
+    `ingredient_rows`); only the kind's rows are projected, up to that
+    ingredient.
     """
     if kind not in BUILDER_KINDS:
         raise UnknownKind(f"unknown builder kind {kind!r}")
@@ -305,10 +306,9 @@ def build_standard(kind, **ingredients):
     half = validate(q)
     if _passes(q, half):
         return q
-    rows = equation_rows(half)
     for message, identities in row.ingredient_rows:
         failed = [name for i, name in identities
-                  if not rows[i].residual.is_zero()]
+                  if not project(half, *EQUATIONS[i][1]).is_zero()]
         if failed:
             raise IngredientError(message.format(failed))
     raise InvalidQTA(_NOT_QUASI_TWILLED)

@@ -158,6 +158,21 @@ def deformation_map_cases():
     return out
 
 
+def t2_deformation_map_cases():
+    """(label, structure, map, side) on the semidirect product of T_2 with
+    its regular bimodule, where argument order shows: the inner derivation
+    ad_e12 = [e12, -] (right) and the weight-0 Rota-Baxter operator
+    e22' -> e12, zero on e11' and e12' (left)."""
+    q = build_standard("semidirect",
+                       rep=regular_representation(upper_triangular()))
+    return [
+        ("T2-ad_e12", q, right_map(q, [[0, 0, 0], [-1, 0, 1], [0, 0, 0]]),
+         "right"),
+        ("T2-e22-to-e12", q, left_map(q, [[0, 0, 0], [0, 0, 1], [0, 0, 0]]),
+         "left"),
+    ]
+
+
 # -- change of basis ----------------------------------------------------------
 
 def change_of_basis(dims, rows_a, rows_aprime):
@@ -176,6 +191,18 @@ def change_of_basis(dims, rows_a, rows_aprime):
         return insert(inv[m.codomain], out, 0)
 
     return push
+
+
+def dense_frame(dims):
+    """The push to a basis in which no block stays sparse: a unitriangular
+    frame on A with entries -1, 0, 1 above the diagonal, and a frame on A'
+    with 2 on the diagonal (so denominators 2) and 0/1 below it."""
+    da, dap = dims
+    rows_a = [[1 if i == j else (i + 2 * j) % 3 - 1 if i < j else 0
+               for j in range(da)] for i in range(da)]
+    rows_ap = [[2 if i == j else (i + j) % 2 if i > j else 0
+                for j in range(dap)] for i in range(dap)]
+    return change_of_basis(dims, rows_a, rows_ap)
 
 
 def conjugated_structure(q, push):

@@ -11,7 +11,10 @@ these from one rule each (`qta.deformation.twist_blocks` and the blocks of
 `jacobi_residual` is the generalized Jacobi sum built bracket by bracket
 through the public `CurvedLInftyStructure.bracket`, which lifts every
 argument again for each bracket it enters; the library lifts each
-argument and each inner bracket once.
+argument and each inner bracket once.  `exp_series` is e^(ad x) of a
+structure's element as the series sum_n ad_x^n delta / n! of brackets on
+the total space, and `mc_residual` its projection; the library reads both
+off the one blockwise twist of the total product.
 
 The ingredient checks (`check_representation`,
 `check_associative_representation`, `check_matched_pair`,
@@ -20,6 +23,8 @@ builders' IngredientError texts) evaluate each classical identity on its
 own ingredients; `build_standard` reads the same verdicts off rows of the
 one bracket.  `l1_vs_d` and `duality_check` return True by theorem.
 """
+
+from fractions import Fraction
 
 from qta.algebras import check_associative
 from qta.cohomology import _check_cochain, _evaluate, _structural_terms
@@ -199,6 +204,29 @@ def jacobi_residual(s, n, args):
             term = outer.scale(eps)
             total = term if total is None else total + term
     return total
+
+
+def exp_series(s, x):
+    """e^(ad x) delta = sum_n ad_x^n delta / n! for the element delta of
+    the structure s and a degree-0 cochain x (ad x = [-, lift(x)]); lift(x)
+    squares to zero, so ad_x^n delta = 0 for n > arity + 1."""
+    s.vdata.check_arg(x)
+    if x.arity != 1:
+        raise DegreeError("Maurer-Cartan candidates have degree 0")
+    xhat = lift(x)
+    term = total = s.delta
+    for n in range(1, term.arity + 3):
+        term = gerstenhaber(term, xhat).scale(Fraction(1, n))
+        if term.is_zero():
+            return total
+        total = total + term
+    raise AssertionError("ad_x^n delta nonzero for n > arity + 1")
+
+
+def mc_residual(s, x):
+    """P(e^(ad x) delta): the Maurer-Cartan residual of x in s, by the
+    series."""
+    return s.vdata.project(exp_series(s, x))
 
 
 # -- the ingredient identities, one check per ingredient ----------------------

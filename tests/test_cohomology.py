@@ -22,7 +22,7 @@ from qta.io import build_quasi_twilled, parse, side_map
 from conftest import (
     change_of_basis, conjugated_structure, deformation_map_cases,
     dual_numbers, left_map, one_dim_algebra, quotient_dim, right_map,
-    row_reduce,
+    row_reduce, t2_deformation_map_cases,
 )
 from oracles import l1_vs_d
 
@@ -370,6 +370,34 @@ def test_ranks_and_tables_against_sympy():
         assert cohomology_dims(q, m, side, 5) == table, label
         if label.startswith("trunc3"):
             assert table == [3, 2, 2, 2, 2, 2], label
+
+
+@pytest.mark.parametrize("label,q,m,side,table", [
+    pytest.param(*case, table, id=case[0]) for case, table in zip(
+        t2_deformation_map_cases(), ([1, 0, 0, 0], [2, 4, 7, 10]))])
+def test_t2_tables_against_the_oracles(label, q, m, side, table):
+    # T_2 is not commutative, so the slot order of each product term in
+    # the assembly shows: the right table is HH(T_2, T_2), which is 1, 0,
+    # 0, ... for the path algebra of a tree quiver (Happel 1989); the left
+    # one is frozen from the rank computation.  Both equal the dense
+    # Gauss-Jordan quotient and the sympy ranks.
+    assert cohomology_dims(q, m, side, 3) == table
+    mats = cochain_complex(q, m, side, 3)
+    for n, mat in enumerate(mats):
+        z = row_reduce(mat.rows(), mat.ncols).kernel_basis
+        b = ([] if n == 0 else
+             row_reduce(mats[n - 1].rows(), mats[n - 1].ncols).image_basis)
+        assert quotient_dim(z, b) == table[n], (label, n)
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    qq = sympy.QQ
+    ranks = [DomainMatrix({i: {j: qq(v.numerator, v.denominator)
+                                for j, v in row.items()}
+                           for i, row in mat.store.items()},
+                          (mat.nrows, mat.ncols), qq).rank()
+             for mat in mats]
+    assert [mat.ncols - r - prev for mat, r, prev
+            in zip(mats, ranks, [0] + ranks)] == table
 
 
 @pytest.mark.parametrize("side,twist_name,components", [

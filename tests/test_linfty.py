@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product as iterproduct
 
@@ -13,14 +14,14 @@ from qta import (
     random_map, regular_representation, require_quasi_twilled,
     right_residual, seeded_rng, total_product, validate,
 )
-from qta.deformation import side_spec
 from qta.io import build_quasi_twilled, parse
 from qta.multilinear import _label_size
 
 import oracles
 from conftest import (
-    builder_instances, deformation_map_cases, dual_numbers, left_map,
-    one_dim_algebra, right_map, trunc3,
+    builder_instances, conjugated_structure, deformation_map_cases,
+    dense_frame, dual_numbers, left_map, one_dim_algebra, right_map,
+    t2_deformation_map_cases, trunc3, twisted_structure, upper_triangular,
 )
 
 
@@ -405,11 +406,16 @@ def test_twisted_bracket_formulas():
 
 @pytest.mark.parametrize("label,q,m,side", MAP_CASES)
 def test_twisted_element_is_the_twisted_product(label, q, m, side):
-    # e^(ad m) Delta, the conjugation twist and the closed formulas agree
-    tw = controlling_structure(q, side).twist(m)
+    # the twisted element, the series e^(ad m) Delta, the conjugation
+    # twist and the closed formulas agree
+    s = controlling_structure(q, side)
+    tw = s.twist(m)
     conj = conjugation_twist(q, m, side)
     assert tw.delta == conj
-    assert side_spec(side).twist(q, m).reassemble() == conj
+    assert oracles.exp_series(s, m) == conj
+    closed = (oracles.twist_right if side == "right"
+              else oracles.twist_left)(q, m)
+    assert closed.reassemble() == conj
 
 
 @pytest.mark.parametrize("side,first,second", [
@@ -428,14 +434,20 @@ def test_twist_of_twist_is_twist_by_the_sum(side, first, second):
         q = build_standard("reynolds", algebra=dual_numbers())
         m1, m2 = left_map(q, first), left_map(q, second)
     s = controlling_structure(q, side)
-    twice = s.twist(m1).twist(m2)
+    first_twist = s.twist(m1)
+    twice = first_twist.twist(m2)
     once = s.twist(m1 + m2)
+    assert twice.x == once.x == m1 + m2
     assert twice.delta == once.delta
+    # the series of the first twist's element and of Delta itself
+    series = oracles.exp_series(first_twist, m2)
+    assert series == once.delta == oracles.exp_series(s, m1 + m2)
     v = s.vdata
     for k in range(4):
         args = [random_map(rng, *v.f_signature(rng.choice((1, 2))), q.dims)
                 for _ in range(k)]
-        assert twice.bracket(k, args) == once.bracket(k, args), k
+        want = derived_bracket(v, args, series)
+        assert twice.bracket(k, args) == once.bracket(k, args) == want, k
 
 
 def _count_brackets(monkeypatch):
@@ -452,24 +464,104 @@ def _count_brackets(monkeypatch):
 @pytest.mark.parametrize("label,q,m,side", MAP_CASES)
 def test_brackets_per_mc_residual_and_twisted_l1(label, q, m, side,
                                                  monkeypatch):
-    # ad_m^n Delta = 0 for n > 3, and the right side stops one term
-    # earlier; a twisted l_1 is one bracket with the twisted element
+    # a residual and a twist are blocks of the twisted product, with no
+    # bracket on the total space; a twisted l_1 is one bracket with the
+    # twisted element
     rng = seeded_rng(78)
     s = controlling_structure(q, side)
-    tw = s.twist(m)
     v = s.vdata
     x = random_map(rng, *v.f_signature(1), q.dims)
     f = random_map(rng, *v.f_signature(2), q.dims)
-    bound = {"right": 3, "left": 4}[side]
     calls = _count_brackets(monkeypatch)
+    tw = s.twist(m)
     s.mc_residual(x)
-    assert len(calls) <= bound
     tw.mc_residual(x)
-    assert len(calls) <= 2 * bound
+    assert calls == []
     for arg in (x, f):
         del calls[:]
         tw.bracket(1, [arg])
         assert len(calls) == 1
+
+
+# -- the series oracle -----------------------------------------------------------
+
+def _series_cases(group):
+    """(structure, side, deformation map or None) for one group of cases."""
+    sides = ("right", "left")
+    if group == "deformation maps":
+        return [(q, side, m) for _, q, m, side in
+                deformation_map_cases() + t2_deformation_map_cases()]
+    if group == "twisted":
+        return [(twisted_structure(dual_numbers(), seed), side, None)
+                for seed in (0, 1, 2) for side in sides]
+    alg = {"builders dual": dual_numbers, "builders trunc3": trunc3,
+           "builders T2": upper_triangular}[group]()
+    return [(q, side, None) for q in builder_instances(alg).values()
+            for side in sides]
+
+
+@pytest.mark.parametrize("basis", ["natural", "changed"])
+@pytest.mark.parametrize("group", [
+    "deformation maps", "builders dual", "builders trunc3", "builders T2",
+    "twisted"])
+def test_mc_residual_and_twist_against_the_series(group, basis):
+    # the MC residual of the case's map, the zero map and random maps is
+    # P(e^(ad y) Delta) by the series; a twist by each MC one has the
+    # series element, its brackets l_0..l_3 and, at a random z, the
+    # residual P(e^(ad z) delta) of its own element; a twist by any other
+    # raises with the series residual's first witness
+    rng = seeded_rng(79)
+    seen = {"twisted": 0, "refused": 0}
+    for q, side, m in _series_cases(group):
+        if basis == "changed":
+            push = dense_frame(q.dims)
+            q = conjugated_structure(q, push)
+            m = m if m is None else push(m)
+        s = controlling_structure(q, side)
+        v = s.vdata
+
+        def cochain(arity):
+            return random_map(rng, *v.f_signature(arity), q.dims)
+
+        maps = [MultilinearMap.zero(*v.f_signature(1), q.dims),
+                cochain(1), cochain(1)] + ([] if m is None else [m])
+        for y in maps:
+            res = s.mc_residual(y)
+            assert res == oracles.mc_residual(s, y)
+            if not res.is_zero():
+                witness = res.first_witness()
+                with pytest.raises(NotMaurerCartan,
+                                   match=re.escape(f"nonzero at {witness}")):
+                    s.twist(y)
+                seen["refused"] += 1
+                continue
+            tw = s.twist(y)
+            seen["twisted"] += 1
+            series = oracles.exp_series(s, y)
+            assert tw.delta == series
+            for k in range(4):
+                args = [cochain(rng.choice((1, 2))) for _ in range(k)]
+                assert tw.bracket(k, args) == derived_bracket(v, args,
+                                                              series), k
+            z = cochain(1)
+            assert tw.mc_residual(z) == oracles.mc_residual(tw, z)
+        assert m is None or s.mc_residual(m).is_zero()
+    assert seen["twisted"] and seen["refused"], seen
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_explicit_element_has_brackets_but_no_twisting_map(side):
+    rng = seeded_rng(80)
+    *_, explicit = _jacobi_structures(side)
+    v = explicit.vdata
+    assert "explicit" in repr(explicit)
+    f = random_map(rng, *v.f_signature(2), v.dims)
+    assert explicit.bracket(1, [f]) == derived_bracket(v, [f],
+                                                       explicit.delta)
+    zero = MultilinearMap.zero(*v.f_signature(1), v.dims)
+    for call in (explicit.mc_residual, explicit.twist):
+        with pytest.raises(TypeError):
+            call(zero)
 
 
 def test_shifted_mc_right():

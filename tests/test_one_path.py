@@ -18,9 +18,8 @@ from qta.quasitwilled import COMPONENT_SIGNATURES
 
 import oracles
 from conftest import (
-    builder_instances, change_of_basis, conjugated_structure,
-    deformation_map_cases, dual_numbers, one_dim_algebra, trunc3,
-    twisted_structure,
+    builder_instances, conjugated_structure, deformation_map_cases,
+    dense_frame, dual_numbers, one_dim_algebra, trunc3, twisted_structure,
 )
 
 SIDES = {
@@ -124,12 +123,7 @@ def test_after_change_of_basis():
     # every deformation map case, and a random map, in a dense basis
     rng = seeded_rng(5)
     for label, q, m, side in deformation_map_cases():
-        da, dap = q.dims
-        rows_a = [[1 if i == j else (i + 2 * j) % 3 - 1 if i < j else 0
-                   for j in range(da)] for i in range(da)]
-        rows_ap = [[2 if i == j else (i + j) % 2 if i > j else 0
-                    for j in range(dap)] for i in range(dap)]
-        push = change_of_basis(q.dims, rows_a, rows_ap)
+        push = dense_frame(q.dims)
         qc, mc = conjugated_structure(q, push), push(m)
         assert_rows_agree(qc)
         assert_twists_agree(qc, mc, side)

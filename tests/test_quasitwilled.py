@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -258,6 +259,25 @@ def test_a_failed_build_computes_one_bracket(monkeypatch):
     assert len(calls) == 1
     build_standard("semidirect", rep=rep)
     assert len(calls) == 2
+
+
+def test_a_failed_build_projects_only_its_kinds_rows(monkeypatch):
+    # a failing semidirect build reads the algebra's row 0, then the
+    # representation's rows 1, 2 and 7, and stops there; no other of the
+    # sixteen rows is projected
+    blocks = []
+
+    def counting(m, domain, codomain):
+        blocks.append((domain, codomain))
+        return project(m, domain, codomain)
+
+    monkeypatch.setattr(quasitwilled, "project", counting)
+    rep = regular_representation(upper_triangular())
+    doubled = RepresentationPair(rep.algebra, rep.rho.scale(2), rep.mu)
+    with pytest.raises(IngredientError, match=re.escape(
+            "representation fails: ['rho(x.y) - rho(x)rho(y)']")):
+        build_standard("semidirect", rep=doubled)
+    assert blocks == [quasitwilled.EQUATIONS[i][1] for i in (0, 1, 2, 7)]
 
 
 def test_builder_rejects_bad_ingredients():
