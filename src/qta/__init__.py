@@ -21,9 +21,9 @@ from .algebras import (
 )
 from .closed_formulas import explicit_formula, explicit_formula_check
 from .deformation import (
-    TwistResult, classify_operator, conjugation_twist, graph_residual,
-    induced_left_structures, induced_right_structures, left_residual,
-    right_residual, twist_blocks, twist_left, twist_right,
+    TwistResult, conjugation_twist, induced_left_structures,
+    induced_right_structures, left_residual, operator_name, right_residual,
+    twist_blocks, twist_left, twist_right,
 )
 from .errors import (
     ArityError, BlockError, DegreeError, DimensionError, IngredientError,
@@ -32,9 +32,9 @@ from .errors import (
 )
 from .linalg import ExactMatrix, invert
 from .multilinear import (
-    A, APRIME, TOTAL, MultilinearMap, SpaceLabel, circle, circle_parts,
-    gerstenhaber, insert, koszul_sign, lift, linear_map_from_matrix,
-    matrix_from_linear_map, msum, project, random_map, seeded_rng, unshuffles,
+    A, APRIME, TOTAL, MultilinearMap, SpaceLabel, circle, gerstenhaber,
+    insert, koszul_sign, lift, linear_map_from_matrix, msum, project,
+    random_map, seeded_rng, unshuffles,
 )
 from .quasitwilled import (
     BUILDER_KINDS, QuasiTwilledAlgebra, StructureResidual, build_standard,
@@ -53,9 +53,8 @@ KERNEL_BACKEND = "python"
 _LAZY = {name: module for module, names in (
     ("catalog", ("catalog", "catalog_names", "emit_example", "get_entry")),
     ("cohomology", (
-        "cohomology", "coboundary_apply", "coboundary_apply_expanded",
-        "coboundary_matrix", "cochain_complex", "cohomology_dims",
-        "hochschild_complex")),
+        "cohomology", "coboundary_apply", "coboundary_matrix",
+        "cochain_complex", "cohomology_dims", "hochschild_complex")),
     ("linfty", (
         "linfty", "CurvedLInftyStructure", "VData", "controlling_structure",
         "derived_bracket", "mc_residual")),

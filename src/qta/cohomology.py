@@ -26,12 +26,14 @@ at its first nonzero row.  `cohomology_dims` ranks those rows with the fraction-
 elimination `linalg._echelon` and builds no Fraction matrix; the
 functions that return matrices wrap the same rows as
 `linalg.ExactMatrix` with entries v / L, which keeps only its nonzeros.
-The dense `coboundary_apply` (twisted components) and
-`coboundary_apply_expanded` (the same sum spelled out from the original
-components and the map) apply d to one cochain: test oracles for the
-sparse assembly, off the production path; each evaluates a (left, inner,
-right) table of plugged binary maps.  Degrees are ints, capped at
-MAX_DEGREE_CAP, for one matrix as for a complex.
+The dense `coboundary_apply` applies d to one cochain through the
+twisted components, off the production path: a test oracle for the
+sparse assembly, next to the expanded coboundary of `tests/oracles.py`
+(the same sum spelled out from the original components and the map).
+Both evaluate a (left, inner, right) table of plugged binary maps with
+`_evaluate`, which also gives the closed l_1 of `qta.closed_formulas`.
+Degrees are ints, capped at MAX_DEGREE_CAP, for one matrix as for a
+complex.
 
 Basis order of C^n: lexicographic over domain basis tuples, crossed with
 the codomain index (the flat coefficient layout of MultilinearMap), so
@@ -53,14 +55,9 @@ from .multilinear import _sign, insert, msum
 MAX_DEGREE_CAP = 5
 
 
-def cochain_space(q, side, n):
-    """(domain labels, codomain label) of C^n; C^0 is the codomain space."""
-    return side_spec(side).signature(n)
-
-
 def _check_cochain(q, side, f):
     n = f.arity
-    if f.signature() != cochain_space(q, side, n) or f.dims != q.dims:
+    if f.signature() != side_spec(side).signature(n) or f.dims != q.dims:
         raise DegreeError(f"not a {side}-side {n}-cochain")
 
 
@@ -70,16 +67,6 @@ def coboundary_apply(q, m, side, f):
     terms = _structural_terms(*spec.induced(spec.twist(q, m)))
     _check_cochain(q, side, f)
     return _evaluate(terms, f)
-
-
-def coboundary_apply_expanded(q, m, side, f):
-    """d f spelled out through the original components and the map.
-
-    Must agree with coboundary_apply.  Both evaluate a term table with
-    `_evaluate`; the tests check the sparse assembly against both.
-    """
-    _check_cochain(q, side, f)
-    return _evaluate(_expanded_terms(q, m, side), f)
 
 
 def _evaluate(terms, f):
@@ -113,32 +100,6 @@ def _structural_terms(prod, act_l, act_r):
     return ((act_l, 1, None),), (prod,), ((act_r, 1, None),)
 
 
-def _expanded_terms(q, m, side):
-    """d spelled out summand by summand: the terms of
-    coboundary_apply_expanded.
-
-    Built from the seven original components and the map alone; the
-    twist is never computed.
-    """
-    if side == "right":
-        d = m
-        return (
-            ((q.rho, 1, None), (insert(q.beta, d, 0), 1, None),
-             (q.xi, -1, d)),
-            (q.pi, insert(q.eta, d, 0), insert(q.xi, d, 1)),
-            ((q.mu, 1, None), (insert(q.beta, d, 1), 1, None),
-             (q.eta, -1, d)))
-    b = m
-    theta_b0 = insert(q.theta, b, 0)
-    return (
-        ((q.eta, 1, None), (insert(q.pi, b, 0), 1, None), (q.mu, -1, b),
-         (theta_b0, -1, b)),
-        (q.beta, insert(q.rho, b, 0), insert(q.mu, b, 1),
-         insert(theta_b0, b, 1)),
-        ((q.xi, 1, None), (insert(q.pi, b, 1), 1, None), (q.rho, -1, b),
-         (insert(q.theta, b, 1), -1, b)))
-
-
 def _nonzeros(g):
     """{(a, b, l): v} for every nonzero coefficient v of e_l in
     g(e_a, e_b), in the order of the flat index."""
@@ -149,13 +110,6 @@ def _nonzeros(g):
         a, b = divmod(row, second)
         out[a, b, l] = g.store[idx]
     return out
-
-
-def _checked_triple(q, m, side):
-    """The twisted (product, left action, right action) of a deformation
-    map m of a quasi-twilled algebra q; `checked_triple` raises unless q
-    and m are such, the hypotheses under which d o d = 0."""
-    return side_spec(side).checked_triple(q, m)
 
 
 def _table(product, left, right):
@@ -289,7 +243,7 @@ def coboundary_matrix(q, m, side, n):
     hard-capped at 5.
     """
     _check_degree(n)
-    table, den, d, c = _table(*_checked_triple(q, m, side))
+    table, den, d, c = _table(*side_spec(side).checked_triple(q, m))
     return _matrix(_assemble(table, n, d, c), den, n, d, c)
 
 
@@ -299,7 +253,7 @@ def cochain_complex(q, m, side, max_n=3):
     action).  max_n is an int, hard-capped at 5.
     """
     _check_degree(max_n)
-    return hochschild_complex(*_checked_triple(q, m, side), max_n)
+    return hochschild_complex(*side_spec(side).checked_triple(q, m), max_n)
 
 
 def cohomology_dims(q, m, side, max_n=3):
@@ -312,7 +266,7 @@ def cohomology_dims(q, m, side, max_n=3):
     at 5 (the matrix at degree n has dim^n * dim' columns).
     """
     _check_degree(max_n)
-    stores, _, d, c = _complex(_checked_triple(q, m, side), max_n)
+    stores, _, d, c = _complex(side_spec(side).checked_triple(q, m), max_n)
     dims = [0] * (max_n + 1)    # sized once: callers may keep many tables
     prev_rank = 0
     for n, rows in enumerate(stores):

@@ -19,7 +19,7 @@ from collections import namedtuple
 from .errors import DimensionError, InvalidQTA, NotDeformationMap, UnknownKind
 from .algebras import AssociativeAlgebra, RepresentationPair
 from .multilinear import (
-    A, APRIME, TOTAL, MultilinearMap, insert, lift, msum, project,
+    A, APRIME, TOTAL, MultilinearMap, insert, lift, msum,
 )
 from .quasitwilled import (
     _KINDS, COMPONENT_SIGNATURES, QuasiTwilledAlgebra, require_quasi_twilled,
@@ -173,34 +173,6 @@ def left_residual(q, b):
     return side_spec("left").residual(q, b)
 
 
-def graph_residual(q, d):
-    """Failure of the graph of D to be closed under the total product.
-
-    Evaluates the total product on pairs of graph vectors (x, Dx) and
-    returns (A'-part) - D(A-part); zero iff right_residual(q, d) is zero.
-    """
-    _check_side_map(q, d, "right")
-    omega = total_product(q)
-    dims = q.dims
-    # graph embedding j: A -> A + A', x |-> (x, Dx)
-    da, dap = dims
-
-    def jfn(t):
-        x = t[0]
-        col = [0] * (da + dap)
-        col[x] = 1
-        dvals = d.value((x,))
-        for k in range(dap):
-            col[da + k] = dvals[k]
-        return col
-
-    j = MultilinearMap.from_function((A,), TOTAL, dims, jfn)
-    on_graph = insert(insert(omega, j, 0), j, 1)
-    apart = project(on_graph, (A, A), A)
-    appart = project(on_graph, (A, A), APRIME)
-    return appart - insert(d, apart, 0)
-
-
 class TwistResult:
     """Components of the twisted total product.
 
@@ -283,34 +255,21 @@ def induced_left_structures(q, b):
     return _induced_structures(q, b, "left")
 
 
-def classify_operator(q, m, side):
-    """Name of the operator the map realizes, keyed on builder provenance.
-
-    `operator_name` of the map's residual.  Hand-built structures (no
-    provenance) raise UnknownKind before the residual is computed.
-    """
-    _kind_row(q)
-    return operator_name(q, side, side_spec(side).residual(q, m))
-
-
 def operator_name(q, side, residual):
-    """The name `classify_operator` gives a map with this residual.
+    """Name of the operator a map with this residual realizes, keyed on
+    builder provenance.
 
     Returns "not a deformation map" when the residual is nonzero, the
     classical operator name when the builder kind's row (in
     `qta.quasitwilled`) names one for the side, and the generic side name
     otherwise.  Hand-built structures (no provenance) raise UnknownKind.
     """
-    row = _kind_row(q)
+    if q.kind is None:
+        raise UnknownKind("structure was not produced by build_standard")
+    row = _KINDS[q.kind]
     if not residual.is_zero():
         return "not a deformation map"
     name = getattr(row, side, None)
     if name is None:
         return f"{side} deformation map"
     return name.format(**{key: q.ingredients[key] for key in row.scalars})
-
-
-def _kind_row(q):
-    if q.kind is None:
-        raise UnknownKind("structure was not produced by build_standard")
-    return _KINDS[q.kind]

@@ -18,7 +18,8 @@ by y is twisting by x + y: a structure is the base one or its twist by
 one map x.  The Maurer-Cartan residual of y is then one block of the
 twist by x + y, and the twisted element is the twisted product, both read
 off `qta.deformation.twist_blocks`; the series sum_n ad_x^n Delta / n! is
-a test oracle (`tests/oracles.py`).  `VData` reads Delta, which an
+a test oracle (`tests/oracles.py`), as are the suspended bracket
+(-1)^(m-1) l_2 and the basis cochains of F.  `VData` reads Delta, which an
 immutable structure builds once, through
 `qta.quasitwilled.require_quasi_twilled`: InvalidQTA unless it is valid.
 """
@@ -28,8 +29,7 @@ from __future__ import annotations
 from .deformation import side_spec
 from .errors import BlockError, DegreeError, NotMaurerCartan
 from .multilinear import (
-    MultilinearMap, _label_size, gerstenhaber, koszul_sign, lift, msum,
-    project, unshuffles,
+    gerstenhaber, koszul_sign, lift, msum, project, unshuffles,
 )
 from .quasitwilled import require_quasi_twilled
 
@@ -66,12 +66,6 @@ class VData:
     def project(self, total_map):
         """P: restriction of a total-space cochain to the F block."""
         return project(total_map, *self.f_signature(total_map.arity))
-
-    def basis_cochain(self, arity, row, k):
-        """The basis cochain sending one domain tuple to one basis vector."""
-        dom, cod = self.f_signature(arity)
-        index = row * _label_size(cod, self.dims) + k
-        return MultilinearMap.unit(dom, cod, self.dims, index)
 
 
 def derived_bracket(v, args, delta=None):
@@ -181,12 +175,6 @@ class CurvedLInftyStructure:
                     v, delta, _checked_lifts(v, [inner]) + tail)
                 terms.append(outer.scale(koszul_sign(sigma, degrees)))
         return msum(terms)
-
-    def suspended_bracket(self, f, g):
-        """(-1)^(m-1) l_2(f, g) for f of arity m: the graded Lie bracket on
-        the degree-shifted cochain space."""
-        sign = 1 if f.arity % 2 else -1
-        return self.bracket(2, [f, g]).scale(sign)
 
     def __repr__(self):
         kind = ("explicit" if self.explicit

@@ -415,18 +415,6 @@ def circle(f, g):
                   (f.cod_size,) * arity, f.cod_size, store)
 
 
-def circle_parts(f, g):
-    """The split f o g = (f o g)_1 - (f o g)_2 for binary maps.
-
-    Returns ((f o g)_1, (f o g)_2) with
-    (f o g)_1(x1,x2,x3) = f(g(x1,x2),x3) and
-    (f o g)_2(x1,x2,x3) = f(x1,g(x2,x3)).
-    """
-    if f.arity != 2 or g.arity != 2:
-        raise ArityError("circle_parts needs two binary maps")
-    return insert(f, g, 0), insert(f, g, 1)
-
-
 def gerstenhaber(f, g):
     """[f,g] = f o g - (-1)^((m-1)(n-1)) g o f."""
     fg = circle(f, g)
@@ -519,15 +507,6 @@ def linear_map_from_matrix(rows, domain_label, codomain_label, dims):
             f"{codomain_label.value}")
     return MultilinearMap.from_table([[r[j] for r in rows] for j in range(dom)],
                                      (domain_label,), codomain_label, dims)
-
-
-def matrix_from_linear_map(f):
-    """Inverse of linear_map_from_matrix."""
-    if f.arity != 1:
-        raise ArityError("expected an arity-1 map")
-    dom = f.slot_sizes[0]
-    cod = f.cod_size
-    return [[f.entry((j,), k) for j in range(dom)] for k in range(cod)]
 
 
 # -- graded signs ------------------------------------------------------------

@@ -16,6 +16,16 @@ structure's element as the series sum_n ad_x^n delta / n! of brackets on
 the total space, and `mc_residual` its projection; the library reads both
 off the one blockwise twist of the total product.
 
+`graph_residual` tests the graph {(x, Dx)} against the total product,
+and `classify_operator` names a map from its residual; the library has
+only `operator_name`, which the CLI calls on the residual it has.
+`coboundary_apply_expanded` applies d to one cochain through the
+original components and the map (`expanded_terms`, one term table per
+side), where the library assembles d sparsely from the twisted triple.
+`cochain_space`, `circle_parts`, `matrix_from_linear_map`,
+`basis_cochain` and `suspended_bracket` are small derived helpers that
+production never needed.
+
 The ingredient checks (`check_representation`,
 `check_associative_representation`, `check_matched_pair`,
 `cocycle_residual`, with `require` and `require_assoc` raising the
@@ -29,16 +39,20 @@ from fractions import Fraction
 from qta.algebras import check_associative
 from qta.cohomology import _check_cochain, _evaluate, _structural_terms
 from qta import deformation
-from qta.deformation import TwistResult, _check_side_map, side_spec
-from qta.errors import DegreeError, DimensionError, IngredientError
+from qta.deformation import (
+    TwistResult, _check_side_map, operator_name, side_spec,
+)
+from qta.errors import (
+    ArityError, DegreeError, DimensionError, IngredientError, UnknownKind,
+)
 from qta.linalg import ExactMatrix, invert
 from qta.linfty import controlling_structure
 from qta.multilinear import (
-    A, APRIME, MultilinearMap, _sign, circle, gerstenhaber, insert,
-    koszul_sign, lift, linear_map_from_matrix, matrix_from_linear_map,
-    project, unshuffles,
+    A, APRIME, TOTAL, MultilinearMap, _label_size, _sign, circle,
+    gerstenhaber, insert, koszul_sign, lift, linear_map_from_matrix, project,
+    unshuffles,
 )
-from qta.quasitwilled import StructureResidual
+from qta.quasitwilled import StructureResidual, total_product
 
 
 def right_residual(q, d):
@@ -101,6 +115,38 @@ def twist_left(q, b):
     gamma = left_residual(q, b)
     return TwistResult("left", pi_b, xi_b, eta_b, beta_b,
                        rho_b, mu_b, q.theta, gamma)
+
+
+def graph_residual(q, d):
+    """Failure of the graph of D to be closed under the total product.
+
+    Evaluates the total product on pairs of graph vectors (x, Dx) and
+    returns (A'-part) - D(A-part); zero iff right_residual(q, d) is zero.
+    """
+    _check_side_map(q, d, "right")
+    da, dap = q.dims
+
+    def graph(t):       # the graph embedding x |-> (x, Dx)
+        x = t[0]
+        col = [0] * (da + dap)
+        col[x] = 1
+        col[da:] = d.value((x,))
+        return col
+
+    j = MultilinearMap.from_function((A,), TOTAL, q.dims, graph)
+    on_graph = insert(insert(total_product(q), j, 0), j, 1)
+    apart = project(on_graph, (A, A), A)
+    appart = project(on_graph, (A, A), APRIME)
+    return appart - insert(d, apart, 0)
+
+
+def classify_operator(q, m, side):
+    """The operator name of a map: `qta.deformation.operator_name` of its
+    residual.  A hand-built structure (no provenance) raises UnknownKind
+    before the residual is computed."""
+    if q.kind is None:
+        raise UnknownKind("structure was not produced by build_standard")
+    return operator_name(q, side, side_spec(side).residual(q, m))
 
 
 def structure_residuals(q):
@@ -181,6 +227,83 @@ def structure_residuals(q):
             res = project(total_map, dom, cod)
         out.append(StructureResidual(name, block, res))
     return out
+
+
+# -- the coboundary spelled out, and small derived helpers --------------------
+
+
+def cochain_space(q, side, n):
+    """(domain labels, codomain label) of C^n; C^0 is the codomain space."""
+    return side_spec(side).signature(n)
+
+
+def coboundary_apply_expanded(q, m, side, f):
+    """d f spelled out through the original components and the map, for f
+    in C^n, n >= 1: the term table of `expanded_terms`, evaluated densely
+    by `qta.cohomology._evaluate`.  Must agree with
+    `qta.cohomology.coboundary_apply`, which twists first."""
+    _check_cochain(q, side, f)
+    return _evaluate(expanded_terms(q, m, side), f)
+
+
+def expanded_terms(q, m, side):
+    """d spelled out summand by summand, as a (left, inner, right) table
+    of `qta.cohomology._evaluate`, from the seven original components and
+    the map alone; the twist is never computed."""
+    if side == "right":
+        d = m
+        return (
+            ((q.rho, 1, None), (insert(q.beta, d, 0), 1, None),
+             (q.xi, -1, d)),
+            (q.pi, insert(q.eta, d, 0), insert(q.xi, d, 1)),
+            ((q.mu, 1, None), (insert(q.beta, d, 1), 1, None),
+             (q.eta, -1, d)))
+    b = m
+    theta_b0 = insert(q.theta, b, 0)
+    return (
+        ((q.eta, 1, None), (insert(q.pi, b, 0), 1, None), (q.mu, -1, b),
+         (theta_b0, -1, b)),
+        (q.beta, insert(q.rho, b, 0), insert(q.mu, b, 1),
+         insert(theta_b0, b, 1)),
+        ((q.xi, 1, None), (insert(q.pi, b, 1), 1, None), (q.rho, -1, b),
+         (insert(q.theta, b, 1), -1, b)))
+
+
+def circle_parts(f, g):
+    """The split f o g = (f o g)_1 - (f o g)_2 for binary maps.
+
+    Returns ((f o g)_1, (f o g)_2) with
+    (f o g)_1(x1,x2,x3) = f(g(x1,x2),x3) and
+    (f o g)_2(x1,x2,x3) = f(x1,g(x2,x3)).
+    """
+    if f.arity != 2 or g.arity != 2:
+        raise ArityError("circle_parts needs two binary maps")
+    return insert(f, g, 0), insert(f, g, 1)
+
+
+def matrix_from_linear_map(f):
+    """Inverse of `qta.linear_map_from_matrix`: the rows of an arity-1 map,
+    column j the image of basis vector j."""
+    if f.arity != 1:
+        raise ArityError("expected an arity-1 map")
+    dom = f.slot_sizes[0]
+    cod = f.cod_size
+    return [[f.entry((j,), k) for j in range(dom)] for k in range(cod)]
+
+
+def basis_cochain(v, arity, row, k):
+    """The block cochain of the V-data v sending the row-th domain basis
+    tuple to the k-th basis vector."""
+    dom, cod = v.f_signature(arity)
+    index = row * _label_size(cod, v.dims) + k
+    return MultilinearMap.unit(dom, cod, v.dims, index)
+
+
+def suspended_bracket(s, f, g):
+    """(-1)^(m-1) l_2(f, g) of the structure s, for f of arity m: the graded
+    Lie bracket on the degree-shifted cochain space."""
+    sign = 1 if f.arity % 2 else -1
+    return s.bracket(2, [f, g]).scale(sign)
 
 
 def jacobi_residual(s, n, args):

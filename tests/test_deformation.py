@@ -6,22 +6,23 @@ from hypothesis import given, settings, strategies as st
 from qta import (
     A, APRIME, AssociativeAlgebra, DimensionError, NotDeformationMap,
     SingularMap, UnknownKind, build_standard, catalog_names,
-    check_associative, classify_operator, coboundary_apply,
-    coboundary_apply_expanded, coboundary_matrix, cohomology_dims,
+    check_associative, coboundary_apply, coboundary_matrix, cohomology_dims,
     conjugation_twist, controlling_structure, emit_example,
-    explicit_formula, get_entry, graph_residual,
-    induced_left_structures, induced_right_structures, left_residual,
-    mc_residual, random_map, regular_representation, right_residual,
-    seeded_rng, twist_left, twist_right, validate,
+    explicit_formula, get_entry, induced_left_structures,
+    induced_right_structures, left_residual, mc_residual, operator_name,
+    random_map, regular_representation, right_residual, seeded_rng,
+    twist_left, twist_right, validate,
 )
-from qta.deformation import operator_name, side_spec
+from qta.deformation import side_spec
 from qta.io import build_quasi_twilled, parse, side_map
 
 from conftest import (
     builder_instances, change_of_basis, conjugated_structure, dual_numbers,
     left_map, one_dim_algebra, right_map,
 )
-from oracles import check_representation, duality_check
+from oracles import (
+    check_representation, classify_operator, duality_check, graph_residual,
+)
 
 
 # -- residual grids (scalar substitutions, frozen) ---------------------------
@@ -346,12 +347,8 @@ _SIDEWAYS_CALLS = {
         lambda q, doc, b: coboundary_matrix(q, b, "sideways", 1),
     "coboundary_apply":
         lambda q, doc, b: coboundary_apply(q, b, "sideways", b),
-    "coboundary_apply_expanded":
-        lambda q, doc, b: coboundary_apply_expanded(q, b, "sideways", b),
     "conjugation_twist":
         lambda q, doc, b: conjugation_twist(q, b, "sideways"),
-    "classify_operator":
-        lambda q, doc, b: classify_operator(q, b, "sideways"),
     "explicit_formula":
         lambda q, doc, b: explicit_formula(q, "sideways", 1, [b]),
     "controlling_structure":

@@ -20,10 +20,28 @@ import pytest
 import qta
 from qta import emit_example
 
+import oracles
+
 ROOT = Path(__file__).resolve().parent.parent
 LAZY_MODULES = ("qta.cohomology", "qta.linfty", "qta.catalog")
 # modules a dataclass or a typing.NamedTuple would pull in
 HEAVY = ("dataclasses", "inspect", "ast", "dis", "typing")
+# second derivations that left the package: (qta module, class or None,
+# name there, its name in tests/oracles.py or None when it is gone)
+MOVED = [
+    ("cohomology", None, "coboundary_apply_expanded",
+     "coboundary_apply_expanded"),
+    ("cohomology", None, "_expanded_terms", "expanded_terms"),
+    ("cohomology", None, "cochain_space", "cochain_space"),
+    ("cohomology", None, "_checked_triple", None),
+    ("deformation", None, "graph_residual", "graph_residual"),
+    ("deformation", None, "classify_operator", "classify_operator"),
+    ("multilinear", None, "circle_parts", "circle_parts"),
+    ("multilinear", None, "matrix_from_linear_map", "matrix_from_linear_map"),
+    ("linfty", "CurvedLInftyStructure", "suspended_bracket",
+     "suspended_bracket"),
+    ("linfty", "VData", "basis_cochain", "basis_cochain"),
+]
 
 
 def _layers():
@@ -72,6 +90,23 @@ def test_an_unknown_name_raises_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="no_such_name"):
         qta.no_such_name
     assert not hasattr(qta, "cohomology_dimensions")
+
+
+@pytest.mark.parametrize(
+    "module, owner, name, oracle", MOVED,
+    ids=[".".join(filter(None, row[:3])) for row in MOVED])
+def test_a_moved_oracle_is_gone_from_the_package(module, owner, name, oracle):
+    assert name not in qta.__all__
+    assert name not in dir(qta)
+    assert not hasattr(qta, name)
+    home = importlib.import_module(f"qta.{module}")
+    assert not hasattr(home if owner is None else getattr(home, owner), name)
+    assert oracle is None or callable(getattr(oracles, oracle))
+
+
+def test_operator_name_is_exported():
+    assert "operator_name" in qta.__all__
+    assert qta.operator_name is qta.deformation.operator_name
 
 
 def test_star_import_binds_every_export():

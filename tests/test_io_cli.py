@@ -8,6 +8,7 @@ import pytest
 from qta import DimensionError, ParseError, SchemaError, quasitwilled, validate
 from qta.catalog import catalog_names, emit_example, get_entry
 import qta.cli
+import qta.deformation
 from qta.cli import main as cli_main
 from qta.errors import UnknownExample
 from qta.io import (
@@ -633,6 +634,30 @@ def test_each_cli_call_builds_and_validates_once(
         assert cli_main(["--json", *argv]) == 0, argv
         capsys.readouterr()
         assert sorted(calls) == ["msum", "validate"], argv
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_mc_twists_once_per_call(tmp_path, capsys, monkeypatch, name):
+    # both residual fields of `qta mc` read the residual block of one
+    # twist of the total product
+    path = _write_example(tmp_path, name)
+    twist_blocks = qta.deformation.twist_blocks
+    sides = []
+
+    def counting(q, f, side, *names):
+        sides.append(side)
+        return twist_blocks(q, f, side, *names)
+
+    monkeypatch.setattr(qta.deformation, "twist_blocks", counting)
+    for map_name, side in get_entry(name).deformation_maps:
+        sides.clear()
+        assert cli_main(["--json", "mc", "--map", map_name, "--side", side,
+                         path]) == 0
+        details = json.loads(capsys.readouterr().out)["details"]
+        assert sides == [side], (map_name, side)
+        assert details["maurer_cartan"] == "zero"
+        assert details["deformation_residual"] == "zero"
+        assert details["verdicts_agree"] is True
 
 
 # a Reynolds document on K^2 with e1.e1 = e2, e2.e1 = e1: not associative,

@@ -10,7 +10,7 @@ from qta import (
     MultilinearMap, NotMaurerCartan, QuasiTwilledAlgebra, VData,
     build_standard, catalog_names, cohomology_dims, conjugation_twist,
     controlling_structure, derived_bracket, emit_example, explicit_formula,
-    gerstenhaber, graph_residual, insert, left_residual, lift, msum, project,
+    gerstenhaber, insert, left_residual, lift, msum, project,
     random_map, regular_representation, require_quasi_twilled,
     right_residual, seeded_rng, total_product, validate,
 )
@@ -164,7 +164,7 @@ def test_delta_is_built_once_per_structure(monkeypatch):
     d = right_map(q, [[0, 0, 0], [0, 1, 0], [0, 1, 2]])
     delta = require_quasi_twilled(q)
     conjugation_twist(q, d, "right")
-    assert graph_residual(q, d).is_zero()
+    assert oracles.graph_residual(q, d).is_zero()
     for side in ("right", "left"):
         assert VData(q, side).delta is delta
     assert total_product(q) is delta
@@ -207,7 +207,7 @@ def test_f_block_abelian_exhaustive_low_arity():
             cochains = []
             for arity in (1, 2):
                 dom, cod = v.f_signature(arity)
-                cochains += [v.basis_cochain(arity, r, k)
+                cochains += [oracles.basis_cochain(v, arity, r, k)
                              for r in range(_label_size(dom[0], dims) ** arity)
                              for k in range(_label_size(cod, dims))]
             for f in cochains:
@@ -679,7 +679,7 @@ def test_suspended_bracket_crossed_hom_pattern():
     for m, n in [(1, 1), (1, 2), (2, 2)]:
         f = rcochain(rng, q, m)
         g = rcochain(rng, q, n)
-        out = s.suspended_bracket(f, g)
+        out = oracles.suspended_bracket(s, f, g)
         fg = insert(insert(q.beta, f, 0), g, m)
         gf = insert(insert(q.beta, g, 0), f, n)
         assert out == fg.scale((-1) ** (m * n + 1)) + gf
@@ -694,7 +694,7 @@ def test_suspended_bracket_homomorphism_mc_pattern():
     q = builder_instances(dual_numbers())["direct_product"]
     s = controlling_structure(q, "right")
     d = rcochain(rng, q, 1)
-    out = s.suspended_bracket(d, d)
+    out = oracles.suspended_bracket(s, d, d)
     dd = insert(insert(q.beta, d, 0), d, 1)
     assert out == dd.scale(2)
     mc = s.mc_residual(d)
@@ -708,16 +708,19 @@ def test_suspended_bracket_antisymmetry_in_suspended_degrees():
     rng = seeded_rng(76)
     q = builder_instances(dual_numbers())["semidirect_assoc"]
     s = controlling_structure(q, "right")
+
+    def bracket(f, g):
+        return oracles.suspended_bracket(s, f, g)
+
     for m, n in [(2, 2), (1, 2), (2, 3)]:
         f = rcochain(rng, q, m)
         g = rcochain(rng, q, n)
         sign = -1 if (m * n) % 2 == 0 else 1
-        assert s.suspended_bracket(f, g) == s.suspended_bracket(g, f).scale(
-            sign)
+        assert bracket(f, g) == bracket(g, f).scale(sign)
     f2 = rcochain(rng, q, 2)
-    assert s.suspended_bracket(f2, f2).is_zero()
+    assert bracket(f2, f2).is_zero()
     d = rcochain(rng, q, 1)
-    assert not s.suspended_bracket(d, d).is_zero()
+    assert not bracket(d, d).is_zero()
 
 
 def test_mc_matches_residual_on_all_builders():

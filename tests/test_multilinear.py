@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from qta import (
     A, APRIME, TOTAL, ArityError, DimensionError, MultilinearMap, circle,
-    circle_parts,
     build_standard, gerstenhaber, insert, koszul_sign, lift,
     linear_map_from_matrix, msum, project, random_map, seeded_rng,
     unshuffles, validate,
@@ -16,6 +15,7 @@ from qta import (
 from qta.multilinear import _label_size
 
 from conftest import change_of_basis, conjugated_structure, trunc3
+from oracles import circle_parts
 
 DIMS = (1, 1)
 PI = MultilinearMap.from_table([[[1]]], (A, A), A, DIMS)
