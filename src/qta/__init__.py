@@ -57,7 +57,7 @@ _LAZY = {name: module for module, names in (
         "cochain_complex", "cohomology_dims", "hochschild_complex")),
     ("linfty", (
         "linfty", "CurvedLInftyStructure", "VData", "controlling_structure",
-        "derived_bracket", "mc_residual")),
+        "mc_residual")),
 ) for name in names}
 
 __all__ = [name for name, value in globals().items()

@@ -130,10 +130,9 @@ def explicit_formula(q, side, k, args):
     if len(args) != k:
         raise DegreeError(f"l_{k} needs {k} arguments, got {len(args)}")
     if k == 1:
-        from .cohomology import _evaluate, _structural_terms
+        from .cohomology import _evaluate
         f, = args
-        return _evaluate(_structural_terms(*spec.induced(q)), f).scale(
-            _sign(f.arity - 1))
+        return _evaluate(*spec.induced(q), f).scale(_sign(f.arity - 1))
     if k == 2:
         return _six_sum(*side_spec(_OTHER[side]).induced(q), *args)
     if (side, k) == ("right", 0):

@@ -30,8 +30,9 @@ The dense `coboundary_apply` applies d to one cochain through the
 twisted components, off the production path: a test oracle for the
 sparse assembly, next to the expanded coboundary of `tests/oracles.py`
 (the same sum spelled out from the original components and the map).
-Both evaluate a (left, inner, right) table of plugged binary maps with
-`_evaluate`, which also gives the closed l_1 of `qta.closed_formulas`.
+`coboundary_apply` evaluates the triple with `_evaluate`, which also
+gives the closed l_1 of `qta.closed_formulas`; the expanded oracle has
+its own evaluator.
 Degrees are ints, capped at MAX_DEGREE_CAP, for one matrix as for a
 complex.
 
@@ -64,40 +65,27 @@ def _check_cochain(q, side, f):
 def coboundary_apply(q, m, side, f):
     """d f via the twisted components, for f in C^n, n >= 1."""
     spec = side_spec(side)
-    terms = _structural_terms(*spec.induced(spec.twist(q, m)))
+    triple = spec.induced(spec.twist(q, m))
     _check_cochain(q, side, f)
-    return _evaluate(terms, f)
+    return _evaluate(*triple, f)
 
 
-def _evaluate(terms, f):
-    """d f, evaluated densely from a (left, inner, right) term table:
+def _evaluate(product, left, right, f):
+    """d f of the Hochschild complex of a (product, left action, right
+    action), evaluated densely:
 
-        d f(x_1, ..., x_{n+1})
-            = sum over (g, s, post) in left of s post(g(x_1, f(x_2, ...)))
-            + sum_i (-1)^i sum over g in inner of f(..., g(x_i, x_{i+1}), ...)
-            + (-1)^(n+1) sum over (g, s, post) in right of
-              s post(g(f(..., x_n), x_{n+1}))
+        d f(x_1, ..., x_{n+1}) = left(x_1, f(x_2, ...))
+            + sum_i (-1)^i f(..., product(x_i, x_{i+1}), ...)
+            + (-1)^(n+1) right(f(..., x_n), x_{n+1})
 
-    with s = +1 or -1 and post a linear map or None (the identity).
+    for a twisted triple, or that of any structure (the closed l_1 of
+    `qta.closed_formulas`).
     """
-    left, inner, right = terms
     n = f.arity
-
-    def post(p, m):
-        return m if p is None else insert(p, m, 0)
-
     return msum(
-        [post(p, insert(g, f, 1)).scale(s) for g, s, p in left]
-        + [insert(f, g, i - 1).scale(_sign(i))
-           for i in range(1, n + 1) for g in inner]
-        + [post(p, insert(g, f, 0)).scale(s * _sign(n + 1))
-           for g, s, p in right])
-
-
-def _structural_terms(prod, act_l, act_r):
-    """d from a (product, left action, right action): a twisted triple, or
-    that of any structure (the closed l_1 of `qta.closed_formulas`)."""
-    return ((act_l, 1, None),), (prod,), ((act_r, 1, None),)
+        [insert(left, f, 1)]
+        + [insert(f, product, i - 1).scale(_sign(i)) for i in range(1, n + 1)]
+        + [insert(right, f, 0).scale(_sign(n + 1))])
 
 
 def _nonzeros(g):

@@ -10,6 +10,15 @@ brackets
 give a curved L-infinity algebra on the block cochains.  Right side:
 F_n = Hom((x)^{n+1} A, A'), curvature l_0 = theta, l_k = 0 for k >= 3.
 Left side: F_n = Hom((x)^{n+1} A', A), l_0 = 0, l_k = 0 for k >= 4.
+Each of the seven blocks of Delta feeds exactly one l_k (the count in
+`qta.closed_formulas`), so the side's top order, `_Side.top` of
+`qta.deformation`, bounds every base and twisted structure: a bracket
+above it is the zero cochain, computed without a bracket, and the
+Jacobi sum skips every term with an inner or outer order above it.  An
+element given explicitly may have an A'A' -> A block, which feeds l_3
+on the right and l_0 on the left, so its brackets are all computed; the
+full bracket of any element is the test oracle
+`tests/oracles.py::derived_bracket`.
 Degree-0 Maurer-Cartan elements are exactly the deformation maps of the
 matching side.  Twisting by one of them, x, gives the derived brackets of
 e^(ad x) Delta (ad x = [-, lift(x)]), the twist of the total product by
@@ -29,7 +38,8 @@ from __future__ import annotations
 from .deformation import side_spec
 from .errors import BlockError, DegreeError, NotMaurerCartan
 from .multilinear import (
-    gerstenhaber, koszul_sign, lift, msum, project, unshuffles,
+    MultilinearMap, gerstenhaber, koszul_sign, lift, msum, project,
+    unshuffles,
 )
 from .quasitwilled import require_quasi_twilled
 
@@ -67,21 +77,9 @@ class VData:
         """P: restriction of a total-space cochain to the F block."""
         return project(total_map, *self.f_signature(total_map.arity))
 
-
-def derived_bracket(v, args, delta=None):
-    """l_k(x_1,...,x_k) = P([...[[Delta, x_1], x_2],...,x_k]); k = 0 is P(Delta).
-    A given `delta` stands in for the V-data's Delta."""
-    return _lifted_bracket(v, v.delta if delta is None else delta,
-                           _checked_lifts(v, args))
-
-
-def _checked_lifts(v, args):
-    """lift(x) of every block cochain x, each checked to lie in F."""
-    lifted = []
-    for x in args:
-        v.check_arg(x)
-        lifted.append(lift(x))
-    return lifted
+    def zero(self, arity):
+        """The zero cochain of F of this arity."""
+        return MultilinearMap.zero(*self.f_signature(arity), self.dims)
 
 
 def _lifted_bracket(v, delta, lifted):
@@ -101,6 +99,12 @@ class CurvedLInftyStructure:
     by in turn, and `delta`, the twisted product of x.  A structure built
     on an explicit `delta` alone has brackets and Jacobi sums, but no map
     it is twisted by: its `mc_residual` and `twist` raise TypeError.
+
+    `top` is the side's top bracket order (`_Side.top`: 2 on the right, 3
+    on the left) for the base and twisted elements, whose blocks are the
+    seven components', and None for an explicit element, which may have
+    an A'A' -> A block: that block feeds l_3 on the right and l_0 on the
+    left, so no order is zero for it by construction.
     """
 
     def __init__(self, v, delta=None, *, x=None):
@@ -109,13 +113,29 @@ class CurvedLInftyStructure:
         self.x = x
         self.explicit = delta is not None and x is None
         self.delta = v.delta if delta is None else delta
+        self.top = None if self.explicit else v.spec.top
+
+    def _above_top(self, k):
+        return self.top is not None and k > self.top
 
     def bracket(self, k, args):
-        """l_k (or the twisted l_k^x) on a tuple of block cochains."""
+        """l_k (or the twisted l_k^x) on a tuple of block cochains:
+        P([...[[delta, x_1], x_2],...,x_k]), and k = 0 gives P(delta).
+
+        The argument count and blocks are checked first (DegreeError,
+        BlockError).  Above `top` l_k is the zero cochain of arity
+        2 + sum(a_i - 1) for arguments of arities a_i, returned without
+        a bracket; an explicit element is bracketed at every k.
+        """
         args = list(args)
         if len(args) != k:
             raise DegreeError(f"l_{k} needs {k} arguments, got {len(args)}")
-        return derived_bracket(self.vdata, args, self.delta)
+        v = self.vdata
+        for x in args:
+            v.check_arg(x)
+        if self._above_top(k):
+            return v.zero(2 + sum(x.arity - 1 for x in args))
+        return _lifted_bracket(v, self.delta, [lift(x) for x in args])
 
     def l0(self):
         """Curvature: P(Delta) for the base structure, zero after twisting."""
@@ -157,22 +177,32 @@ class CurvedLInftyStructure:
         sum_{i=0}^{n} sum_{(i,n-i)-unshuffles s} eps(s)
             l_{n-i+1}(l_i(x_{s(1)},...,x_{s(i)}), x_{s(i+1)},...,x_{s(n)})
 
-        Each argument and each inner bracket is checked and lifted once.
+        The arguments are checked first.  A term whose inner order i or
+        outer order n - i + 1 is above `top` is zero and skipped; when
+        every term is, the sum is the zero cochain of arity
+        3 + sum(a_i - 1), and nothing is lifted.  Otherwise each argument
+        and each inner bracket is lifted once.  An explicit element keeps
+        every term.
         """
         args = list(args)
         if len(args) != n:
             raise DegreeError(f"need {n} arguments")
         v, delta = self.vdata, self.delta
-        lifted = _checked_lifts(v, args)
+        for x in args:
+            v.check_arg(x)
+        orders = [i for i in range(n + 1) if not (
+            self._above_top(i) or self._above_top(n - i + 1))]
+        if not orders:
+            return v.zero(3 + sum(x.arity - 1 for x in args))
+        lifted = [lift(x) for x in args]
         degrees = [x.degree for x in args]
         terms = []
-        for i in range(0, n + 1):
+        for i in orders:
             for sigma in unshuffles(i, n):
                 head = [lifted[j] for j in sigma[:i]]
                 tail = [lifted[j] for j in sigma[i:]]
                 inner = _lifted_bracket(v, delta, head)
-                outer = _lifted_bracket(
-                    v, delta, _checked_lifts(v, [inner]) + tail)
+                outer = _lifted_bracket(v, delta, [lift(inner)] + tail)
                 terms.append(outer.scale(koszul_sign(sigma, degrees)))
         return msum(terms)
 

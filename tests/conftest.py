@@ -214,6 +214,35 @@ def conjugated_structure(q, push):
                                basis_aprime=q.basis_aprime, **comps)
 
 
+# the block each component of q^op transposes: pi^op(x, y) = pi(y, x),
+# rho^op(x, u) = mu(u, x), xi^op(x, u) = eta(u, x), and so on
+_OPPOSITE = {"pi": "pi", "xi": "eta", "eta": "xi", "beta": "beta",
+             "rho": "mu", "mu": "rho", "theta": "theta"}
+
+
+def _transposed(m):
+    """The binary map m with its two arguments swapped."""
+    (x, y), (sx, sy), c = m.domain, m.slot_sizes, m.cod_size
+    store = {}
+    for idx, v in m.store.items():
+        row, k = divmod(idx, c)
+        a, b = divmod(row, sy)
+        store[(b * sx + a) * c + k] = v
+    return MultilinearMap((y, x), m.codomain, m.dims, store)
+
+
+def opposite_structure(q):
+    """q^op, whose total product is Delta(Y, X): every block is the
+    transpose of its mirror block.  Kind and ingredients are kept, as in
+    `conjugated_structure`; a map of either side keeps its verdict and its
+    cohomology table (HH(A^op, M^op) = HH(A, M))."""
+    comps = {name: _transposed(getattr(q, mirror))
+             for name, mirror in _OPPOSITE.items()}
+    return QuasiTwilledAlgebra(kind=q.kind, ingredients=q.ingredients,
+                               basis_a=q.basis_a,
+                               basis_aprime=q.basis_aprime, **comps)
+
+
 # -- dense elimination and product oracles ------------------------------------
 
 class RowReduction(NamedTuple):

@@ -8,20 +8,24 @@ displayed block equations of associativity literally, on lifted
 components with the circle-product calculus.  The library derives all of
 these from one rule each (`qta.deformation.twist_blocks` and the blocks of
 `qta.quasitwilled.validate`); the tests assert that both agree exactly.
-`jacobi_residual` is the generalized Jacobi sum built bracket by bracket
-through the public `CurvedLInftyStructure.bracket`, which lifts every
-argument again for each bracket it enters; the library lifts each
-argument and each inner bracket once.  `exp_series` is e^(ad x) of a
-structure's element as the series sum_n ad_x^n delta / n! of brackets on
-the total space, and `mc_residual` its projection; the library reads both
-off the one blockwise twist of the total product.
+`derived_bracket` is the full derived bracket P([...[[delta, x_1], ...],
+x_k]) on the whole element at every order; the library returns the
+zero cochain above the side's top order without a bracket.
+`jacobi_residual` is the generalized Jacobi sum with every term kept,
+each bracket a full `derived_bracket`, which lifts every argument again
+for each bracket it enters; the library lifts each argument and each
+inner bracket once, and skips the terms above the top.  `exp_series` is
+e^(ad x) of a structure's element as the series sum_n ad_x^n delta / n!
+of brackets on the total space, and `mc_residual` its projection; the
+library reads both off the one blockwise twist of the total product.
 
 `graph_residual` tests the graph {(x, Dx)} against the total product,
 and `classify_operator` names a map from its residual; the library has
 only `operator_name`, which the CLI calls on the residual it has.
 `coboundary_apply_expanded` applies d to one cochain through the
 original components and the map (`expanded_terms`, one term table per
-side), where the library assembles d sparsely from the twisted triple.
+side, evaluated by `evaluate_terms`), where the library assembles d
+sparsely from the twisted triple.
 `cochain_space`, `circle_parts`, `matrix_from_linear_map`,
 `basis_cochain` and `suspended_bracket` are small derived helpers that
 production never needed.
@@ -37,7 +41,7 @@ one bracket.  `l1_vs_d` and `duality_check` return True by theorem.
 from fractions import Fraction
 
 from qta.algebras import check_associative
-from qta.cohomology import _check_cochain, _evaluate, _structural_terms
+from qta.cohomology import _check_cochain, _evaluate
 from qta import deformation
 from qta.deformation import (
     TwistResult, _check_side_map, operator_name, side_spec,
@@ -49,8 +53,8 @@ from qta.linalg import ExactMatrix, invert
 from qta.linfty import controlling_structure
 from qta.multilinear import (
     A, APRIME, TOTAL, MultilinearMap, _label_size, _sign, circle,
-    gerstenhaber, insert, koszul_sign, lift, linear_map_from_matrix, project,
-    unshuffles,
+    gerstenhaber, insert, koszul_sign, lift, linear_map_from_matrix, msum,
+    project, unshuffles,
 )
 from qta.quasitwilled import StructureResidual, total_product
 
@@ -240,16 +244,41 @@ def cochain_space(q, side, n):
 def coboundary_apply_expanded(q, m, side, f):
     """d f spelled out through the original components and the map, for f
     in C^n, n >= 1: the term table of `expanded_terms`, evaluated densely
-    by `qta.cohomology._evaluate`.  Must agree with
+    by `evaluate_terms`.  Must agree with
     `qta.cohomology.coboundary_apply`, which twists first."""
     _check_cochain(q, side, f)
-    return _evaluate(expanded_terms(q, m, side), f)
+    return evaluate_terms(expanded_terms(q, m, side), f)
+
+
+def evaluate_terms(terms, f):
+    """d f, evaluated densely from a (left, inner, right) term table:
+
+        d f(x_1, ..., x_{n+1})
+            = sum over (g, s, post) in left of s post(g(x_1, f(x_2, ...)))
+            + sum_i (-1)^i sum over g in inner of f(..., g(x_i, x_{i+1}), ...)
+            + (-1)^(n+1) sum over (g, s, post) in right of
+              s post(g(f(..., x_n), x_{n+1}))
+
+    with s = +1 or -1 and post a linear map or None (the identity).
+    """
+    left, inner, right = terms
+    n = f.arity
+
+    def post(p, m):
+        return m if p is None else insert(p, m, 0)
+
+    return msum(
+        [post(p, insert(g, f, 1)).scale(s) for g, s, p in left]
+        + [insert(f, g, i - 1).scale(_sign(i))
+           for i in range(1, n + 1) for g in inner]
+        + [post(p, insert(g, f, 0)).scale(s * _sign(n + 1))
+           for g, s, p in right])
 
 
 def expanded_terms(q, m, side):
     """d spelled out summand by summand, as a (left, inner, right) table
-    of `qta.cohomology._evaluate`, from the seven original components and
-    the map alone; the twist is never computed."""
+    of `evaluate_terms`, from the seven original components and the map
+    alone; the twist is never computed."""
     if side == "right":
         d = m
         return (
@@ -306,24 +335,38 @@ def suspended_bracket(s, f, g):
     return s.bracket(2, [f, g]).scale(sign)
 
 
+def derived_bracket(v, args, delta=None):
+    """P([...[[delta, x_1], x_2],...,x_k]) of the V-data v, with delta its
+    Delta unless given: the full derived bracket, every order bracketed
+    on the whole element.  The library returns the structural zero above
+    the side's top order instead."""
+    delta = v.delta if delta is None else delta
+    for x in args:
+        v.check_arg(x)
+    for x in args:
+        delta = gerstenhaber(delta, lift(x))
+    return v.project(delta)
+
+
 def jacobi_residual(s, n, args):
     """sum_{i=0}^{n} sum_{(i,n-i)-unshuffles sigma} eps(sigma)
         l_{n-i+1}(l_i(x_{sigma(1)},...,x_{sigma(i)}), x_{sigma(i+1)},...)
-    of the (curved) L-infinity structure s, one `s.bracket` call per
-    bracket."""
+    of the (curved) L-infinity structure s, every term kept and each
+    bracket a full `derived_bracket` of s's element."""
     args = list(args)
     if len(args) != n:
         raise DegreeError(f"need {n} arguments")
+    v = s.vdata
     for x in args:
-        s.vdata.check_arg(x)
+        v.check_arg(x)
     degrees = [x.degree for x in args]
     total = None
     for i in range(0, n + 1):
         for sigma in unshuffles(i, n):
             eps = koszul_sign(sigma, degrees)
-            inner = s.bracket(i, [args[j] for j in sigma[:i]])
-            outer = s.bracket(
-                n - i + 1, [inner] + [args[j] for j in sigma[i:]])
+            inner = derived_bracket(v, [args[j] for j in sigma[:i]], s.delta)
+            outer = derived_bracket(
+                v, [inner] + [args[j] for j in sigma[i:]], s.delta)
             term = outer.scale(eps)
             total = term if total is None else total + term
     return total
@@ -470,11 +513,11 @@ def l1_vs_d(q, m, side, f):
     This is a theorem for deformation maps, so the return value is always
     True; the function is a verification harness.
     """
-    terms = _structural_terms(*side_spec(side).checked_triple(q, m))
+    triple = side_spec(side).checked_triple(q, m)
     s = controlling_structure(q, side).twist(m)
     lhs = s.bracket(1, [f])
     _check_cochain(q, side, f)
-    rhs = _evaluate(terms, f).scale(_sign(f.arity - 1))
+    rhs = _evaluate(*triple, f).scale(_sign(f.arity - 1))
     return lhs == rhs
 
 

@@ -22,7 +22,7 @@ from qta.io import build_quasi_twilled, parse, side_map
 from conftest import (
     change_of_basis, conjugated_structure, deformation_map_cases,
     dual_numbers, left_map, one_dim_algebra, quotient_dim, right_map,
-    row_reduce, t2_deformation_map_cases,
+    row_reduce, t2_deformation_map_cases, trunc3, upper_triangular,
 )
 from oracles import coboundary_apply_expanded, cochain_space, l1_vs_d
 
@@ -370,6 +370,37 @@ def test_ranks_and_tables_against_sympy():
         assert cohomology_dims(q, m, side, 5) == table, label
         if label.startswith("trunc3"):
             assert table == [3, 2, 2, 2, 2, 2], label
+
+
+def _euler(n):
+    """Rows of the derivation t^i -> i t^i of K[t]/(t^n)."""
+    return [[i if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _holm(k):
+    """HH^0..HH^5 of K[t]/(t^k) in characteristic 0 (Holm 2000)."""
+    return [k] + [k - 1] * MAX_DEGREE_CAP
+
+
+@pytest.mark.parametrize("alg,rows,table", [
+    pytest.param(one_dim_algebra(), _euler(1), _holm(1), id="K[t]/(t)"),
+    pytest.param(dual_numbers(), _euler(2), _holm(2), id="K[t]/(t^2)"),
+    pytest.param(trunc3(), _euler(3), _holm(3), id="K[t]/(t^3)"),
+    # ad_e12 = [e12, -]; HH of a tree quiver's path algebra (Happel 1989)
+    pytest.param(upper_triangular(), [[0, 0, 0], [-1, 0, 1], [0, 0, 0]],
+                 [1] + [0] * MAX_DEGREE_CAP, id="T2"),
+])
+def test_regular_derivation_tables_are_known_hochschild_dims(alg, rows,
+                                                             table):
+    # a derivation D of the semidirect product with the regular bimodule
+    # has xi = eta = beta = 0 to twist with, so the twisted triple is
+    # (pi, rho, mu) itself and the right table is HH^n(A, A) whatever D
+    # is.  The tables come from the formulas, not from a rank of the same
+    # assembled matrix.
+    q = build_standard("semidirect", rep=regular_representation(alg))
+    n = alg.dim
+    for d in (right_map(q, rows), right_map(q, [[0] * n] * n)):
+        assert cohomology_dims(q, d, "right", MAX_DEGREE_CAP) == table
 
 
 @pytest.mark.parametrize("label,q,m,side,table", [

@@ -17,8 +17,9 @@ from qta.deformation import side_spec
 from qta.io import build_quasi_twilled, parse, side_map
 
 from conftest import (
-    builder_instances, change_of_basis, conjugated_structure, dual_numbers,
-    left_map, one_dim_algebra, right_map,
+    builder_instances, change_of_basis, conjugated_structure,
+    deformation_map_cases, dual_numbers, left_map, one_dim_algebra,
+    opposite_structure, right_map, t2_deformation_map_cases,
 )
 from oracles import (
     check_representation, classify_operator, duality_check, graph_residual,
@@ -397,7 +398,25 @@ def test_verdicts_survive_a_change_of_basis(data):
         push = change_of_basis(q.dims, _unimodular(data, q.dims[0]),
                                _unimodular(data, q.dims[1]))
         qc = conjugated_structure(q, push)
+        qop = opposite_structure(qc)
         for map_name, side in get_entry(name).deformation_maps:
             m = side_map(doc, q, map_name, side)
-            assert _verdicts(qc, push(m), side) == _verdicts(q, m, side), (
+            want = _verdicts(q, m, side)
+            assert want[0]
+            assert _verdicts(qc, push(m), side) == want, (
                 name, map_name, side)
+            # the opposite structure sees argument order, which a change
+            # of basis cannot
+            assert _verdicts(qop, push(m), side) == want, (
+                name, map_name, side, "op")
+
+
+@pytest.mark.parametrize("label,q,m,side", [
+    pytest.param(*case, id=f"{case[0]} {case[3]}")
+    for case in deformation_map_cases() + t2_deformation_map_cases()])
+def test_verdicts_survive_the_opposite_structure(label, q, m, side):
+    # q^op is quasi-twilled, the map keeps its residual verdict, operator
+    # name and cohomology table; twice is q again
+    qop = opposite_structure(q)
+    assert _verdicts(qop, m, side) == _verdicts(q, m, side)
+    assert opposite_structure(qop).components() == q.components()

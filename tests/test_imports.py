@@ -41,6 +41,8 @@ MOVED = [
     ("linfty", "CurvedLInftyStructure", "suspended_bracket",
      "suspended_bracket"),
     ("linfty", "VData", "basis_cochain", "basis_cochain"),
+    ("linfty", None, "derived_bracket", "derived_bracket"),
+    ("cohomology", None, "_structural_terms", None),
 ]
 
 

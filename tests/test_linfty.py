@@ -1,6 +1,7 @@
 import re
 from fractions import Fraction
 from itertools import product as iterproduct
+from math import comb
 
 import pytest
 
@@ -9,12 +10,12 @@ from qta import (
     A, APRIME, TOTAL, BlockError, DegreeError, DimensionError, InvalidQTA,
     MultilinearMap, NotMaurerCartan, QuasiTwilledAlgebra, VData,
     build_standard, catalog_names, cohomology_dims, conjugation_twist,
-    controlling_structure, derived_bracket, emit_example, explicit_formula,
+    controlling_structure, emit_example, explicit_formula, get_entry,
     gerstenhaber, insert, left_residual, lift, msum, project,
     random_map, regular_representation, require_quasi_twilled,
     right_residual, seeded_rng, total_product, validate,
 )
-from qta.io import build_quasi_twilled, parse
+from qta.io import build_quasi_twilled, parse, side_map
 from qta.multilinear import _label_size
 
 import oracles
@@ -27,6 +28,10 @@ from conftest import (
 
 MAP_CASES = [pytest.param(*case, id=f"{case[0]} {case[3]}")
              for case in deformation_map_cases()]
+
+# the paper's top bracket orders: l_0, l_1, l_2 on the right and l_1, l_2,
+# l_3 on the left; every higher l_k is zero
+TOPS = {"right": 2, "left": 3}
 
 
 def rcochain(rng, q, arity):
@@ -225,11 +230,23 @@ def test_f_block_abelian_exhaustive_low_arity():
 
 
 def test_derived_bracket_rejects_foreign_args():
+    # at every order, above the top too, and in the Jacobi sum, whether
+    # or not any of its terms is computed
     q = build_standard("reynolds", algebra=dual_numbers())
-    v = VData(q, "right")
-    wrong = MultilinearMap.zero((APRIME,), A, q.dims)
-    with pytest.raises(BlockError):
-        derived_bracket(v, [wrong])
+    for side, other in (("right", "left"), ("left", "right")):
+        s = controlling_structure(q, side)
+        v = s.vdata
+        wrong = VData(q, other).zero(1)
+        good = v.zero(1)
+        with pytest.raises(BlockError):
+            oracles.derived_bracket(v, [wrong])
+        for k in range(1, 6):
+            with pytest.raises(BlockError):
+                s.bracket(k, [good] * (k - 1) + [wrong])
+            with pytest.raises(BlockError):
+                s.jacobi_residual(k, [good] * (k - 1) + [wrong])
+        with pytest.raises(DegreeError):
+            s.bracket(5, [good] * 4)
 
 
 # -- bracket structure ------------------------------------------------------------
@@ -289,6 +306,74 @@ def test_brackets_vanish_beyond_range():
     for s in (sL, sL.twist(left_map(q, [[-1, 0], [0, -1]]))):
         argsL = [lcochain(rng, q, a) for a in (1, 1, 2, 1)]
         assert s.bracket(4, argsL).is_zero(), s
+
+
+def _bracket_cases(group):
+    """Base and twisted controlling structures of one group, both sides."""
+    sides = ("right", "left")
+    if group == "catalog":
+        out = []
+        for name in catalog_names():
+            doc = parse(emit_example(name))
+            q = build_quasi_twilled(doc)
+            out += [controlling_structure(q, side) for side in sides]
+            out += [controlling_structure(q, side).twist(
+                        side_map(doc, q, map_name, side))
+                    for map_name, side in get_entry(name).deformation_maps]
+        return out
+    if group == "twisted":
+        return [controlling_structure(twisted_structure(dual_numbers(), seed),
+                                      side)
+                for seed in (0, 1, 2) for side in sides]
+    return [controlling_structure(q, side)
+            for q in builder_instances(upper_triangular()).values()
+            for side in sides]
+
+
+@pytest.mark.parametrize("group", ["catalog", "twisted", "T2"])
+def test_bracket_is_the_full_bracket_and_zero_above_the_top(group,
+                                                            monkeypatch):
+    # l_0 .. l_4 equal the full derived bracket of the structure's element;
+    # up to the side's top order l_k takes k brackets, above it none, and
+    # the full bracket vanishes there too
+    rng = seeded_rng(81)
+    calls = _count_brackets(monkeypatch)
+    nonzero = set()
+    for s in _bracket_cases(group):
+        v = s.vdata
+        assert s.top == TOPS[s.side]
+        for k, arities in [(0, [])] + [
+                (k, [a] + [1] * (k - 1)) for k in range(1, 5) for a in (1, 2)]:
+            args = [random_map(rng, *v.f_signature(a), v.dims)
+                    for a in arities]
+            del calls[:]
+            got = s.bracket(k, args)
+            assert len(calls) == (k if k <= s.top else 0), (s, k)
+            assert got == oracles.derived_bracket(v, args, s.delta), (s, k)
+            assert got.signature() == v.f_signature(2 + sum(arities) - k)
+            if k > s.top:
+                assert got.is_zero(), (s, k)
+            elif not got.is_zero():
+                nonzero.add((s.side, k))
+    # the top order itself is nonzero on some structure of each side
+    assert {(side, top) for side, top in TOPS.items()} <= nonzero, nonzero
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_explicit_element_keeps_every_bracket(side):
+    # the broken element has an A'A' -> A block, which feeds l_3 on the
+    # right and l_0 on the left: nothing is zero by the side's top.  Its
+    # l_4 is computed, and is zero only because the element is binary
+    rng = seeded_rng(82)
+    *_, explicit = _jacobi_structures(side)
+    v = explicit.vdata
+    assert explicit.top is None
+    for k in {"right": (3, 4), "left": (0, 4)}[side]:
+        args = [random_map(rng, *v.f_signature(1), v.dims)
+                for _ in range(k)]
+        got = explicit.bracket(k, args)
+        assert got == oracles.derived_bracket(v, args, explicit.delta)
+        assert got.is_zero() == (k == 4), k
 
 
 def test_bracket_lands_in_block_with_degree_plus_one():
@@ -446,7 +531,7 @@ def test_twist_of_twist_is_twist_by_the_sum(side, first, second):
     for k in range(4):
         args = [random_map(rng, *v.f_signature(rng.choice((1, 2))), q.dims)
                 for _ in range(k)]
-        want = derived_bracket(v, args, series)
+        want = oracles.derived_bracket(v, args, series)
         assert twice.bracket(k, args) == once.bracket(k, args) == want, k
 
 
@@ -541,8 +626,8 @@ def test_mc_residual_and_twist_against_the_series(group, basis):
             assert tw.delta == series
             for k in range(4):
                 args = [cochain(rng.choice((1, 2))) for _ in range(k)]
-                assert tw.bracket(k, args) == derived_bracket(v, args,
-                                                              series), k
+                assert tw.bracket(k, args) == oracles.derived_bracket(
+                    v, args, series), k
             z = cochain(1)
             assert tw.mc_residual(z) == oracles.mc_residual(tw, z)
         assert m is None or s.mc_residual(m).is_zero()
@@ -556,8 +641,8 @@ def test_explicit_element_has_brackets_but_no_twisting_map(side):
     v = explicit.vdata
     assert "explicit" in repr(explicit)
     f = random_map(rng, *v.f_signature(2), v.dims)
-    assert explicit.bracket(1, [f]) == derived_bracket(v, [f],
-                                                       explicit.delta)
+    assert explicit.bracket(1, [f]) == oracles.derived_bracket(
+        v, [f], explicit.delta)
     zero = MultilinearMap.zero(*v.f_signature(1), v.dims)
     for call in (explicit.mc_residual, explicit.twist):
         with pytest.raises(TypeError):
@@ -635,8 +720,10 @@ def _jacobi_structures(side):
 
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_jacobi_lifts_once_and_equals_the_per_bracket_sum(side, monkeypatch):
-    # n arguments and 2^n inner brackets (one per unshuffle), each lifted
-    # once; the sum equals the bracket-by-bracket oracle exactly
+    # n arguments and one inner bracket per kept term (one per unshuffle
+    # of an inner order i with l_i and l_(n-i+1) at most the side's top,
+    # every i on the explicit element), each lifted once; the sum equals
+    # the oracle that keeps every term and brackets each one in full
     rng = seeded_rng(75)
     lifted = []
 
@@ -656,7 +743,10 @@ def test_jacobi_lifts_once_and_equals_the_per_bracket_sum(side, monkeypatch):
                 patch.setattr(linfty, "lift", counting)
                 del lifted[:]
                 got = s.jacobi_residual(n, args)
-            assert len(lifted) == n + 2 ** n, (side, degrees)
+            top = n + 1 if s is broken else TOPS[side]
+            kept = sum(comb(n, i) for i in range(n + 1)
+                       if i <= top and n - i + 1 <= top)
+            assert len(lifted) == n + kept, (side, degrees)
             assert all(x is y for x, y in zip(lifted, args))
             want = oracles.jacobi_residual(s, n, args)
             assert got == want, (side, degrees)
