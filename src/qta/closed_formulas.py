@@ -16,7 +16,7 @@ brackets l_k = P[...[Delta, x_1], ..., x_k] are, on cochains f of arity m,
         l_k = 0 for k >= 4
 
 where d_H(product; left, right) is the Hochschild coboundary with
-coefficients in a bimodule (`qta.cohomology`'s dense evaluator), S is the
+coefficients in a bimodule (`qta.cohomology._evaluate`), S is the
 six-sum `_six_sum` and T the six window sums `_theta_term`.  Each side's
 l_1 triple is its own (`_Side.triple` of `qta.deformation`) and its l_2
 triple is the other side's.
@@ -35,9 +35,13 @@ rho, mu have k = 2; theta has k = 3.  No block has k = 0 on the left
 
 The formulas are transcribed as sign-weighted sums of products and action
 insertions over index windows, and `explicit_formula_check` compares them
-with the derived-bracket evaluator; a False is a sign bug somewhere.  They
-take and return block cochains, so results compare directly with
-CurvedLInftyStructure.bracket output.
+with CurvedLInftyStructure.bracket; a False is a sign bug somewhere.  The
+l_1 formula is the coboundary of the element's triple, which is also
+what `bracket(1)` evaluates (one evaluator, `qta.cohomology._evaluate`),
+so at k = 1 the check compares that evaluator with itself; the
+independent check of l_1 is the full derived bracket, the test oracle
+`tests/oracles.py::derived_bracket`.  The formulas take and return block
+cochains, so results compare directly with the brackets.
 """
 
 from __future__ import annotations
@@ -130,9 +134,10 @@ def explicit_formula(q, side, k, args):
     if len(args) != k:
         raise DegreeError(f"l_{k} needs {k} arguments, got {len(args)}")
     if k == 1:
-        from .cohomology import _evaluate
+        from .cohomology import _check_cochain, _evaluate
         f, = args
-        return _evaluate(*spec.induced(q), f).scale(_sign(f.arity - 1))
+        _check_cochain(q, side, f)
+        return _evaluate(*spec.induced(q), f, _sign(f.arity - 1))
     if k == 2:
         return _six_sum(*side_spec(_OTHER[side]).induced(q), *args)
     if (side, k) == ("right", 0):

@@ -30,9 +30,15 @@ The dense `coboundary_apply` applies d to one cochain through the
 twisted components, off the production path: a test oracle for the
 sparse assembly, next to the expanded coboundary of `tests/oracles.py`
 (the same sum spelled out from the original components and the map).
-`coboundary_apply` evaluates the triple with `_evaluate`, which also
-gives the closed l_1 of `qta.closed_formulas`; the expanded oracle has
-its own evaluator.
+`coboundary_apply` evaluates the triple with `_evaluate`, which
+accumulates the 2 + n signed insertions of d f into one kernel store.
+The same evaluator gives l_1 of every controlling structure: for a
+binary element, l_1(f) = (-1)^(n-1) d_H(triple) f with the element's own
+triple (`CurvedLInftyStructure.bracket(1)` of `qta.linfty`, and the
+closed l_1 of `qta.closed_formulas`).  Its oracles are the full derived
+bracket (`tests/oracles.py::derived_bracket`) and the sparse matrix of
+`coboundary_matrix`, which `tests/oracles.py::l1_vs_d` compares; the
+expanded oracle has its own evaluator.
 Degrees are ints, capped at MAX_DEGREE_CAP, for one matrix as for a
 complex.
 
@@ -51,7 +57,10 @@ from .errors import DegreeError, DimensionError
 from .linalg import (
     ExactMatrix, _denominator, _echelon, _ints, _row_products,
 )
-from .multilinear import _sign, insert, msum
+from .kernel import _accumulate
+# `insert` is bound here only for `perfbench/tests`, whose span test
+# traces and restores `qta.cohomology.insert` (ROADMAP item 1, step B)
+from .multilinear import _adopt, _sign, insert  # noqa: F401
 
 MAX_DEGREE_CAP = 5
 
@@ -67,25 +76,35 @@ def coboundary_apply(q, m, side, f):
     spec = side_spec(side)
     triple = spec.induced(spec.twist(q, m))
     _check_cochain(q, side, f)
-    return _evaluate(*triple, f)
+    return _evaluate(*triple, f, 1)
 
 
-def _evaluate(product, left, right, f):
-    """d f of the Hochschild complex of a (product, left action, right
-    action), evaluated densely:
+def _evaluate(product, left, right, f, sign):
+    """sign * d f for the Hochschild complex of a (product, left action,
+    right action), applied to one cochain f of the triple:
 
         d f(x_1, ..., x_{n+1}) = left(x_1, f(x_2, ...))
             + sum_i (-1)^i f(..., product(x_i, x_{i+1}), ...)
             + (-1)^(n+1) right(f(..., x_n), x_{n+1})
 
-    for a twisted triple, or that of any structure (the closed l_1 of
-    `qta.closed_formulas`).
+    for a twisted triple, or that of any binary element, whose l_1 is
+    (-1)^(n-1) d f (`qta.linfty`, the closed l_1 of
+    `qta.closed_formulas`).  The 2 + n insertions accumulate, each with
+    its sign, into one kernel store.  sign is 1 or -1, and the callers
+    check that f is a cochain of the triple.
     """
     n = f.arity
-    return msum(
-        [insert(left, f, 1)]
-        + [insert(f, product, i - 1).scale(_sign(i)) for i in range(1, n + 1)]
-        + [insert(right, f, 0).scale(_sign(n + 1))])
+    fs, fz, fc = f.store, f.slot_sizes, f.cod_size
+    ps, pz, d = product.store, product.slot_sizes, product.cod_size
+    out = {}
+    _accumulate(out, left.store, left.slot_sizes, fc, fs, fz, fc, 1,
+                sign < 0)
+    for i in range(1, n + 1):
+        _accumulate(out, fs, fz, fc, ps, pz, d, i - 1, sign * _sign(i) < 0)
+    _accumulate(out, right.store, right.slot_sizes, fc, fs, fz, fc, 0,
+                sign * _sign(n + 1) < 0)
+    return _adopt((product.codomain,) * (n + 1), f.codomain, f.dims,
+                  (d,) * (n + 1), fc, out)
 
 
 def _nonzeros(g):

@@ -14,11 +14,22 @@ Each of the seven blocks of Delta feeds exactly one l_k (the count in
 `qta.closed_formulas`), so the side's top order, `_Side.top` of
 `qta.deformation`, bounds every base and twisted structure: a bracket
 above it is the zero cochain, computed without a bracket, and the
-Jacobi sum skips every term with an inner or outer order above it.  An
-element given explicitly may have an A'A' -> A block, which feeds l_3
-on the right and l_0 on the left, so its brackets are all computed; the
+Jacobi sum skips every term with an inner or outer order above it.  The
+same count gives l_1 of any binary element in closed form: the blocks
+that feed it are the side's triple (`_Side.triple`: pi, rho, mu on the
+right, beta, eta, xi on the left), and on a cochain f of arity m
+
+    l_1(f) = (-1)^(m-1) d_H(triple) f,
+
+the Hochschild coboundary of that triple (`qta.cohomology._evaluate`),
+so `bracket(1, [f])` brackets nothing.  The triple is the components for
+the base structure, the twisted blocks `twist` computed for a twisted
+one, and the projections of the element for an explicit one.  An
+explicit element may have an A'A' -> A block, which feeds l_3 on the
+right and l_0 on the left, so its other brackets are all computed; the
+Jacobi sum brackets the element at every kept order, l_1 included.  The
 full bracket of any element is the test oracle
-`tests/oracles.py::derived_bracket`.
+`tests/oracles.py::derived_bracket`, for l_1 too.
 Degree-0 Maurer-Cartan elements are exactly the deformation maps of the
 matching side.  Twisting by one of them, x, gives the derived brackets of
 e^(ad x) Delta (ad x = [-, lift(x)]), the twist of the total product by
@@ -35,13 +46,14 @@ immutable structure builds once, through
 
 from __future__ import annotations
 
+from .cohomology import _evaluate
 from .deformation import side_spec
 from .errors import BlockError, DegreeError, NotMaurerCartan
 from .multilinear import (
-    MultilinearMap, gerstenhaber, koszul_sign, lift, msum, project,
+    MultilinearMap, _sign, gerstenhaber, koszul_sign, lift, msum, project,
     unshuffles,
 )
-from .quasitwilled import require_quasi_twilled
+from .quasitwilled import COMPONENT_SIGNATURES, require_quasi_twilled
 
 
 class VData:
@@ -96,9 +108,14 @@ class CurvedLInftyStructure:
     explicit `delta`.
 
     A twist keeps x, the sum of the Maurer-Cartan elements it was twisted
-    by in turn, and `delta`, the twisted product of x.  A structure built
-    on an explicit `delta` alone has brackets and Jacobi sums, but no map
-    it is twisted by: its `mc_residual` and `twist` raise TypeError.
+    by in turn, and `delta`, the twisted product of x, reassembled from
+    `blocks`, the `TwistResult` that `twist` computed.  A structure built
+    on an explicit binary `delta` alone has brackets and Jacobi sums, but
+    no map it is twisted by: its `mc_residual` and `twist` raise
+    TypeError.  `triple` holds the element's (product, left action, right
+    action) blocks of the side, which give l_1: the components of the
+    base structure, the twisted blocks, or the projections of the
+    explicit element.
 
     `top` is the side's top bracket order (`_Side.top`: 2 on the right, 3
     on the left) for the base and twisted elements, whose blocks are the
@@ -107,13 +124,21 @@ class CurvedLInftyStructure:
     left, so no order is zero for it by construction.
     """
 
-    def __init__(self, v, delta=None, *, x=None):
+    def __init__(self, v, delta=None, *, x=None, blocks=None):
         self.vdata = v
         self.side = v.side
         self.x = x
-        self.explicit = delta is not None and x is None
-        self.delta = v.delta if delta is None else delta
-        self.top = None if self.explicit else v.spec.top
+        self.explicit = delta is not None
+        spec = v.spec
+        if self.explicit:
+            self.delta = delta
+            self.triple = tuple(project(delta, *COMPONENT_SIGNATURES[name])
+                                for name in spec.triple)
+            self.top = None
+        else:
+            self.delta = v.delta if blocks is None else blocks.reassemble()
+            self.triple = spec.induced(v.q if blocks is None else blocks)
+            self.top = spec.top
 
     def _above_top(self, k):
         return self.top is not None and k > self.top
@@ -125,7 +150,9 @@ class CurvedLInftyStructure:
         The argument count and blocks are checked first (DegreeError,
         BlockError).  Above `top` l_k is the zero cochain of arity
         2 + sum(a_i - 1) for arguments of arities a_i, returned without
-        a bracket; an explicit element is bracketed at every k.
+        a bracket; an explicit element is bracketed at every k but 1.
+        l_1 of a cochain f of arity m is (-1)^(m-1) d_H(triple) f, with
+        no bracket.
         """
         args = list(args)
         if len(args) != k:
@@ -135,6 +162,9 @@ class CurvedLInftyStructure:
             v.check_arg(x)
         if self._above_top(k):
             return v.zero(2 + sum(x.arity - 1 for x in args))
+        if k == 1:
+            f, = args
+            return _evaluate(*self.triple, f, _sign(f.arity - 1))
         return _lifted_bracket(v, self.delta, [lift(x) for x in args])
 
     def l0(self):
@@ -169,7 +199,7 @@ class CurvedLInftyStructure:
         if not res.is_zero():
             raise NotMaurerCartan(
                 f"residual nonzero at {res.first_witness()}")
-        return CurvedLInftyStructure(v, tw.reassemble(), x=x)
+        return CurvedLInftyStructure(v, x=x, blocks=tw)
 
     def jacobi_residual(self, n, args):
         """Generalized Jacobi sum at arity n; zero for every valid structure.
@@ -181,7 +211,8 @@ class CurvedLInftyStructure:
         outer order n - i + 1 is above `top` is zero and skipped; when
         every term is, the sum is the zero cochain of arity
         3 + sum(a_i - 1), and nothing is lifted.  Otherwise each argument
-        and each inner bracket is lifted once.  An explicit element keeps
+        and each inner bracket is lifted once, and every kept bracket,
+        l_1 included, brackets the element.  An explicit element keeps
         every term.
         """
         args = list(args)

@@ -35,13 +35,15 @@ The ingredient checks (`check_representation`,
 `cocycle_residual`, with `require` and `require_assoc` raising the
 builders' IngredientError texts) evaluate each classical identity on its
 own ingredients; `build_standard` reads the same verdicts off rows of the
-one bracket.  `l1_vs_d` and `duality_check` return True by theorem.
+one bracket.  `l1_vs_d` and `duality_check` return True by theorem;
+`l1_vs_d` checks the library's l_1, the coboundary of the twisted
+triple, against the full bracket and the sparse matrix of d.
 """
 
 from fractions import Fraction
 
 from qta.algebras import check_associative
-from qta.cohomology import _check_cochain, _evaluate
+from qta.cohomology import _check_cochain, coboundary_matrix
 from qta import deformation
 from qta.deformation import (
     TwistResult, _check_side_map, operator_name, side_spec,
@@ -510,15 +512,24 @@ def require_assoc(alg, what):
 def l1_vs_d(q, m, side, f):
     """Whether the twisted l_1 equals (-1)^(m-1) d on a cochain of arity m.
 
-    This is a theorem for deformation maps, so the return value is always
-    True; the function is a verification harness.
+    The library reads l_1 off the twisted triple with the evaluator of
+    `qta.cohomology`, so both sides here are computed another way: the
+    full derived bracket of the twisted element, and the sparse matrix
+    of d_m (`coboundary_matrix`, assembled from the checked triple)
+    applied to the coefficients of f.  This is a theorem for deformation
+    maps, so the return value is always True; the function is a
+    verification harness.
     """
-    triple = side_spec(side).checked_triple(q, m)
+    matrix = coboundary_matrix(q, m, side, f.arity)
+    _check_cochain(q, side, f)
     s = controlling_structure(q, side).twist(m)
     lhs = s.bracket(1, [f])
-    _check_cochain(q, side, f)
-    rhs = _evaluate(*triple, f).scale(_sign(f.arity - 1))
-    return lhs == rhs
+    sign = _sign(f.arity - 1)
+    d_f = MultilinearMap(
+        *side_spec(side).signature(f.arity + 1), q.dims,
+        {i: sign * sum(v * f.store.get(j, 0) for j, v in row.items())
+         for i, row in matrix.store.items()})
+    return lhs == derived_bracket(s.vdata, [f], s.delta) == d_f
 
 
 def duality_check(q, d):

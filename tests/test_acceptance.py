@@ -9,12 +9,13 @@ import json
 from contextlib import contextmanager
 from fractions import Fraction
 
+from qta import linfty
 from qta import (
     A, APRIME, ExactMatrix, MultilinearMap, QuasiTwilledAlgebra,
     build_standard, cohomology_dims, coboundary_matrix, conjugation_twist,
-    controlling_structure, explicit_formula_check, invert, left_residual,
-    linear_map_from_matrix, random_map, regular_representation,
-    right_residual, seeded_rng,
+    controlling_structure, explicit_formula_check, gerstenhaber, invert,
+    left_residual, linear_map_from_matrix, random_map,
+    regular_representation, right_residual, seeded_rng,
     structure_residuals, twist_left, twist_right, validate,
 )
 from qta.catalog import catalog_names, emit_example, get_entry
@@ -24,7 +25,7 @@ from qta.io import build_quasi_twilled, parse, print_document
 from conftest import (
     builder_instances, dual_numbers, left_map, one_dim_algebra, right_map,
 )
-from oracles import duality_check, l1_vs_d
+from oracles import derived_bracket, duality_check, l1_vs_d
 
 
 @contextmanager
@@ -181,9 +182,15 @@ def _rich_structure():
     return q
 
 
-def test_criterion_5_linfty_laws():
+def test_criterion_5_linfty_laws(monkeypatch):
     with criterion(5, "generalized Jacobi at n = 0..3 (right) and 0..4 "
                       "(left); out-of-range brackets vanish"):
+        brackets = []
+
+        def counting(f, g):
+            brackets.append(f)
+            return gerstenhaber(f, g)
+
         rng = seeded_rng(505)
         structures = [build_standard("reynolds", algebra=dual_numbers()),
                       _rich_structure()]
@@ -199,13 +206,18 @@ def test_criterion_5_linfty_laws():
                                 for dd in degrees]
                         assert s.jacobi_residual(n, args).is_zero(), \
                             (side, n, i)
-                # one-past-the-end bracket vanishes identically on samples
+                # the one-past-the-end bracket is the zero cochain, with
+                # no bracket computed, and so is the full derived bracket
                 k = top  # right: l3, left: l4
                 for _ in range(5):
                     args = [random_map(rng, v.f_signature(a)[0],
                                        v.f_signature(a)[1], q.dims)
                             for a in ([1] * (k - 1) + [2])]
-                    assert s.bracket(k, args).is_zero(), side
+                    with monkeypatch.context() as patch:
+                        patch.setattr(linfty, "gerstenhaber", counting)
+                        assert s.bracket(k, args).is_zero(), side
+                    assert brackets == [], side
+                    assert derived_bracket(v, args).is_zero(), side
 
 
 RIGHT_KINDS = ("modified_direct_sum", "semidirect", "semidirect_assoc",

@@ -7,6 +7,7 @@ from qta import (
 )
 from qta.io import build_quasi_twilled, document_from_components
 
+import oracles
 from conftest import (
     builder_instances, change_of_basis, conjugated_structure, dual_numbers,
     one_dim_algebra, twisted_structure,
@@ -45,11 +46,16 @@ def _structures(name, algname):
 
 
 def _check_side(rng, qs, side, ks, samples=4):
+    # l_1 of the formula and of the structure are the one coboundary
+    # evaluator, so each formula is also checked against the full bracket
     for q in qs:
+        v = controlling_structure(q, side).vdata
         for k in ks:
             for _ in range(samples):
                 args = _args(rng, q, side, k)
                 assert explicit_formula_check(q, side, k, args), (side, k)
+                assert explicit_formula(q, side, k, args) == \
+                    oracles.derived_bracket(v, args), (side, k)
 
 
 @pytest.mark.parametrize("algname", ["one", "dual"])

@@ -131,6 +131,12 @@ def test_l1_vs_d_all_arities():
     for m in (1, 2, 3):
         f = random_map(rng, (APRIME,) * m, A, qb.dims)
         assert l1_vs_d(qb, b, "left", f)
+    # on T_2 the left and right actions differ, so a swap of the two
+    # shows in d and in l_1
+    for label, q, m, side in t2_deformation_map_cases():
+        for arity in (1, 2):
+            f = random_map(rng, *cochain_space(q, side, arity), q.dims)
+            assert l1_vs_d(q, m, side, f), (label, arity)
 
 
 def test_nondeformation_map_rejected():

@@ -291,21 +291,28 @@ def test_right_l2_degree0_matches_residual_cross_terms():
     assert s.bracket(2, [d1, d2]) == s.bracket(2, [d2, d1])
 
 
-def test_brackets_vanish_beyond_range():
+def test_brackets_vanish_beyond_range(monkeypatch):
+    # one order above the top, bracket returns the zero cochain without a
+    # bracket, and the full derived bracket of the element is zero there
     rng = seeded_rng(64)
     q = build_standard("reynolds", algebra=dual_numbers())
     semi = build_standard("semidirect",
                           rep=regular_representation(dual_numbers()))
     euler = right_map(semi, [[0, 0], [0, 1]])
-    # base structures, then structures twisted by a deformation map
-    for sR in (controlling_structure(q, "right"),
-               controlling_structure(semi, "right").twist(euler)):
-        args = [rcochain(rng, q, a) for a in (1, 2, 1)]
-        assert sR.bracket(3, args).is_zero(), sR
     sL = controlling_structure(q, "left")
-    for s in (sL, sL.twist(left_map(q, [[-1, 0], [0, -1]]))):
-        argsL = [lcochain(rng, q, a) for a in (1, 1, 2, 1)]
-        assert s.bracket(4, argsL).is_zero(), s
+    # base structures, then structures twisted by a deformation map
+    cases = [(s, rcochain, (1, 2, 1))
+             for s in (controlling_structure(q, "right"),
+                       controlling_structure(semi, "right").twist(euler))]
+    cases += [(s, lcochain, (1, 1, 2, 1))
+              for s in (sL, sL.twist(left_map(q, [[-1, 0], [0, -1]])))]
+    calls = _count_brackets(monkeypatch)
+    for s, cochain, arities in cases:
+        args = [cochain(rng, q, a) for a in arities]
+        del calls[:]
+        assert s.bracket(len(args), args).is_zero(), s
+        assert calls == [], s
+        assert oracles.derived_bracket(s.vdata, args, s.delta).is_zero(), s
 
 
 def _bracket_cases(group):
@@ -327,15 +334,20 @@ def _bracket_cases(group):
                 for seed in (0, 1, 2) for side in sides]
     return [controlling_structure(q, side)
             for q in builder_instances(upper_triangular()).values()
-            for side in sides]
+            for side in sides] + [
+        controlling_structure(q, side).twist(m)
+        for _, q, m, side in t2_deformation_map_cases()]
 
 
 @pytest.mark.parametrize("group", ["catalog", "twisted", "T2"])
 def test_bracket_is_the_full_bracket_and_zero_above_the_top(group,
                                                             monkeypatch):
     # l_0 .. l_4 equal the full derived bracket of the structure's element;
-    # up to the side's top order l_k takes k brackets, above it none, and
-    # the full bracket vanishes there too
+    # l_1 is the coboundary of the element's triple and takes no bracket,
+    # l_k takes k brackets for 2 <= k <= the side's top and none above it,
+    # and the full bracket vanishes there too.  l_1 of an explicit element
+    # (the structure's element plus a random binary map) is the
+    # coboundary of its projected triple, with no bracket either
     rng = seeded_rng(81)
     calls = _count_brackets(monkeypatch)
     nonzero = set()
@@ -348,15 +360,27 @@ def test_bracket_is_the_full_bracket_and_zero_above_the_top(group,
                     for a in arities]
             del calls[:]
             got = s.bracket(k, args)
-            assert len(calls) == (k if k <= s.top else 0), (s, k)
+            assert len(calls) == (k if 2 <= k <= s.top else 0), (s, k)
             assert got == oracles.derived_bracket(v, args, s.delta), (s, k)
             assert got.signature() == v.f_signature(2 + sum(arities) - k)
             if k > s.top:
                 assert got.is_zero(), (s, k)
             elif not got.is_zero():
                 nonzero.add((s.side, k))
-    # the top order itself is nonzero on some structure of each side
+        explicit = linfty.CurvedLInftyStructure(v, delta=s.delta + random_map(
+            rng, (TOTAL, TOTAL), TOTAL, v.dims, bound=1))
+        for a in (1, 2):
+            f = random_map(rng, *v.f_signature(a), v.dims)
+            del calls[:]
+            got = explicit.bracket(1, [f])
+            assert calls == [], (s, a)
+            assert got == oracles.derived_bracket(v, [f], explicit.delta)
+            if not got.is_zero():
+                nonzero.add(("explicit", 1))
+    # the top order itself is nonzero on some structure of each side, and
+    # so is some explicit l_1
     assert {(side, top) for side, top in TOPS.items()} <= nonzero, nonzero
+    assert ("explicit", 1) in nonzero
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
@@ -550,8 +574,9 @@ def _count_brackets(monkeypatch):
 def test_brackets_per_mc_residual_and_twisted_l1(label, q, m, side,
                                                  monkeypatch):
     # a residual and a twist are blocks of the twisted product, with no
-    # bracket on the total space; a twisted l_1 is one bracket with the
-    # twisted element
+    # bracket on the total space; a twisted l_1 is the coboundary of the
+    # twisted triple, with no bracket either, and equals the full bracket
+    # with the twisted element
     rng = seeded_rng(78)
     s = controlling_structure(q, side)
     v = s.vdata
@@ -563,9 +588,9 @@ def test_brackets_per_mc_residual_and_twisted_l1(label, q, m, side,
     tw.mc_residual(x)
     assert calls == []
     for arg in (x, f):
-        del calls[:]
-        tw.bracket(1, [arg])
-        assert len(calls) == 1
+        got = tw.bracket(1, [arg])
+        assert calls == []
+        assert got == oracles.derived_bracket(v, [arg], tw.delta)
 
 
 # -- the series oracle -----------------------------------------------------------
