@@ -38,9 +38,10 @@ insertions over index windows, and `explicit_formula_check` compares them
 with CurvedLInftyStructure.bracket; a False is a sign bug somewhere.  The
 l_1 formula is the coboundary of the element's triple, which is also
 what `bracket(1)` evaluates (one evaluator, `qta.cohomology._evaluate`),
-so at k = 1 the check compares that evaluator with itself; the
-independent check of l_1 is the full derived bracket, the test oracle
-`tests/oracles.py::derived_bracket`.  The formulas take and return block
+so at k = 1 the check compares that evaluator with itself, and above
+the top order of the structure's own blocks `bracket` returns a zero it
+did not compute; the independent check of every formula is the full
+derived bracket, the test oracle `tests/oracles.py::derived_bracket`.  The formulas take and return block
 cochains, so results compare directly with the brackets.
 """
 

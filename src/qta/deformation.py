@@ -35,7 +35,7 @@ class _Side(namedtuple("_Side", (
         "triple",           # twisted (product, left action, right action)
         "basis",            # attribute holding the basis of the slot space
         "plan",             # block name -> (inner terms, block subtracted)
-        "top",              # highest l_k a component feeds (`_top`)
+        "orders",           # block name -> the l_k it feeds (`_orders`)
 ))):
     """What tells right maps D: A -> A' from left maps B: A' -> A."""
 
@@ -102,25 +102,27 @@ def _plan(x, y):
     return plan
 
 
-def _top(x, y):
-    """The highest order k of a derived bracket l_k that a component
-    feeds, for cochains x^n -> y: 2 on the right, 3 on the left.
+def _orders(x, y):
+    """The order k of the derived bracket l_k that each of the eight
+    `BLOCKS` feeds, for cochains x^n -> y: on the right theta 0; pi, rho,
+    mu 1; xi, eta, beta 2; gamma 3, and on the left gamma 0; beta, eta,
+    xi 1; pi, rho, mu 2; theta 3.
 
-    Each bracket with a cochain fills one y slot of the component's lift
-    or feeds its x value into the cochain, and the projection keeps only
-    x^n -> y, so a component feeds exactly the l_k whose k counts its y
-    slots, plus one if it lands in x.  Every l_k above the largest such
-    k is zero on every structure of the side.
+    Each bracket with a cochain fills one y slot of the block's lift or
+    feeds its x value into the cochain, and the projection keeps only
+    x^n -> y, so a block feeds exactly the l_k whose k counts its y
+    slots, plus one if it lands in x.  l_k is linear in the element, so
+    it is zero wherever every block that feeds it is.
     """
-    return max(sum(s is y for s in sig) + (target is x)
-               for sig, target in COMPONENT_SIGNATURES.values())
+    return {name: sum(s is y for s in dom) + (cod is x)
+            for name, (dom, cod) in BLOCKS.items()}
 
 
 _SIDES = {
     "right": _Side("right", A, APRIME, "theta", ("pi", "rho", "mu"),
-                   "basis_a", _plan(A, APRIME), _top(A, APRIME)),
+                   "basis_a", _plan(A, APRIME), _orders(A, APRIME)),
     "left": _Side("left", APRIME, A, "gamma", ("beta", "eta", "xi"),
-                  "basis_aprime", _plan(APRIME, A), _top(APRIME, A)),
+                  "basis_aprime", _plan(APRIME, A), _orders(APRIME, A)),
 }
 
 

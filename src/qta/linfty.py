@@ -10,26 +10,29 @@ brackets
 give a curved L-infinity algebra on the block cochains.  Right side:
 F_n = Hom((x)^{n+1} A, A'), curvature l_0 = theta, l_k = 0 for k >= 3.
 Left side: F_n = Hom((x)^{n+1} A', A), l_0 = 0, l_k = 0 for k >= 4.
-Each of the seven blocks of Delta feeds exactly one l_k (the count in
-`qta.closed_formulas`), so the side's top order, `_Side.top` of
-`qta.deformation`, bounds every base and twisted structure: a bracket
-above it is the zero cochain, computed without a bracket, and the
-Jacobi sum skips every term with an inner or outer order above it.  The
-same count gives l_1 of any binary element in closed form: the blocks
-that feed it are the side's triple (`_Side.triple`: pi, rho, mu on the
+Each of the eight blocks of a binary element, the A'A' -> A block
+included, feeds exactly one l_k (`_Side.orders` of `qta.deformation`,
+the count in `qta.closed_formulas`), and l_k is linear in the element.
+So a structure's top order is the highest one that a nonzero block of
+its own element feeds: the components for the base structure, the
+twisted blocks `twist` computed for a twisted one, and the eight
+projections of the element for an explicit one.  A bracket above it is
+the zero cochain, computed without a bracket, and the Jacobi sum skips
+every term with an inner or outer order above it.  On the right the
+top of a base or twisted structure is at most 2, and at most 1 wherever
+xi = eta = beta = 0, as on a semidirect product.  Every order at or
+below the top is computed, even one whose blocks all vanish.  The same
+count gives l_1 of any binary element in closed form: the blocks that
+feed it are the side's triple (`_Side.triple`: pi, rho, mu on the
 right, beta, eta, xi on the left), and on a cochain f of arity m
 
     l_1(f) = (-1)^(m-1) d_H(triple) f,
 
 the Hochschild coboundary of that triple (`qta.cohomology._evaluate`),
-so `bracket(1, [f])` brackets nothing.  The triple is the components for
-the base structure, the twisted blocks `twist` computed for a twisted
-one, and the projections of the element for an explicit one.  An
-explicit element may have an A'A' -> A block, which feeds l_3 on the
-right and l_0 on the left, so its other brackets are all computed; the
-Jacobi sum brackets the element at every kept order, l_1 included.  The
-full bracket of any element is the test oracle
-`tests/oracles.py::derived_bracket`, for l_1 too.
+so `bracket(1, [f])` brackets nothing.  The Jacobi sum brackets the
+element at every kept order, l_1 included.  The full bracket of any
+element is the test oracle `tests/oracles.py::derived_bracket`, for l_1
+and above the top too.
 Degree-0 Maurer-Cartan elements are exactly the deformation maps of the
 matching side.  Twisting by one of them, x, gives the derived brackets of
 e^(ad x) Delta (ad x = [-, lift(x)]), the twist of the total product by
@@ -47,13 +50,13 @@ immutable structure builds once, through
 from __future__ import annotations
 
 from .cohomology import _evaluate
-from .deformation import side_spec
+from .deformation import BLOCKS, side_spec
 from .errors import BlockError, DegreeError, NotMaurerCartan
 from .multilinear import (
     MultilinearMap, _sign, gerstenhaber, koszul_sign, lift, msum, project,
     unshuffles,
 )
-from .quasitwilled import COMPONENT_SIGNATURES, require_quasi_twilled
+from .quasitwilled import require_quasi_twilled
 
 
 class VData:
@@ -112,16 +115,14 @@ class CurvedLInftyStructure:
     `blocks`, the `TwistResult` that `twist` computed.  A structure built
     on an explicit binary `delta` alone has brackets and Jacobi sums, but
     no map it is twisted by: its `mc_residual` and `twist` raise
-    TypeError.  `triple` holds the element's (product, left action, right
-    action) blocks of the side, which give l_1: the components of the
-    base structure, the twisted blocks, or the projections of the
-    explicit element.
+    TypeError.
 
-    `top` is the side's top bracket order (`_Side.top`: 2 on the right, 3
-    on the left) for the base and twisted elements, whose blocks are the
-    seven components', and None for an explicit element, which may have
-    an A'A' -> A block: that block feeds l_3 on the right and l_0 on the
-    left, so no order is zero for it by construction.
+    The element's blocks are the components of the base structure, the
+    twisted blocks, or the eight projections of the explicit element.
+    `triple` holds its (product, left action, right action) blocks of
+    the side, which give l_1, and `top` is the highest order fed by one
+    of its nonzero blocks (`_Side.orders`), or -1 if it has none: every
+    l_k above it is zero.
     """
 
     def __init__(self, v, delta=None, *, x=None, blocks=None):
@@ -132,27 +133,27 @@ class CurvedLInftyStructure:
         spec = v.spec
         if self.explicit:
             self.delta = delta
-            self.triple = tuple(project(delta, *COMPONENT_SIGNATURES[name])
-                                for name in spec.triple)
-            self.top = None
+            parts = {name: project(delta, *sig)
+                     for name, sig in BLOCKS.items()}
+        elif blocks is None:
+            self.delta = v.delta
+            parts = v.q.components()
         else:
-            self.delta = v.delta if blocks is None else blocks.reassemble()
-            self.triple = spec.induced(v.q if blocks is None else blocks)
-            self.top = spec.top
-
-    def _above_top(self, k):
-        return self.top is not None and k > self.top
+            self.delta = blocks.reassemble()
+            parts = {name: getattr(blocks, name) for name in BLOCKS}
+        self.triple = tuple(parts[name] for name in spec.triple)
+        self.top = max((spec.orders[name] for name, m in parts.items()
+                        if not m.is_zero()), default=-1)
 
     def bracket(self, k, args):
         """l_k (or the twisted l_k^x) on a tuple of block cochains:
         P([...[[delta, x_1], x_2],...,x_k]), and k = 0 gives P(delta).
 
         The argument count and blocks are checked first (DegreeError,
-        BlockError).  Above `top` l_k is the zero cochain of arity
-        2 + sum(a_i - 1) for arguments of arities a_i, returned without
-        a bracket; an explicit element is bracketed at every k but 1.
-        l_1 of a cochain f of arity m is (-1)^(m-1) d_H(triple) f, with
-        no bracket.
+        BlockError).  Above the element's `top` l_k is the zero cochain
+        of arity 2 + sum(a_i - 1) for arguments of arities a_i, returned
+        without a bracket.  l_1 of a cochain f of arity m is
+        (-1)^(m-1) d_H(triple) f, with no bracket.
         """
         args = list(args)
         if len(args) != k:
@@ -160,7 +161,7 @@ class CurvedLInftyStructure:
         v = self.vdata
         for x in args:
             v.check_arg(x)
-        if self._above_top(k):
+        if k > self.top:
             return v.zero(2 + sum(x.arity - 1 for x in args))
         if k == 1:
             f, = args
@@ -208,12 +209,11 @@ class CurvedLInftyStructure:
             l_{n-i+1}(l_i(x_{s(1)},...,x_{s(i)}), x_{s(i+1)},...,x_{s(n)})
 
         The arguments are checked first.  A term whose inner order i or
-        outer order n - i + 1 is above `top` is zero and skipped; when
-        every term is, the sum is the zero cochain of arity
+        outer order n - i + 1 is above the element's `top` is zero and
+        skipped; when every term is, the sum is the zero cochain of arity
         3 + sum(a_i - 1), and nothing is lifted.  Otherwise each argument
         and each inner bracket is lifted once, and every kept bracket,
-        l_1 included, brackets the element.  An explicit element keeps
-        every term.
+        l_1 included, brackets the element.
         """
         args = list(args)
         if len(args) != n:
@@ -221,8 +221,8 @@ class CurvedLInftyStructure:
         v, delta = self.vdata, self.delta
         for x in args:
             v.check_arg(x)
-        orders = [i for i in range(n + 1) if not (
-            self._above_top(i) or self._above_top(n - i + 1))]
+        orders = [i for i in range(n + 1)
+                  if i <= self.top and n - i + 1 <= self.top]
         if not orders:
             return v.zero(3 + sum(x.arity - 1 for x in args))
         lifted = [lift(x) for x in args]

@@ -10,7 +10,8 @@ these from one rule each (`qta.deformation.twist_blocks` and the blocks of
 `qta.quasitwilled.validate`); the tests assert that both agree exactly.
 `derived_bracket` is the full derived bracket P([...[[delta, x_1], ...],
 x_k]) on the whole element at every order; the library returns the
-zero cochain above the side's top order without a bracket.
+zero cochain above the highest order that a nonzero block of the
+element feeds, without a bracket.
 `jacobi_residual` is the generalized Jacobi sum with every term kept,
 each bracket a full `derived_bracket`, which lifts every argument again
 for each bracket it enters; the library lifts each argument and each
@@ -341,7 +342,7 @@ def derived_bracket(v, args, delta=None):
     """P([...[[delta, x_1], x_2],...,x_k]) of the V-data v, with delta its
     Delta unless given: the full derived bracket, every order bracketed
     on the whole element.  The library returns the structural zero above
-    the side's top order instead."""
+    the top order of the element's own blocks instead."""
     delta = v.delta if delta is None else delta
     for x in args:
         v.check_arg(x)

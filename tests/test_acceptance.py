@@ -11,10 +11,10 @@ from fractions import Fraction
 
 from qta import linfty
 from qta import (
-    A, APRIME, ExactMatrix, MultilinearMap, QuasiTwilledAlgebra,
+    A, APRIME, ExactMatrix, MultilinearMap, QuasiTwilledAlgebra, VData,
     build_standard, cohomology_dims, coboundary_matrix, conjugation_twist,
-    controlling_structure, explicit_formula_check, gerstenhaber, invert,
-    left_residual, linear_map_from_matrix, random_map,
+    controlling_structure, explicit_formula, explicit_formula_check,
+    gerstenhaber, invert, left_residual, linear_map_from_matrix, random_map,
     regular_representation, right_residual, seeded_rng,
     structure_residuals, twist_left, twist_right, validate,
 )
@@ -240,18 +240,24 @@ def test_criterion_6_closed_formulas():
             return [random_map(rng, (dom,) * a, cod, q.dims)
                     for a in arities]
 
+        # against the structure's bracket, and against the full derived
+        # bracket of the whole element: at k = 1 the formula and the
+        # bracket are the one coboundary evaluator, and above a
+        # structure's top the bracket is a zero that nothing computed
+        def check(q, side, k, kind):
+            args = args_for(q, side, k)
+            assert explicit_formula_check(q, side, k, args), (kind, k)
+            assert explicit_formula(q, side, k, args) == derived_bracket(
+                VData(q, side), args), (kind, k)
+
         for kind in RIGHT_KINDS:
-            q = instances[kind]
             for k in (0, 1, 2):
                 for _ in range(10):
-                    assert explicit_formula_check(
-                        q, "right", k, args_for(q, "right", k)), (kind, k)
+                    check(instances[kind], "right", k, kind)
         for kind in LEFT_KINDS:
-            q = instances[kind]
             for k in (1, 2, 3):
                 for _ in range(10):
-                    assert explicit_formula_check(
-                        q, "left", k, args_for(q, "left", k)), (kind, k)
+                    check(instances[kind], "left", k, kind)
 
 
 def _catalog_instances():

@@ -33,6 +33,31 @@ MAP_CASES = [pytest.param(*case, id=f"{case[0]} {case[3]}")
 # l_3 on the left; every higher l_k is zero
 TOPS = {"right": 2, "left": 3}
 
+# the l_k that each block of a binary element feeds, by the paper's count
+# (its slots in the cochains' codomain, plus one if it lands in their
+# domain); the A'A' -> A block feeds l_3 on the right and l_0 on the left
+FEEDS = {
+    "right": {((A, A), APRIME): 0,
+              ((A, A), A): 1, ((A, APRIME), APRIME): 1,
+              ((APRIME, A), APRIME): 1,
+              ((A, APRIME), A): 2, ((APRIME, A), A): 2,
+              ((APRIME, APRIME), APRIME): 2,
+              ((APRIME, APRIME), A): 3},
+    "left": {((APRIME, APRIME), A): 0,
+             ((APRIME, APRIME), APRIME): 1, ((A, APRIME), A): 1,
+             ((APRIME, A), A): 1,
+             ((A, A), A): 2, ((A, APRIME), APRIME): 2,
+             ((APRIME, A), APRIME): 2,
+             ((A, A), APRIME): 3},
+}
+
+
+def element_top(s):
+    """The highest order fed by a nonzero block of the structure's
+    element, read off the projections of its delta; -1 if it has none."""
+    return max((k for (dom, cod), k in FEEDS[s.side].items()
+                if not project(s.delta, dom, cod).is_zero()), default=-1)
+
 
 def rcochain(rng, q, arity):
     return random_map(rng, (A,) * arity, APRIME, q.dims)
@@ -344,31 +369,33 @@ def test_bracket_is_the_full_bracket_and_zero_above_the_top(group,
                                                             monkeypatch):
     # l_0 .. l_4 equal the full derived bracket of the structure's element;
     # l_1 is the coboundary of the element's triple and takes no bracket,
-    # l_k takes k brackets for 2 <= k <= the side's top and none above it,
-    # and the full bracket vanishes there too.  l_1 of an explicit element
-    # (the structure's element plus a random binary map) is the
+    # l_k takes k brackets for 2 <= k <= the element's top and none above
+    # it, and the full bracket vanishes there too.  l_1 of an explicit
+    # element (the structure's element plus a random binary map) is the
     # coboundary of its projected triple, with no bracket either
     rng = seeded_rng(81)
     calls = _count_brackets(monkeypatch)
     nonzero = set()
     for s in _bracket_cases(group):
         v = s.vdata
-        assert s.top == TOPS[s.side]
+        top = element_top(s)
+        assert s.top == top, s
         for k, arities in [(0, [])] + [
                 (k, [a] + [1] * (k - 1)) for k in range(1, 5) for a in (1, 2)]:
             args = [random_map(rng, *v.f_signature(a), v.dims)
                     for a in arities]
             del calls[:]
             got = s.bracket(k, args)
-            assert len(calls) == (k if 2 <= k <= s.top else 0), (s, k)
+            assert len(calls) == (k if 2 <= k <= top else 0), (s, k)
             assert got == oracles.derived_bracket(v, args, s.delta), (s, k)
             assert got.signature() == v.f_signature(2 + sum(arities) - k)
-            if k > s.top:
+            if k > top:
                 assert got.is_zero(), (s, k)
             elif not got.is_zero():
                 nonzero.add((s.side, k))
         explicit = linfty.CurvedLInftyStructure(v, delta=s.delta + random_map(
             rng, (TOTAL, TOTAL), TOTAL, v.dims, bound=1))
+        assert explicit.top == element_top(explicit), s
         for a in (1, 2):
             f = random_map(rng, *v.f_signature(a), v.dims)
             del calls[:]
@@ -377,7 +404,7 @@ def test_bracket_is_the_full_bracket_and_zero_above_the_top(group,
             assert got == oracles.derived_bracket(v, [f], explicit.delta)
             if not got.is_zero():
                 nonzero.add(("explicit", 1))
-    # the top order itself is nonzero on some structure of each side, and
+    # the paper's top order is nonzero on some structure of each side, and
     # so is some explicit l_1
     assert {(side, top) for side, top in TOPS.items()} <= nonzero, nonzero
     assert ("explicit", 1) in nonzero
@@ -385,13 +412,14 @@ def test_bracket_is_the_full_bracket_and_zero_above_the_top(group,
 
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_explicit_element_keeps_every_bracket(side):
-    # the broken element has an A'A' -> A block, which feeds l_3 on the
-    # right and l_0 on the left: nothing is zero by the side's top.  Its
-    # l_4 is computed, and is zero only because the element is binary
+    # the broken element has every block, the A'A' -> A one included,
+    # which feeds l_3 on the right and l_0 on the left, so its top is 3
+    # on both sides: those brackets are computed and nonzero, and l_4 is
+    # the structural zero of a binary element
     rng = seeded_rng(82)
     *_, explicit = _jacobi_structures(side)
     v = explicit.vdata
-    assert explicit.top is None
+    assert explicit.top == element_top(explicit) == 3
     for k in {"right": (3, 4), "left": (0, 4)}[side]:
         args = [random_map(rng, *v.f_signature(1), v.dims)
                 for _ in range(k)]
@@ -746,9 +774,11 @@ def _jacobi_structures(side):
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_jacobi_lifts_once_and_equals_the_per_bracket_sum(side, monkeypatch):
     # n arguments and one inner bracket per kept term (one per unshuffle
-    # of an inner order i with l_i and l_(n-i+1) at most the side's top,
-    # every i on the explicit element), each lifted once; the sum equals
-    # the oracle that keeps every term and brackets each one in full
+    # of an inner order i with l_i and l_(n-i+1) at most the element's
+    # top), each lifted once, and nothing when no term is kept; the sum
+    # equals the oracle that keeps every term and brackets each one in
+    # full.  On the right the semidirect product has no xi, eta or beta,
+    # so its top and its twist's is 1 and every term at n >= 2 is zero
     rng = seeded_rng(75)
     lifted = []
 
@@ -760,6 +790,7 @@ def test_jacobi_lifts_once_and_equals_the_per_bracket_sum(side, monkeypatch):
     nonzero = 0
     for s in valid + [broken]:
         v = s.vdata
+        top = element_top(s)
         for degrees in ((0, 0), (1, 0), (0, 0, 0), (1, 0, 0)):
             n = len(degrees)
             args = [random_map(rng, *v.f_signature(d + 1), v.dims)
@@ -768,10 +799,9 @@ def test_jacobi_lifts_once_and_equals_the_per_bracket_sum(side, monkeypatch):
                 patch.setattr(linfty, "lift", counting)
                 del lifted[:]
                 got = s.jacobi_residual(n, args)
-            top = n + 1 if s is broken else TOPS[side]
             kept = sum(comb(n, i) for i in range(n + 1)
                        if i <= top and n - i + 1 <= top)
-            assert len(lifted) == n + kept, (side, degrees)
+            assert len(lifted) == (n + kept if kept else 0), (side, degrees)
             assert all(x is y for x, y in zip(lifted, args))
             want = oracles.jacobi_residual(s, n, args)
             assert got == want, (side, degrees)
