@@ -19,7 +19,7 @@ from collections import namedtuple
 from .errors import DimensionError, InvalidQTA, NotDeformationMap, UnknownKind
 from .algebras import AssociativeAlgebra, RepresentationPair
 from .multilinear import (
-    A, APRIME, TOTAL, MultilinearMap, insert, lift, msum,
+    A, APRIME, TOTAL, MultilinearMap, insert, lift, lift_blocks,
 )
 from .quasitwilled import (
     _KINDS, COMPONENT_SIGNATURES, QuasiTwilledAlgebra, require_quasi_twilled,
@@ -209,8 +209,10 @@ class TwistResult:
         return {name: getattr(self, name) for name in COMPONENT_SIGNATURES}
 
     def reassemble(self):
-        """Total binary product including the gamma block."""
-        return msum([lift(getattr(self, name)) for name in BLOCKS])
+        """Total binary product of the eight blocks, gamma included, in
+        one `lift_blocks` pass over their nonzeros."""
+        return lift_blocks([getattr(self, name) for name in BLOCKS],
+                           self.dims)
 
     def is_quasi_twilled(self):
         return self.gamma.is_zero()

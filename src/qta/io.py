@@ -14,11 +14,21 @@ An input document is a single JSON object:
     }
 
 Scalars are exact fraction strings "p" or "p/q" (normalized on load, so
-"2/4" parses to one half).  A structure-constant table for a binary
-component is nested [i][j][k]: the coefficient of the k-th codomain basis
-vector in the image of the (i-th, j-th) domain pair, domains in the
-component's declared slot order.  A map matrix has column j equal to the
-image of the j-th domain basis vector.
+"2/4" parses to one half; each distinct string of a document is read
+once).  A structure-constant table for a binary component is nested
+[i][j][k]: the coefficient of the k-th codomain basis vector in the
+image of the (i-th, j-th) domain pair, domains in the component's
+declared slot order.  A map matrix has column j equal to the image of
+the j-th domain basis vector.
+
+`parse` checks each builder or components table entry by entry in one
+walk, which also lays its nonzeros out in the flat store of `qta.kernel`
+(row-major over [i][j][k]).  The document holds each such table as its
+`MultilinearMap`, whose signature is the table's component's, and
+`build_quasi_twilled` takes those maps as they are; `to_dict` writes the
+nested strings back from them.  A map matrix is kept as nested rows,
+because whether it is read as A -> A' or A' -> A depends on the side it
+is asked for (`side_map`).
 
 Exactly one of "builder" / "components" must be present.  Missing
 component tables in the "components" form default to zero.
@@ -35,10 +45,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import prod
 
 from .deformation import side_spec
 from .errors import DimensionError, ParseError, SchemaError, UnknownKind
-from .multilinear import MultilinearMap, _label_size, linear_map_from_matrix
+from .multilinear import _adopt, _label_size, linear_map_from_matrix
 from .quasitwilled import (
     _KINDS, BUILDER_KINDS, COMPONENT_SIGNATURES, QuasiTwilledAlgebra,
     build_standard,
@@ -53,11 +64,6 @@ _TABLE_COMPONENTS = {"product": "pi", "product_prime": "beta",
 def _signature(name):
     """(domain labels, codomain label) of a builder table or a component."""
     return COMPONENT_SIGNATURES[_TABLE_COMPONENTS.get(name, name)]
-
-
-def _shape(name, dims):
-    dom, cod = _signature(name)
-    return tuple(_label_size(label, dims) for label in (*dom, cod))
 
 
 # an error report quotes at most this many characters of an offending string
@@ -101,32 +107,55 @@ def format_fraction(value):
     return f"{value.numerator}/{value.denominator}"
 
 
-def _parse_table(node, shape, path):
-    """Nested fraction-string table of the given shape.
+def _parse_table(node, shape, path, seen, out):
+    """Append the scalars of a nested fraction-string table of the given
+    shape to `out`, row-major: the flat layout of `qta.kernel`.
 
-    An error names the offending entry, as in `path[1][0]`; that text is
-    written only on failure, each level adding its index on the way out.
+    `seen` maps each string already read in this document to its
+    Fraction, so a repeated string is parsed once.  An error names the
+    offending entry, as in `path[1][0]`; that text is written only on
+    failure, each level adding its index on the way out.
     """
     if not isinstance(node, list) or len(node) != shape[0]:
         raise SchemaError(f"{path}: expected a list of length {shape[0]}")
-    out = []
     try:
         if len(shape) == 1:
-            for v in node:
-                out.append(parse_fraction(v, ""))
+            for i, v in enumerate(node):
+                value = seen.get(v) if type(v) is str else None
+                if value is None:
+                    # a value that is not a string raises here
+                    value = seen[v] = parse_fraction(v, "")
+                out.append(value)
         else:
             rest = shape[1:]
-            for sub in node:
-                out.append(_parse_table(sub, rest, ""))
+            for i, sub in enumerate(node):
+                _parse_table(sub, rest, "", seen, out)
     except (SchemaError, ValueError) as exc:
-        raise type(exc)(f"{path}[{len(out)}]{exc}") from exc.__cause__
-    return out
+        raise type(exc)(f"{path}[{i}]{exc}") from exc.__cause__
 
 
-def _format_table(table):
-    if isinstance(table, list):
-        return [_format_table(t) for t in table]
-    return format_fraction(table)
+def _parse_map(node, name, dims, path, seen):
+    """A builder or components table, checked entry by entry, as the map
+    of its signature (`_signature`)."""
+    dom, cod = _signature(name)
+    shape = tuple(_label_size(label, dims) for label in (*dom, cod))
+    flat = []
+    _parse_table(node, shape, path, seen, flat)
+    return _adopt(dom, cod, dims, shape[:-1], shape[-1],
+                  {i: v for i, v in enumerate(flat) if v})
+
+
+def _table_strings(m):
+    """The nested fraction-string table [i1]...[k] of a map."""
+    nodes = ["0"] * (prod(m.slot_sizes) * m.cod_size)
+    for i, v in m.store.items():
+        nodes[i] = format_fraction(v)
+    sizes = (*m.slot_sizes, m.cod_size)
+    for depth in range(len(sizes) - 1, 0, -1):
+        size = sizes[depth]
+        nodes = [nodes[j * size:(j + 1) * size]
+                 for j in range(prod(sizes[:depth]))]
+    return nodes
 
 
 class InputDocument:
@@ -138,9 +167,10 @@ class InputDocument:
         self.dim_aprime = dim_aprime
         self.basis_a = basis_a
         self.basis_aprime = basis_aprime
-        self.builder = builder          # {"kind", "tables", scalars}
-        self.components = components    # name -> nested Fraction table
-        self.maps = {} if maps is None else maps  # name -> row-major Fractions
+        # {"kind", "tables": name -> MultilinearMap, the kind's scalars}
+        self.builder = builder
+        self.components = components    # name -> MultilinearMap
+        self.maps = {} if maps is None else maps  # name -> rows of Fractions
 
     def __repr__(self):
         return f"InputDocument({self.to_dict()!r})"
@@ -194,6 +224,7 @@ def parse(text):
     dim_ap, basis_ap = space("Aprime")
     doc = InputDocument(dim_a, dim_ap, basis_a, basis_ap)
     dims = (dim_a, dim_ap)
+    seen = {}  # scalar string -> Fraction, for this document only
 
     has_builder = "builder" in raw
     has_components = "components" in raw
@@ -219,8 +250,8 @@ def parse(text):
                 f"builder.tables for {kind} must be exactly {sorted(wanted)}")
         tables = {}
         for name in wanted:
-            tables[name] = _parse_table(tables_node[name], _shape(name, dims),
-                                        f"builder.tables.{name}")
+            tables[name] = _parse_map(tables_node[name], name, dims,
+                                      f"builder.tables.{name}", seen)
         builder = {"kind": kind, "tables": tables}
         for key in row.scalars:
             if key not in b:
@@ -235,7 +266,7 @@ def parse(text):
         if extra:
             raise SchemaError(f"components: unknown names {sorted(extra)}")
         doc.components = {
-            name: _parse_table(node, _shape(name, dims), f"components.{name}")
+            name: _parse_map(node, name, dims, f"components.{name}", seen)
             for name, node in c.items()}
 
     maps_node = raw.get("maps", {})
@@ -253,8 +284,10 @@ def parse(text):
             raise SchemaError(
                 f"maps.{name}: shape {len(rows)}x{ncols} matches neither "
                 f"A->A' ({dim_ap}x{dim_a}) nor A'->A ({dim_a}x{dim_ap})")
-        doc.maps[name] = _parse_table(rows, (len(rows), ncols),
-                                      f"maps.{name}")
+        flat = []
+        _parse_table(rows, (len(rows), ncols), f"maps.{name}", seen, flat)
+        doc.maps[name] = [flat[r * ncols:(r + 1) * ncols]
+                          for r in range(len(rows))]
     return doc
 
 
@@ -270,14 +303,15 @@ def to_dict(doc):
     if doc.builder is not None:
         b = {key: value if key == "kind" else format_fraction(value)
              for key, value in doc.builder.items() if key != "tables"}
-        b["tables"] = {name: _format_table(t)
-                       for name, t in sorted(doc.builder["tables"].items())}
+        b["tables"] = {name: _table_strings(m)
+                       for name, m in sorted(doc.builder["tables"].items())}
         out["builder"] = b
     if doc.components is not None:
-        out["components"] = {name: _format_table(t)
-                             for name, t in sorted(doc.components.items())}
+        out["components"] = {name: _table_strings(m)
+                             for name, m in sorted(doc.components.items())}
     if doc.maps:
-        out["maps"] = {name: _format_table(rows)
+        out["maps"] = {name: [[format_fraction(v) for v in row]
+                              for row in rows]
                        for name, rows in sorted(doc.maps.items())}
     return out
 
@@ -290,13 +324,13 @@ def print_document(doc):
 
 
 def build_quasi_twilled(doc):
-    """Assemble the split structure a document describes."""
+    """Assemble the split structure a document describes, from the maps
+    its tables already are."""
     dims = (doc.dim_a, doc.dim_aprime)
     if doc.components is not None:
-        comps = {name: MultilinearMap.from_table(t, *_signature(name), dims)
-                 for name, t in doc.components.items()}
         return QuasiTwilledAlgebra.from_components(
-            dims, basis_a=doc.basis_a, basis_aprime=doc.basis_aprime, **comps)
+            dims, basis_a=doc.basis_a, basis_aprime=doc.basis_aprime,
+            **doc.components)
 
     kind = doc.builder["kind"]
     if kind not in BUILDER_KINDS:
@@ -304,9 +338,8 @@ def build_quasi_twilled(doc):
     row = _KINDS[kind]
     if row.same_dims and doc.dim_a != doc.dim_aprime:
         raise SchemaError(f"{kind} needs dim A == dim Aprime")
-    maps = {name: MultilinearMap.from_table(t, *_signature(name), dims)
-            for name, t in doc.builder["tables"].items()}
-    ingredients = row.from_tables(maps, doc.basis_a, doc.basis_aprime)
+    ingredients = row.from_tables(doc.builder["tables"], doc.basis_a,
+                                  doc.basis_aprime)
     for key in row.scalars:
         ingredients[key] = doc.builder[key]
     return build_standard(kind, **ingredients)._rebased(doc.basis_a,
@@ -315,14 +348,8 @@ def build_quasi_twilled(doc):
 
 def document_from_components(q, maps=None):
     """Document (components form) describing an assembled structure."""
-    comps = {}
-    for name, m in q.components().items():
-        if m.is_zero():
-            continue
-        sizes = m.slot_sizes
-        table = [[[m.entry((i, j), k) for k in range(m.cod_size)]
-                  for j in range(sizes[1])] for i in range(sizes[0])]
-        comps[name] = table
+    comps = {name: m for name, m in q.components().items()
+             if not m.is_zero()}
     doc = InputDocument(q.dim_a, q.dim_aprime, list(q.basis_a),
                         list(q.basis_aprime), components=comps)
     if maps:

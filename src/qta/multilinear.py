@@ -27,8 +27,10 @@ A map has two entrances.  `MultilinearMap(...)` is the checked one, for
 outside data (documents, tables, user dicts, floats): it checks dims and
 every index and makes every value a Fraction.  A map the library derives
 from maps that passed it (`insert`, `circle`, `gerstenhaber`, `lift`,
-`project`, `+`, `-`, `scale`, `msum`) enters through `_adopt`, which
-takes its shape from the operands and checks nothing again.  It keeps
+`lift_blocks`, `project`, `+`, `-`, `scale`, `msum`), or a table or
+matrix that `qta.io.parse` has already checked entry by entry, enters
+through `_adopt`, which takes its shape from the operands (or from the
+signature it is read for) and checks nothing again.  It keeps
 `dict(store)`, never the store it is given: a kernel store that grew and
 then cancelled keeps its whole table (a dict never shrinks), and the
 C-level copy drops it, so a derived zero map holds an empty dict.  The
@@ -465,6 +467,32 @@ def lift(f):
                     (da + db,) * len(windows))
 
 
+def lift_blocks(blocks, dims):
+    """sum(lift(m) for m in blocks) for binary block maps on `dims` of
+    distinct signatures, written in one pass over their nonzeros.
+
+    Distinct block signatures fill disjoint entries of the total space,
+    so each nonzero is written once, at its lifted index, with nothing to
+    add or cancel; the store keeps the order of the blocks and of their
+    stores, as the sum of the lifts does.  No blocks give the zero map.
+    """
+    da, db = dims
+    n = da + db
+    out = {}
+    for m in blocks:
+        (s1, s2), cod = m.domain, m.codomain
+        c = m.cod_size
+        row = m.slot_sizes[1] * c
+        # the lift of entry (i, j, k) sits at ((i + o1)*n + j + o2)*n + k + oc
+        base = (((0 if s1 is A else da) * n + (0 if s2 is A else da)) * n
+                + (0 if cod is A else da))
+        for idx, v in m.store.items():
+            i, rem = divmod(idx, row)
+            j, k = divmod(rem, c)
+            out[base + (i * n + j) * n + k] = v
+    return _adopt((TOTAL, TOTAL), TOTAL, dims, (n, n), n, out)
+
+
 def project(f, domain, codomain):
     """Restrict TOTAL slots of f to the requested block signature.
 
@@ -505,8 +533,18 @@ def linear_map_from_matrix(rows, domain_label, codomain_label, dims):
         raise DimensionError(
             f"matrix must be {cod}x{dom} for {domain_label.value} -> "
             f"{codomain_label.value}")
-    return MultilinearMap.from_table([[r[j] for r in rows] for j in range(dom)],
-                                     (domain_label,), codomain_label, dims)
+    domain, dims, _, _ = _checked_shape((domain_label,), codomain_label, dims)
+    # column by column, read straight off the rows: entry (j, k) sits at
+    # j*cod + k, so the store is in index order, as `from_table` gives it
+    store = {}
+    for j in range(dom):
+        for k in range(cod):
+            v = rows[k][j]
+            if type(v) is not Fraction:
+                v = Fraction(v)
+            if v:
+                store[j * cod + k] = v
+    return _adopt(domain, codomain_label, dims, (dom,), cod, store)
 
 
 # -- graded signs ------------------------------------------------------------

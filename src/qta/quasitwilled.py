@@ -46,7 +46,7 @@ from .algebras import (
 from .errors import DimensionError, IngredientError, InvalidQTA, UnknownKind
 from .linalg import _denominator, _ints
 from .multilinear import (
-    A, APRIME, MultilinearMap, _adopt, lift, msum, project,
+    A, APRIME, MultilinearMap, _adopt, lift_blocks, project,
 )
 
 COMPONENT_SIGNATURES = {
@@ -141,12 +141,16 @@ class QuasiTwilledAlgebra:
         return self.basis_a + self.basis_aprime
 
     def _rebased(self, basis_a, basis_aprime):
-        """The same structure, Delta and verdict under other basis names."""
+        """The same structure, Delta and verdict under other basis names
+        (self, if the names are its own)."""
+        basis_a, basis_aprime = tuple(basis_a), tuple(basis_aprime)
+        if (basis_a, basis_aprime) == (self.basis_a, self.basis_aprime):
+            return self
         new = object.__new__(QuasiTwilledAlgebra)
         for name in self.__slots__:
             object.__setattr__(new, name, getattr(self, name))
-        object.__setattr__(new, "basis_a", tuple(basis_a))
-        object.__setattr__(new, "basis_aprime", tuple(basis_aprime))
+        object.__setattr__(new, "basis_a", basis_a)
+        object.__setattr__(new, "basis_aprime", basis_aprime)
         return new
 
     def __repr__(self):
@@ -155,12 +159,13 @@ class QuasiTwilledAlgebra:
 
 
 def total_product(q):
-    """The total binary product on A + A', built once per structure from
-    the lifts of its nonzero components (one zero lift if all are zero)."""
+    """The total binary product on A + A', built once per structure:
+    `lift_blocks` writes the nonzeros of its nonzero components in one
+    pass (the zero map if all are zero)."""
     if q._delta is None:
-        comps = q.components().values()
-        object.__setattr__(q, "_delta", msum(
-            [lift(m) for m in comps if not m.is_zero()] or [lift(q.pi)]))
+        comps = [getattr(q, name) for name in COMPONENT_NAMES]
+        object.__setattr__(q, "_delta", lift_blocks(
+            [m for m in comps if m.store], q.dims))
     return q._delta
 
 

@@ -20,6 +20,12 @@ e^(ad x) of a structure's element as the series sum_n ad_x^n delta / n!
 of brackets on the total space, and `mc_residual` its projection; the
 library reads both off the one blockwise twist of the total product.
 
+`lifted_total_product` and `lifted_reassemble` build a binary element
+on A + A' as the sum (`msum`) of one `lift` per block: Delta from the
+nonzero components (one zero lift if all are zero) and the twisted
+product from all eight blocks; the library writes the same store, entry
+for entry and in the same order, in one `lift_blocks` pass.
+
 `graph_residual` tests the graph {(x, Dx)} against the total product,
 and `classify_operator` names a map from its residual; the library has
 only `operator_name`, which the CLI calls on the residual it has.
@@ -47,7 +53,7 @@ from qta.algebras import check_associative
 from qta.cohomology import _check_cochain, coboundary_matrix
 from qta import deformation
 from qta.deformation import (
-    TwistResult, _check_side_map, operator_name, side_spec,
+    BLOCKS, TwistResult, _check_side_map, operator_name, side_spec,
 )
 from qta.errors import (
     ArityError, DegreeError, DimensionError, IngredientError, UnknownKind,
@@ -122,6 +128,19 @@ def twist_left(q, b):
     gamma = left_residual(q, b)
     return TwistResult("left", pi_b, xi_b, eta_b, beta_b,
                        rho_b, mu_b, q.theta, gamma)
+
+
+def lifted_total_product(q):
+    """Delta of q as the sum of the lifts of its nonzero components, or
+    one zero lift if all are zero."""
+    comps = q.components().values()
+    return msum([lift(m) for m in comps if not m.is_zero()] or [lift(q.pi)])
+
+
+def lifted_reassemble(tw):
+    """The twisted total product of a `TwistResult` as the sum of the
+    lifts of its eight blocks, gamma included."""
+    return msum([lift(getattr(tw, name)) for name in BLOCKS])
 
 
 def graph_residual(q, d):

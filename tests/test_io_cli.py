@@ -611,7 +611,8 @@ def _catalog_calls(name, path):
 def test_each_cli_call_builds_and_validates_once(
         tmp_path, capsys, monkeypatch, name):
     # loading a document and running any command costs one Delta (the one
-    # msum of qta.quasitwilled) and one validate, and no equation rows
+    # `lift_blocks` pass of qta.quasitwilled) and one validate, and no
+    # equation rows
     path = _write_example(tmp_path, name)
     calls = []
 
@@ -621,7 +622,8 @@ def test_each_cli_call_builds_and_validates_once(
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(quasitwilled, "msum", counting(quasitwilled.msum))
+    monkeypatch.setattr(quasitwilled, "lift_blocks",
+                        counting(quasitwilled.lift_blocks))
     monkeypatch.setattr(quasitwilled, "validate",
                         counting(quasitwilled.validate))
     # the CLI imports validate by name: give it the counting one too
@@ -633,7 +635,7 @@ def test_each_cli_call_builds_and_validates_once(
         calls.clear()
         assert cli_main(["--json", *argv]) == 0, argv
         capsys.readouterr()
-        assert sorted(calls) == ["msum", "validate"], argv
+        assert sorted(calls) == ["lift_blocks", "validate"], argv
 
 
 @pytest.mark.parametrize("name", catalog_names())

@@ -11,12 +11,12 @@ from qta import (
     MultilinearMap, NotMaurerCartan, QuasiTwilledAlgebra, VData,
     build_standard, catalog_names, cohomology_dims, conjugation_twist,
     controlling_structure, emit_example, explicit_formula, get_entry,
-    gerstenhaber, insert, left_residual, lift, msum, project,
+    gerstenhaber, insert, left_residual, lift, project,
     random_map, regular_representation, require_quasi_twilled,
     right_residual, seeded_rng, total_product, validate,
 )
 from qta.io import build_quasi_twilled, parse, side_map
-from qta.multilinear import _label_size
+from qta.multilinear import _label_size, lift_blocks
 
 import oracles
 from conftest import (
@@ -104,15 +104,16 @@ def _count_validate(monkeypatch):
     return calls
 
 
-def _count_msum(monkeypatch):
-    # Delta is the one msum of the quasitwilled module (`total_product`)
+def _count_delta(monkeypatch):
+    # Delta is the one `lift_blocks` pass of the quasitwilled module
+    # (`total_product`)
     builds = []
 
-    def counting(maps):
-        builds.append(maps)
-        return msum(maps)
+    def counting(blocks, dims):
+        builds.append(blocks)
+        return lift_blocks(blocks, dims)
 
-    monkeypatch.setattr(quasitwilled, "msum", counting)
+    monkeypatch.setattr(quasitwilled, "lift_blocks", counting)
     return builds
 
 
@@ -121,7 +122,7 @@ def test_equal_structure_is_verified_once(monkeypatch):
     # every later caller reads that pass, and an equal but distinct object
     # is validated once, on its own
     calls = _count_validate(monkeypatch)
-    builds = _count_msum(monkeypatch)
+    builds = _count_delta(monkeypatch)
     q = build_standard("reynolds", algebra=dual_numbers())
     assert calls == [q]
     b = left_map(q, [[-1, 0], [0, -1]])
@@ -168,7 +169,7 @@ def test_cohomology_and_controlling_algebra_share_one_verdict(monkeypatch):
     # the same verdict, kept on the structure: by its build, or else by the
     # first reader; an equal but distinct structure is validated on its own
     calls = _count_validate(monkeypatch)
-    builds = _count_msum(monkeypatch)
+    builds = _count_delta(monkeypatch)
     q = build_standard("semidirect", rep=regular_representation(trunc3()))
     assert calls == [q]
     d = right_map(q, [[0, 0, 0], [0, 1, 0], [0, 1, 2]])
@@ -189,7 +190,7 @@ def test_cohomology_and_controlling_algebra_share_one_verdict(monkeypatch):
 
 def test_delta_is_built_once_per_structure(monkeypatch):
     calls = _count_validate(monkeypatch)
-    builds = _count_msum(monkeypatch)
+    builds = _count_delta(monkeypatch)
     q = build_standard("semidirect", rep=regular_representation(trunc3()))
     d = right_map(q, [[0, 0, 0], [0, 1, 0], [0, 1, 2]])
     delta = require_quasi_twilled(q)

@@ -3,8 +3,10 @@
 Every table entry's path (`components.rho[1][2][0]`) is written only when
 that entry fails.  `golden/load_errors.json` holds the texts, in the CLI's
 `Type: message` form, that the eager per-entry paths gave: a bad scalar in
-each builder table, each component and each map, and a wrong list length
-at each depth of each table.
+each builder table, each component and each map, a wrong list length at
+each depth of each table, and a wrong kind of node at each depth (a table
+that is no list, a scalar where a row or a list is due, a list where a
+scalar is due).
 """
 
 import copy
@@ -68,11 +70,16 @@ def load_error_cases():
     bad = iter(BAD_SCALARS * 10)
     for where, base, keys, name in tables:
         def edit(change, base=base, keys=keys, name=name):
+            """The base document with `change` applied to the table, or
+            with the table replaced by `change` if that is no function."""
             doc = copy.deepcopy(base)
             node = doc
             for key in keys:
                 node = node[key]
-            change(node[name])
+            if callable(change):
+                change(node[name])
+            else:
+                node[name] = change
             return json.dumps(doc)
 
         def set_last(t, value):
@@ -94,6 +101,9 @@ def load_error_cases():
             lambda t: t.__setitem__(0, "0"))
         cases[f"{where} {name}: a list at depth 3"] = edit(
             lambda t: t[0][1].__setitem__(0, ["0"]))
+        cases[f"{where} {name}: a scalar at depth 2"] = edit(
+            lambda t: t[-1].__setitem__(-1, "0"))
+        cases[f"{where} {name}: an object at depth 0"] = edit({"0": "0"})
     for name in ("D", "B"):
         for i in range(2):
             value = next(bad)
@@ -104,7 +114,8 @@ def load_error_cases():
             cases[f"maps {name}: {value!r} at {list(at)}"] = json.dumps(doc)
     for label, rows in (("short row", [["0", "0", "0"], ["0", "0"]]),
                         ("no rows", []), ("scalar row", ["0", "0"]),
-                        ("wrong shape", [["0"] * 4] * 2)):
+                        ("wrong shape", [["0"] * 4] * 2),
+                        ("a list entry", [["0", "0", "0"], ["0", ["0"], "0"]])):
         doc = copy.deepcopy(components)
         doc["maps"]["B"] = rows
         cases[f"maps B: {label}"] = json.dumps(doc)
@@ -138,7 +149,7 @@ def test_load_error_cases_cover_every_table_and_depth():
     labels = list(load_error_cases())
     for name in COMPONENT_SIGNATURES:
         assert sum(label.startswith(f"components {name}:")
-                   for label in labels) == 7
+                   for label in labels) == 9
     for name in ("product", "product_prime", "rho", "mu", "eta", "xi",
                  "omega"):
         assert any(label.startswith("builder ") and f" {name}: " in label

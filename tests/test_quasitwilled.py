@@ -10,9 +10,10 @@ from qta import (
     regular_representation, seeded_rng, structure_residuals, total_product,
     validate,
 )
-from qta import check_associative, quasitwilled
+from qta import TOTAL, check_associative, quasitwilled
 from qta.io import build_quasi_twilled, parse
 from qta.linalg import _denominator
+from qta.multilinear import lift_blocks
 from qta.quasitwilled import _KINDS, BUILDER_KINDS, equation_rows
 
 import oracles
@@ -88,15 +89,16 @@ def test_total_product_examples():
 
 
 def test_total_product_lifts_only_the_nonzero_components(monkeypatch):
-    # Delta is the sum of the lifts of all seven components, read from the
-    # nonzero ones (one lift of a zero component when all are zero)
-    lifts = []
+    # Delta is the sum of the lifts of all seven components, written in one
+    # `lift_blocks` pass over the nonzero ones (none when all are zero,
+    # which gives the zero map)
+    passes = []
 
-    def counting(m):
-        lifts.append(m)
-        return lift(m)
+    def counting(blocks, dims):
+        passes.append(list(blocks))
+        return lift_blocks(passes[-1], dims)
 
-    monkeypatch.setattr(quasitwilled, "lift", counting)
+    monkeypatch.setattr(quasitwilled, "lift_blocks", counting)
     # fresh objects, whose Delta is not built yet
     structures = [QuasiTwilledAlgebra(**q.components())
                   for q in builder_instances(dual_numbers()).values()]
@@ -104,9 +106,13 @@ def test_total_product_lifts_only_the_nonzero_components(monkeypatch):
     for q in structures:
         comps = list(q.components().values())
         every = msum([lift(m) for m in comps])
-        lifts.clear()
+        passes.clear()
         assert total_product(q) == every
-        assert len(lifts) == max(1, sum(not m.is_zero() for m in comps))
+        assert len(passes) == 1
+        nonzero = [m for m in comps if not m.is_zero()]
+        assert [id(m) for m in passes[0]] == [id(m) for m in nonzero]
+    assert passes == [[]] and total_product(q).is_zero()
+    assert total_product(q).signature() == ((TOTAL, TOTAL), TOTAL)
 
 
 def test_no_prime_prime_to_a_block():
