@@ -1,11 +1,13 @@
 """Concrete finite-dimensional associative algebras and their representations.
 
 Structure constants are the input format.  These are the ingredients of
-the stock builders, and they hold data only: each ingredient identity
-(associativity, the representation, associative-representation and
-matched-pair identities) is a row of the one bracket that
-`qta.quasitwilled.validate` computes for the structure built from them,
-and `build_standard` names the first ingredient whose rows are nonzero.
+the stock builders, and they hold data only: `build_standard` reads them
+as the builder tables of its kind (an algebra's product on either label
+is the same table).  Each ingredient identity (associativity, the
+representation, associative-representation and matched-pair identities)
+is a row of the one bracket that `qta.quasitwilled.validate` computes for
+the structure built from them, and a failed build names the first
+ingredient whose rows are nonzero.
 `check_associative` is one product's associator, the half-bracket
 (1/2)[pi,pi], returned as a map so that a caller can report a witness.
 
@@ -42,9 +44,8 @@ class AssociativeAlgebra:
             raise DimensionError("basis name count != dim")
 
     @classmethod
-    def from_table(cls, table, dim, basis_names=None, label=A, dims=None):
-        if dims is None:
-            dims = (0, dim) if label is APRIME else (dim, 0)
+    def from_table(cls, table, dim, basis_names=None, label=A):
+        dims = (0, dim) if label is APRIME else (dim, 0)
         product = MultilinearMap.from_table(table, (label, label), label, dims)
         return cls(product, basis_names)
 
@@ -151,16 +152,13 @@ class MatchedPairData:
             self.eta, self.xi)
 
 
-def regular_representation(alg, dims=None):
+def regular_representation(alg):
     """Left/right multiplication of an algebra on itself.
 
-    The module copy lives on the opposite label; the returned pair has
-    rho(x, v) = x.v and mu(v, x) = v.x.
+    The module copy lives on the opposite label, on dims (dim, dim); the
+    returned pair has rho(x, v) = x.v and mu(v, x) = v.x.
     """
-    other = APRIME if alg.label == A else A
-    if dims is None:
-        dims = (alg.dim, alg.dim)
-    prod = alg.product.with_dims(dims)
+    prod = alg.product.with_dims((alg.dim, alg.dim))
     if alg.label == A:
         rho = prod.relabel((A, APRIME), APRIME)
         mu = prod.relabel((APRIME, A), APRIME)

@@ -33,12 +33,15 @@ is asked for (`side_map`).
 Exactly one of "builder" / "components" must be present.  Missing
 component tables in the "components" form default to zero.
 
-The tables and scalars a builder kind takes, how they become
-`build_standard` ingredients and whether dim A' must equal dim A are read
-from the kind's row of the builder-kind table in `qta.quasitwilled`.  A
-builder table has the shape of the component it fills: `product` is pi,
-`product_prime` is beta, `omega` is theta, and rho, mu, eta, xi keep
-their names.
+The tables and scalars a builder kind takes, the components its tables
+fill and whether dim A' must equal dim A are read from the kind's row of
+the builder-kind table in `qta.quasitwilled`.  A builder table has the
+shape of the component it is named for (`table_signature`): `product` is
+pi, `product_prime` is beta, `omega` is theta, and rho, mu, eta, xi keep
+their names.  A builder document is built straight from its tables
+(`build_from_tables`), with no ingredient objects in between; the
+structure keeps the document's basis names, and the kind's scalars as
+`q.ingredients`.
 """
 
 from __future__ import annotations
@@ -52,18 +55,8 @@ from .errors import DimensionError, ParseError, SchemaError, UnknownKind
 from .multilinear import _adopt, _label_size, linear_map_from_matrix
 from .quasitwilled import (
     _KINDS, BUILDER_KINDS, COMPONENT_SIGNATURES, QuasiTwilledAlgebra,
-    build_standard,
+    build_from_tables, table_signature,
 )
-
-# builder tables that are components under another name; the rest
-# (rho, mu, eta, xi) keep their component names
-_TABLE_COMPONENTS = {"product": "pi", "product_prime": "beta",
-                     "omega": "theta"}
-
-
-def _signature(name):
-    """(domain labels, codomain label) of a builder table or a component."""
-    return COMPONENT_SIGNATURES[_TABLE_COMPONENTS.get(name, name)]
 
 
 # an error report quotes at most this many characters of an offending string
@@ -136,8 +129,8 @@ def _parse_table(node, shape, path, seen, out):
 
 def _parse_map(node, name, dims, path, seen):
     """A builder or components table, checked entry by entry, as the map
-    of its signature (`_signature`)."""
-    dom, cod = _signature(name)
+    of its signature (`table_signature`)."""
+    dom, cod = table_signature(name)
     shape = tuple(_label_size(label, dims) for label in (*dom, cod))
     flat = []
     _parse_table(node, shape, path, seen, flat)
@@ -325,7 +318,8 @@ def print_document(doc):
 
 def build_quasi_twilled(doc):
     """Assemble the split structure a document describes, from the maps
-    its tables already are."""
+    its tables already are: a builder document's tables, scalars and
+    basis names go straight to `build_from_tables`."""
     dims = (doc.dim_a, doc.dim_aprime)
     if doc.components is not None:
         return QuasiTwilledAlgebra.from_components(
@@ -338,12 +332,10 @@ def build_quasi_twilled(doc):
     row = _KINDS[kind]
     if row.same_dims and doc.dim_a != doc.dim_aprime:
         raise SchemaError(f"{kind} needs dim A == dim Aprime")
-    ingredients = row.from_tables(doc.builder["tables"], doc.basis_a,
-                                  doc.basis_aprime)
-    for key in row.scalars:
-        ingredients[key] = doc.builder[key]
-    return build_standard(kind, **ingredients)._rebased(doc.basis_a,
-                                                        doc.basis_aprime)
+    return build_from_tables(
+        kind, doc.builder["tables"],
+        {key: doc.builder[key] for key in row.scalars},
+        doc.basis_a, doc.basis_aprime)
 
 
 def document_from_components(q, maps=None):

@@ -362,13 +362,11 @@ def _label_size(label, dims):
     raise TypeError(f"not a SpaceLabel: {label!r}")
 
 
-def msum(maps, zero=None):
-    """Sum a nonempty iterable of equal-signature maps (or `zero`)."""
+def msum(maps):
+    """Sum a nonempty iterable of equal-signature maps."""
     maps = list(maps)
     if not maps:
-        if zero is None:
-            raise ValueError("msum of nothing needs an explicit zero")
-        return zero
+        raise ValueError("msum of no maps")
     acc = dict(maps[0].store)
     for m in maps[1:]:
         maps[0]._check_same_signature(m)

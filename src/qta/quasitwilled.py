@@ -23,13 +23,17 @@ equation is a test oracle.  `require_quasi_twilled` is the one validity
 verdict, kept on the structure as `verified`, that the controlling
 algebra, the cohomology, the induced structures and the CLI read.
 
-The stock builders (`build_standard`) read their ingredient verdicts off
-the same rows: for the zero blocks of a kind, each of its ingredient
-identities (associativity, the representation, associative-representation
-and matched-pair identities, the cocycle condition) is one row times a
-fixed nonzero scalar.  A build computes the half-bracket once; if it
-fails, the rows of that same bracket name the first ingredient whose rows
-are nonzero.  The per-identity checks are test oracles.
+Each stock structure is built by `build_from_tables` from the builder
+tables of its kind (`product`, `rho`, `mu`, ...), which one fill rule
+turns into the components (`fill_components`).  A document's tables go
+there straight; `build_standard` turns its ingredient objects into
+tables first.  A build reads its ingredient verdicts off the same rows:
+for the zero blocks of a kind, each of its ingredient identities
+(associativity, the representation, associative-representation and
+matched-pair identities, the cocycle condition) is one row times a fixed
+nonzero scalar.  A build computes the half-bracket once; if it fails, the
+rows of that same bracket name the first ingredient whose rows are
+nonzero.  The per-identity checks are test oracles.
 """
 
 from __future__ import annotations
@@ -39,10 +43,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from . import kernel
-from .algebras import (
-    AssociativeAlgebra, AssociativeRepresentation, Cocycle2, MatchedPairData,
-    RepresentationPair, regular_representation,
-)
+from .algebras import AssociativeAlgebra
 from .errors import DimensionError, IngredientError, InvalidQTA, UnknownKind
 from .linalg import _denominator, _ints
 from .multilinear import (
@@ -90,10 +91,8 @@ class QuasiTwilledAlgebra:
         ingredients = MappingProxyType(dict(ingredients or {}))
         if kind is not None and kind not in BUILDER_KINDS:
             raise UnknownKind(f"unknown builder kind {kind!r}")
-        scalars = _KINDS[kind].scalars if kind is not None else ()
-        for key in scalars:
-            if key not in ingredients:
-                raise IngredientError(f"{kind} needs the ingredient {key!r}")
+        if kind is not None:
+            _require_scalars(kind, ingredients)
         basis_a = tuple(basis_a or (f"e{i+1}" for i in range(dims[0])))
         basis_aprime = tuple(
             basis_aprime or (f"f{i+1}" for i in range(dims[1])))
@@ -140,22 +139,17 @@ class QuasiTwilledAlgebra:
     def total_basis_names(self):
         return self.basis_a + self.basis_aprime
 
-    def _rebased(self, basis_a, basis_aprime):
-        """The same structure, Delta and verdict under other basis names
-        (self, if the names are its own)."""
-        basis_a, basis_aprime = tuple(basis_a), tuple(basis_aprime)
-        if (basis_a, basis_aprime) == (self.basis_a, self.basis_aprime):
-            return self
-        new = object.__new__(QuasiTwilledAlgebra)
-        for name in self.__slots__:
-            object.__setattr__(new, name, getattr(self, name))
-        object.__setattr__(new, "basis_a", basis_a)
-        object.__setattr__(new, "basis_aprime", basis_aprime)
-        return new
-
     def __repr__(self):
         return (f"QuasiTwilledAlgebra(dims={self.dims}, "
                 f"kind={self.kind or 'custom'})")
+
+
+def _require_scalars(kind, ingredients):
+    """Raise IngredientError unless `ingredients` holds each scalar
+    ingredient of the kind."""
+    for key in _KINDS[kind].scalars:
+        if key not in ingredients:
+            raise IngredientError(f"{kind} needs the ingredient {key!r}")
 
 
 def total_product(q):
@@ -268,15 +262,85 @@ def structure_residuals(q):
 
 
 # -- builders ----------------------------------------------------------------
+#
+# A builder table has the signature of the component it is named for
+# (`table_signature`): `product` is pi, `product_prime` is beta, `omega` is
+# theta, and rho, mu, eta, xi keep their names.  It fills that component as
+# it is, unless the `fills` of its kind name the components it fills.
+
+_TABLE_COMPONENTS = {"product": "pi", "product_prime": "beta",
+                     "omega": "theta"}
+
+
+def table_signature(name):
+    """(domain labels, codomain label) of a builder table or a component."""
+    return COMPONENT_SIGNATURES[_TABLE_COMPONENTS.get(name, name)]
+
+
+def fill_components(kind, tables, scalars):
+    """The components, by name, that the builder tables of a kind fill.
+
+    A table fills its own component as it is, or else each component that
+    the kind's `fills` names for it: the table relabeled onto that
+    component's signature, times the scalar of `scalars` named with it.
+    """
+    row = _KINDS[kind]
+    comps = {}
+    for name in row.tables:
+        m = tables[name]
+        if name not in row.fills:
+            comps[_TABLE_COMPONENTS.get(name, name)] = m
+            continue
+        for comp, scalar in row.fills[name]:
+            filled = m.relabel(*COMPONENT_SIGNATURES[comp])
+            comps[comp] = (filled if scalar is None
+                           else filled.scale(scalars[scalar]))
+    return comps
+
+
+def build_from_tables(kind, tables, scalars, basis_a=None, basis_aprime=None):
+    """The structure of a builder kind, from its tables, validated once.
+
+    `tables` maps each table name of the kind to its map, on the
+    signature `table_signature` gives and on the dims of the structure;
+    `scalars` holds the kind's scalar ingredients by name, and the
+    structure keeps it as `q.ingredients`.  A document is built here, and
+    so is every `build_standard` structure.
+
+    The output carries the pass of its one validation.  For the shape of
+    its kind, each ingredient identity is one row of `EQUATIONS`, so a
+    structure is quasi-twilled exactly when its ingredient conditions
+    hold.  Only if validation fails are the rows read, off the same
+    half-bracket, and IngredientError names the first ingredient, in the
+    kind's check order, whose rows are nonzero (`_KINDS`,
+    `ingredient_rows`); only the kind's rows are projected, up to that
+    ingredient.
+    """
+    if kind not in BUILDER_KINDS:
+        raise UnknownKind(f"unknown builder kind {kind!r}")
+    _require_scalars(kind, scalars)
+    q = QuasiTwilledAlgebra.from_components(
+        tables["product"].dims, kind=kind, ingredients=scalars,
+        basis_a=basis_a, basis_aprime=basis_aprime,
+        **fill_components(kind, tables, scalars))
+    half = validate(q)
+    if _passes(q, half):
+        return q
+    for message, identities in _KINDS[kind].ingredient_rows:
+        failed = [name for i, name in identities
+                  if not project(half, *EQUATIONS[i][1]).is_zero()]
+        if failed:
+            raise IngredientError(message.format(failed))
+    raise InvalidQTA(_NOT_QUASI_TWILLED)
 
 
 def build_standard(kind, **ingredients):
-    """Instantiate one of the stock split structures.
+    """Instantiate one of the stock split structures from ingredient
+    objects.
 
     The kind's row of `_KINDS` (the builder-kind table at the end of this
-    module) names the builder and the keywords it reads, in order; a
-    missing or unknown keyword raises IngredientError naming it, and the
-    result records the kind as `q.kind`.
+    module) names the keywords it reads, in order; a missing or unknown
+    keyword raises IngredientError naming it.
 
     kinds and ingredients:
       modified_direct_sum   algebra, weight
@@ -287,14 +351,11 @@ def build_standard(kind, **ingredients):
       reynolds              algebra
       matched_pair          matched_pair (MatchedPairData)
 
-    The output is validated once and carries the pass.  For the shape of
-    its kind, each ingredient identity is one row of `EQUATIONS`, so a
-    structure is quasi-twilled exactly when its ingredient conditions
-    hold.  Only if validation fails are the rows read, off the same
-    half-bracket, and IngredientError names the first ingredient, in the
-    kind's check order, whose rows are nonzero (`_KINDS`,
-    `ingredient_rows`); only the kind's rows are projected, up to that
-    ingredient.
+    The keywords become the kind's builder tables and basis names
+    (`_keyword_tables`), from which `build_from_tables` builds and
+    validates the structure, as it does a document's.  The result
+    records the kind as `q.kind` and the keywords as given, scalars as
+    Fractions, as `q.ingredients`.
     """
     if kind not in BUILDER_KINDS:
         raise UnknownKind(f"unknown builder kind {kind!r}")
@@ -307,109 +368,58 @@ def build_standard(kind, **ingredients):
     missing = [k for k in row.keywords if k not in ingredients]
     if missing:
         raise IngredientError(f"{kind} needs the ingredient {missing[0]!r}")
-    q = row.build(kind, *(ingredients[k] for k in row.keywords))
-    half = validate(q)
-    if _passes(q, half):
-        return q
-    for message, identities in row.ingredient_rows:
-        failed = [name for i, name in identities
-                  if not project(half, *EQUATIONS[i][1]).is_zero()]
-        if failed:
-            raise IngredientError(message.format(failed))
-    raise InvalidQTA(_NOT_QUASI_TWILLED)
+    ingredients = {key: Fraction(value) if key in row.scalars else value
+                   for key, value in ingredients.items()}
+    tables, basis_a, basis_aprime = _keyword_tables(row, ingredients)
+    return build_from_tables(kind, tables, ingredients, basis_a, basis_aprime)
 
 
-def _build_modified(kind, alg, weight):
-    """A + A with (x,u)(y,v) = (x.v + u.y, weight*(x.y) + u.v)."""
-    weight = Fraction(weight)
-    dims = (alg.dim, alg.dim)
-    prod = alg.product.with_dims(dims)
-    return QuasiTwilledAlgebra.from_components(
-        dims, kind=kind,
-        xi=prod.relabel((A, APRIME), A),
-        eta=prod.relabel((APRIME, A), A),
-        beta=prod.relabel((APRIME, APRIME), APRIME),
-        theta=prod.relabel((A, A), APRIME).scale(weight),
-        ingredients={"algebra": alg, "weight": weight},
-        basis_a=alg.basis_names,
-        basis_aprime=[n + "'" for n in alg.basis_names])
+# the builder tables a `build_standard` keyword holds: (table, algebra or
+# map) pairs read off its value
+_KEYWORD_TABLES = {
+    "algebra": lambda alg: (("product", alg),),
+    "algebra_prime": lambda alg: (("product_prime", alg),),
+    "rep": lambda rep: (("product", rep.algebra), ("rho", rep.rho),
+                        ("mu", rep.mu)),
+    "assoc_rep": lambda ar: (*_KEYWORD_TABLES["rep"](ar),
+                             ("product_prime", ar.prime_product)),
+    "cocycle": lambda c: (*_KEYWORD_TABLES["rep"](c.rep), ("omega", c.omega)),
+    "matched_pair": lambda mp: (
+        ("product", mp.alg_a), ("product_prime", mp.alg_prime),
+        ("rho", mp.rho), ("mu", mp.mu), ("eta", mp.eta), ("xi", mp.xi)),
+}
 
 
-def _build_semidirect(kind, rep):
-    """(x,u)(y,v) = (x.y, rho(x)v + mu(y)u)."""
-    dims = rep.rho.dims
-    return QuasiTwilledAlgebra.from_components(
-        dims, kind=kind,
-        pi=rep.algebra.product.with_dims(dims),
-        rho=rep.rho, mu=rep.mu,
-        ingredients={"algebra": rep.algebra, "rep": rep},
-        basis_a=rep.algebra.basis_names)
+def _keyword_tables(row, ingredients):
+    """The builder tables, and the basis names of A and of A' (None for
+    the default names), of the `build_standard` keywords of a kind.
 
-
-def _build_semidirect_assoc(kind, ar):
-    """(x,u)(y,v) = (x.y, rho(x)v + mu(y)u + u.v)."""
-    dims = ar.rho.dims
-    return QuasiTwilledAlgebra.from_components(
-        dims, kind=kind,
-        pi=ar.algebra.product.with_dims(dims),
-        beta=ar.prime_product,
-        rho=ar.rho, mu=ar.mu,
-        ingredients={"algebra": ar.algebra, "assoc_rep": ar},
-        basis_a=ar.algebra.basis_names)
-
-
-def _build_direct_product(kind, alg, alg_prime):
-    """(x,u)(y,v) = (x.y, u.v)."""
-    dims = (alg.dim, alg_prime.dim)
-    return QuasiTwilledAlgebra.from_components(
-        dims, kind=kind,
-        pi=alg.product.with_dims(dims),
-        beta=alg_prime.product.relabel((APRIME, APRIME), APRIME, dims),
-        ingredients={"algebra": alg, "algebra_prime": alg_prime},
-        basis_a=alg.basis_names,
-        basis_aprime=alg_prime.basis_names)
-
-
-def _build_abelian_extension(kind, cocycle):
-    """(x,u)(y,v) = (x.y, rho(x)v + mu(y)u + omega(x,y)).
-
-    omega is accepted exactly when this product is associative (the
-    operational cocycle condition).
+    An algebra is read through one adapter: its product relabeled onto
+    the signature of its table, pi or beta, so an algebra given on either
+    label is the same ingredient; its basis names name that space, and
+    A' is named after A, primed, where the kind needs dim A' = dim A.
+    Every other table is a map the keyword holds, as it is, and the
+    first of these gives the dims (else the algebras do).
     """
-    rep = cocycle.rep
-    dims = rep.rho.dims
-    return QuasiTwilledAlgebra.from_components(
-        dims, kind=kind,
-        pi=rep.algebra.product.with_dims(dims),
-        rho=rep.rho, mu=rep.mu,
-        theta=cocycle.omega,
-        ingredients={"algebra": rep.algebra, "rep": rep,
-                     "omega": cocycle.omega},
-        basis_a=rep.algebra.basis_names)
-
-
-def _build_reynolds(kind, alg):
-    """Abelian extension over the regular representation with omega = product."""
-    rep = regular_representation(alg)
-    omega = rep.algebra.product.relabel((A, A), APRIME)
-    return QuasiTwilledAlgebra.from_components(
-        rep.rho.dims, kind=kind, pi=rep.algebra.product, rho=rep.rho, mu=rep.mu,
-        theta=omega, ingredients={"algebra": alg, "rep": rep, "omega": omega},
-        basis_a=alg.basis_names,
-        basis_aprime=[n + "'" for n in alg.basis_names])
-
-
-def _build_matched_pair(kind, mp):
-    """(x,u)(y,v) = (x.y + xi(v)x + eta(u)y, u.v + rho(x)v + mu(y)u)."""
-    dims = mp.dims
-    return QuasiTwilledAlgebra.from_components(
-        dims, kind=kind,
-        pi=mp.alg_a.product.with_dims(dims),
-        beta=mp.alg_prime.product.with_dims(dims),
-        rho=mp.rho, mu=mp.mu, eta=mp.eta, xi=mp.xi,
-        ingredients={"matched_pair": mp},
-        basis_a=mp.alg_a.basis_names,
-        basis_aprime=mp.alg_prime.basis_names)
+    parts = {}
+    for key in row.keywords:
+        if key not in row.scalars:
+            parts.update(_KEYWORD_TABLES[key](ingredients[key]))
+    algebras = {name: v for name, v in parts.items()
+                if isinstance(v, AssociativeAlgebra)}
+    alg = algebras["product"]
+    prime = algebras.get("product_prime")
+    maps = [v for v in parts.values() if isinstance(v, MultilinearMap)]
+    dims = maps[0].dims if maps else (alg.dim, (prime or alg).dim)
+    tables = {name: v.product.relabel(*table_signature(name), dims)
+              if name in algebras else v for name, v in parts.items()}
+    if prime is not None:
+        basis_aprime = prime.basis_names
+    elif row.same_dims:
+        basis_aprime = [n + "'" for n in alg.basis_names]
+    else:
+        basis_aprime = None
+    return tables, alg.basis_names, basis_aprime
 
 
 # -- ingredient identities as rows of the one bracket -------------------------
@@ -447,55 +457,16 @@ _MATCHED_PAIR = (
 
 
 # -- the catalogue of builder kinds -------------------------------------------
-#
-# Ingredient functions turn a document's builder tables (as maps, keyed by
-# table name) and its two bases into `build_standard` keywords.
-
-
-def _doc_algebra(t, basis_a, basis_aprime):
-    return {"algebra": AssociativeAlgebra(t["product"], basis_a)}
-
-
-def _doc_rep(t, basis_a):
-    return RepresentationPair(AssociativeAlgebra(t["product"], basis_a),
-                              t["rho"], t["mu"])
-
-
-def _doc_semidirect(t, basis_a, basis_aprime):
-    return {"rep": _doc_rep(t, basis_a)}
-
-
-def _doc_semidirect_assoc(t, basis_a, basis_aprime):
-    return {"assoc_rep": AssociativeRepresentation(
-        AssociativeAlgebra(t["product"], basis_a), t["rho"], t["mu"],
-        t["product_prime"])}
-
-
-def _doc_direct_product(t, basis_a, basis_aprime):
-    return {**_doc_algebra(t, basis_a, basis_aprime),
-            "algebra_prime": AssociativeAlgebra(t["product_prime"],
-                                                basis_aprime)}
-
-
-def _doc_abelian_extension(t, basis_a, basis_aprime):
-    return {"cocycle": Cocycle2(_doc_rep(t, basis_a), t["omega"])}
-
-
-def _doc_matched_pair(t, basis_a, basis_aprime):
-    return {"matched_pair": MatchedPairData(
-        AssociativeAlgebra(t["product"], basis_a),
-        AssociativeAlgebra(t["product_prime"], basis_aprime),
-        t["rho"], t["mu"], t["eta"], t["xi"])}
 
 
 class _Kind(namedtuple("_Kind", (
-        "build",            # _build_*(kind, *keywords) -> the structure
         "ingredient_rows",  # its ingredients, in check order (see above)
-        "keywords",         # build_standard ingredients, in `build` order
-        "tables",           # builder tables of a document
-        "from_tables",      # (table maps, basis_a, basis_aprime) -> keywords
+        "keywords",         # build_standard ingredients, in order
+        "tables",           # its builder tables, in order
+        "fills",            # {table: ((component, scalar or None), ...)}
+                            # for each table that fills other components
+                            # than its own (see `fill_components`)
         "scalars",          # scalar ingredients, top-level builder keys
-        "same_dims",        # whether dim A' must equal dim A
         "right",            # name of its right deformation maps and
         "left",             # of its left ones (or None); {scalar} filled in
 ))):
@@ -503,50 +474,56 @@ class _Kind(namedtuple("_Kind", (
 
     __slots__ = ()
 
+    @property
+    def same_dims(self):
+        """Whether dim A' must equal dim A: a table that fills another
+        component than its own is relabeled, which keeps its sizes."""
+        return bool(self.fills)
 
+
+# Above each row, the product on A + A' that its tables fill in.
 _KINDS = {
+    # A + A with (x,u)(y,v) = (x.v + u.y, weight*(x.y) + u.v)
     "modified_direct_sum": _Kind(
-        _build_modified, (_algebra("algebra", 14),),
-        ("algebra", "weight"), ("product",),
-        _doc_algebra, ("weight",), True,
-        "modified Rota-Baxter operator of weight {weight}", None),
+        (_algebra("algebra", 14),), ("algebra", "weight"), ("product",),
+        {"product": (("xi", None), ("eta", None), ("beta", None),
+                     ("theta", "weight"))},
+        ("weight",), "modified Rota-Baxter operator of weight {weight}", None),
+    # (x,u)(y,v) = (x.y, rho(x)v + mu(y)u)
     "semidirect": _Kind(
-        _build_semidirect,
         (_algebra("algebra", 0),
          _identities("representation", (1, 2, 7), _REPRESENTATION)),
-        ("rep",), ("product", "rho", "mu"),
-        _doc_semidirect, (), False,
+        ("rep",), ("product", "rho", "mu"), {}, (),
         "derivation", "relative Rota-Baxter operator of weight 0"),
+    # (x,u)(y,v) = (x.y, rho(x)v + mu(y)u + u.v)
     "semidirect_assoc": _Kind(
-        _build_semidirect_assoc,
         (_algebra("algebra", 0), _algebra("module algebra", 14),
          _identities("associative representation", (1, 2, 7, 8, 9, 10),
                      _ASSOCIATIVE_REPRESENTATION)),
-        ("assoc_rep",),
-        ("product", "product_prime", "rho", "mu"),
-        _doc_semidirect_assoc, (), False, "crossed homomorphism", None),
+        ("assoc_rep",), ("product", "product_prime", "rho", "mu"), {}, (),
+        "crossed homomorphism", None),
+    # (x,u)(y,v) = (x.y, u.v)
     "direct_product": _Kind(
-        _build_direct_product,
         (_algebra("algebra", 0), _algebra("second algebra", 14)),
-        ("algebra", "algebra_prime"),
-        ("product", "product_prime"),
-        _doc_direct_product, (), False,
+        ("algebra", "algebra_prime"), ("product", "product_prime"), {}, (),
         "associative algebra homomorphism", None),
+    # (x,u)(y,v) = (x.y, rho(x)v + mu(y)u + omega(x,y))
     "abelian_extension": _Kind(
-        _build_abelian_extension,
         (_algebra("algebra", 0),
          _identities("representation", (1, 2, 7), _REPRESENTATION),
          ("omega is not a 2-cocycle: the extension product fails "
           "associativity", ((6, None),))),
-        ("cocycle",),
-        ("product", "rho", "mu", "omega"),
-        _doc_abelian_extension, (), False,
+        ("cocycle",), ("product", "rho", "mu", "omega"), {}, (),
         None, "twisted Rota-Baxter operator"),
+    # the abelian extension of A by its regular bimodule with omega = the
+    # product: (x,u)(y,v) = (x.y, x.v + u.y + x.y)
     "reynolds": _Kind(
-        _build_reynolds, (_algebra("algebra", 0),), ("algebra",), ("product",),
-        _doc_algebra, (), True, None, "Reynolds operator"),
+        (_algebra("algebra", 0),), ("algebra",), ("product",),
+        {"product": (("pi", None), ("rho", None), ("mu", None),
+                     ("theta", None))},
+        (), None, "Reynolds operator"),
+    # (x,u)(y,v) = (x.y + xi(v)x + eta(u)y, u.v + rho(x)v + mu(y)u)
     "matched_pair": _Kind(
-        _build_matched_pair,
         (_algebra("algebra A", 0), _algebra("algebra A'", 14),
          _identities("(A'; rho, mu) representation", (1, 2, 7),
                      _REPRESENTATION),
@@ -555,8 +532,7 @@ _KINDS = {
          _identities("matched pair compatibility", (8, 10, 5, 4, 9, 3),
                      _MATCHED_PAIR)),
         ("matched_pair",),
-        ("product", "product_prime", "rho", "mu", "eta", "xi"),
-        _doc_matched_pair, (), False,
+        ("product", "product_prime", "rho", "mu", "eta", "xi"), {}, (),
         None, "deformation map of a matched pair"),
 }
 

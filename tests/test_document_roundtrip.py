@@ -22,9 +22,10 @@ from qta import (
     regular_representation,
 )
 from qta.io import (
-    _signature, build_quasi_twilled, document_from_components, json_text,
-    parse, print_document, to_dict,
+    build_quasi_twilled, document_from_components, json_text, parse,
+    print_document, to_dict,
 )
+from qta.quasitwilled import table_signature
 
 from conftest import upper_triangular
 
@@ -80,7 +81,7 @@ def test_each_table_is_the_checked_map_of_its_component(name):
     tables = _tables(parse(text))
     assert sorted(tables) == sorted(nodes)
     for table, m in tables.items():
-        dom, cod = _signature(table)
+        dom, cod = table_signature(table)
         want = MultilinearMap.from_table(_fractions(nodes[table]), dom, cod,
                                          m.dims)
         assert m == want, table

@@ -5,7 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from qta import DimensionError, ParseError, SchemaError, quasitwilled, validate
+from qta import (
+    AssociativeAlgebra, AssociativeRepresentation, Cocycle2, DimensionError,
+    MatchedPairData, ParseError, RepresentationPair, SchemaError,
+    quasitwilled, validate,
+)
 from qta.catalog import catalog_names, emit_example, get_entry
 import qta.cli
 import qta.deformation
@@ -386,10 +390,12 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize("name", ["validate-nonassociative-beta",
-                                  "validate-rho2"])
+                                  "validate-rho2", "validate-fractional"])
 def test_cli_validate_json_is_pinned(capsys, name):
     # byte for byte apart from the timing line: the verdict, the bracket
-    # witness and all sixteen rows, the [beta,beta] row at twice its block
+    # witness and all sixteen rows, the [beta,beta] row at twice its block;
+    # with rho = 2/3 and theta = 1/2 the integer verdict's witnesses are the
+    # exact fractions (1/6 in the bracket, 2/9 and 1/6 in the rows)
     assert cli_main(["--json", "validate",
                      str(GOLDEN / f"{name}.json")]) == 1
     out, err = capsys.readouterr()
@@ -636,6 +642,56 @@ def test_each_cli_call_builds_and_validates_once(
         assert cli_main(["--json", *argv]) == 0, argv
         capsys.readouterr()
         assert sorted(calls) == ["lift_blocks", "validate"], argv
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_a_document_load_builds_no_ingredient_object(monkeypatch, name):
+    # a builder document goes from its tables straight to the structure:
+    # no build_standard and no ingredient object, one validate and one
+    # `lift_blocks` pass
+    doc = parse(emit_example(name))
+    calls = []
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a document load made an ingredient object")
+
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    for cls in (AssociativeAlgebra, RepresentationPair,
+                AssociativeRepresentation, Cocycle2, MatchedPairData):
+        monkeypatch.setattr(cls, "__init__", refused)
+    monkeypatch.setattr(quasitwilled, "build_standard", refused)
+    monkeypatch.setattr(quasitwilled, "lift_blocks",
+                        counting(quasitwilled.lift_blocks))
+    monkeypatch.setattr(quasitwilled, "validate",
+                        counting(quasitwilled.validate))
+    q = build_quasi_twilled(doc)
+    assert q.verified and q.kind == doc.builder["kind"]
+    assert sorted(calls) == ["lift_blocks", "validate"]
+
+
+@pytest.mark.parametrize("kind", ["reynolds", "modified_direct_sum"])
+def test_cli_same_dims_kind_on_other_dims_exit_2(tmp_path, capsys, kind):
+    # a kind whose product fills components on both labels needs
+    # dim A == dim Aprime
+    builder = {"kind": kind, "tables": {"product": [
+        [["1", "0"], ["0", "1"]], [["0", "1"], ["0", "0"]]]}}
+    if kind == "modified_direct_sum":
+        builder["weight"] = "1"
+    p = tmp_path / "dims.json"
+    p.write_text(json.dumps({
+        "field": "rational",
+        "spaces": {"A": {"dim": 2}, "Aprime": {"dim": 1}},
+        "builder": builder}), encoding="utf-8")
+    assert cli_main(["--json", "validate", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["details"]["error"] == \
+        f"SchemaError: {kind} needs dim A == dim Aprime"
+    assert err == ""
 
 
 @pytest.mark.parametrize("name", catalog_names())

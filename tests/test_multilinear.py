@@ -433,6 +433,14 @@ def test_adding_a_non_map_is_a_type_error():
                 op()
 
 
+def test_msum_of_no_maps_is_a_value_error():
+    # a sum of nothing has no signature to take
+    with pytest.raises(ValueError, match="msum of no maps"):
+        msum([])
+    with pytest.raises(ValueError):
+        msum(m for m in ())
+
+
 def test_project_rejects_a_label_that_is_not_a_space_label():
     # the projection's labels come from the caller, so the adopted map's
     # shape is read off them only after they are checked

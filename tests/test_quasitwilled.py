@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from qta import (
-    A, APRIME, IngredientError, MultilinearMap, QuasiTwilledAlgebra,
-    AssociativeAlgebra, RepresentationPair, UnknownKind, build_standard,
+    A, APRIME, AssociativeAlgebra, AssociativeRepresentation, Cocycle2,
+    DimensionError, IngredientError, MatchedPairData, MultilinearMap,
+    QuasiTwilledAlgebra, RepresentationPair, UnknownKind, build_standard,
     catalog_names, circle, emit_example, lift, msum, project,
     regular_representation, seeded_rng, structure_residuals, total_product,
     validate,
@@ -14,11 +15,13 @@ from qta import TOTAL, check_associative, quasitwilled
 from qta.io import build_quasi_twilled, parse
 from qta.linalg import _denominator
 from qta.multilinear import lift_blocks
-from qta.quasitwilled import _KINDS, BUILDER_KINDS, equation_rows
+from qta.quasitwilled import (
+    _KINDS, BUILDER_KINDS, build_from_tables, equation_rows, fill_components,
+)
 
 import oracles
 from conftest import (
-    T2_TABLE, builder_instances, change_of_basis, conjugated_structure,
+    DUAL_TABLE, T2_TABLE, builder_instances, change_of_basis, conjugated_structure,
     dual_numbers, one_dim_algebra, trunc3, twisted_structure,
     upper_triangular,
 )
@@ -68,6 +71,10 @@ def test_missing_scalar_ingredient_is_refused_at_construction():
         QuasiTwilledAlgebra(kind="modified_direct_sum",
                             ingredients={"algebra": q.ingredients["algebra"]},
                             **q.components())
+    # and so is a build from tables without it
+    with pytest.raises(IngredientError, match="weight"):
+        build_from_tables("modified_direct_sum",
+                          {"product": q.ingredients["algebra"].product}, {})
 
 
 def test_total_product_examples():
@@ -571,10 +578,41 @@ def _perturbed(tables, names, rng):
     return tables
 
 
-def _ingredients(row, tables, basis_a, basis_aprime):
-    ing = row.from_tables(tables, basis_a, basis_aprime)
-    ing.update({key: Fraction(4) for key in row.scalars})
-    return ing
+def _scalars(kind):
+    """The scalar ingredients of a kind: weight 4."""
+    return {key: Fraction(4) for key in _KINDS[kind].scalars}
+
+
+def _keywords(kind, t, basis_a, basis_aprime):
+    """The `build_standard` keywords that hold the builder tables of a
+    kind, with its scalars: the ingredient objects the oracles read."""
+    alg = AssociativeAlgebra(t["product"], basis_a)
+    if kind in ("modified_direct_sum", "reynolds"):
+        ing = {"algebra": alg}
+    elif kind == "semidirect":
+        ing = {"rep": RepresentationPair(alg, t["rho"], t["mu"])}
+    elif kind == "semidirect_assoc":
+        ing = {"assoc_rep": AssociativeRepresentation(
+            alg, t["rho"], t["mu"], t["product_prime"])}
+    elif kind == "direct_product":
+        ing = {"algebra": alg, "algebra_prime": AssociativeAlgebra(
+            t["product_prime"], basis_aprime)}
+    elif kind == "abelian_extension":
+        ing = {"cocycle": Cocycle2(
+            RepresentationPair(alg, t["rho"], t["mu"]), t["omega"])}
+    else:
+        ing = {"matched_pair": MatchedPairData(
+            alg, AssociativeAlgebra(t["product_prime"], basis_aprime),
+            t["rho"], t["mu"], t["eta"], t["xi"])}
+    return {**ing, **_scalars(kind)}
+
+
+def _unvalidated(kind, tables):
+    """The structure that the builder tables of a kind fill, before any
+    validation."""
+    return QuasiTwilledAlgebra.from_components(
+        tables["product"].dims, **fill_components(kind, tables,
+                                                   _scalars(kind)))
 
 
 def _error_text(fn):
@@ -597,12 +635,14 @@ def test_failed_validation_names_the_upfront_ingredient_error(kind):
         texts = []
         for trial in range(30):
             # trial 0 keeps the valid ingredients
-            ing = _ingredients(
-                row, _perturbed(tables, row.tables, rng) if trial else tables,
-                basis_a, basis_aprime)
-            raw = row.build(kind, *(ing[k] for k in row.keywords))
+            t = _perturbed(tables, row.tables, rng) if trial else tables
+            ing = _keywords(kind, t, basis_a, basis_aprime)
+            raw = _unvalidated(kind, t)
             want = _error_text(lambda: _upfront_checks(kind, ing, raw))
             assert _error_text(lambda: build_standard(kind, **ing)) == want
+            # the document entrance raises the same text
+            assert _error_text(lambda: build_from_tables(
+                kind, t, _scalars(kind), basis_a, basis_aprime)) == want
             assert (want is None) == validate(raw).is_zero()
             texts.append(want)
         assert texts[0] is None and any(texts), (basis_a, texts)
@@ -624,10 +664,9 @@ def test_each_mapped_row_is_its_identity(kind):
         for trial in range(12):
             for _ in range(1 + trial % 3):
                 tables = _perturbed(tables, row.tables, rng)
-            ing = _ingredients(row, tables, basis_a, basis_aprime)
-            rows = structure_residuals(
-                row.build(kind, *(ing[k] for k in row.keywords)))
-            oracle = _ingredient_identities(kind, ing)
+            rows = structure_residuals(_unvalidated(kind, tables))
+            oracle = _ingredient_identities(
+                kind, _keywords(kind, tables, basis_a, basis_aprime))
             assert len(oracle) == len(row.ingredient_rows)
             for (message, identities), named in zip(row.ingredient_rows,
                                                     oracle):
@@ -645,6 +684,72 @@ def test_each_mapped_row_is_its_identity(kind):
     mapped = {i for _, identities in row.ingredient_rows
               for i, _ in identities}
     assert set(scalars) == mapped, sorted(mapped - set(scalars))
+
+
+def _built(build):
+    """What a build gives, to compare entrances: each component's
+    signature and store (in order, every entry a Fraction), the bases,
+    the kind, Delta's store and the verdict; or the IngredientError
+    text."""
+    try:
+        q = build()
+    except IngredientError as exc:
+        return str(exc)
+    comps = q.components()
+    assert all(type(v) is Fraction
+               for m in comps.values() for v in m.store.values())
+    return ([(name, m.signature(), m.dims, list(m.store.items()))
+             for name, m in comps.items()],
+            q.basis_a, q.basis_aprime, q.kind,
+            list(total_product(q).store.items()), q.verified)
+
+
+@pytest.mark.parametrize("kind", BUILDER_KINDS)
+def test_both_entrances_build_the_same_structure(kind):
+    # build_standard on the keyword objects and build_from_tables on their
+    # tables give one structure, valid or not: A' is named after its
+    # algebra, or after A, primed, where the dims must agree, and by
+    # default otherwise
+    row = _KINDS[kind]
+    rng = seeded_rng(200 + sorted(BUILDER_KINDS).index(kind))
+    cases = list(_regular_cases())
+    if not row.same_dims:
+        cases.append((_matrix_tables(), ["e11", "e12", "e22"], ["e21"]))
+    named = row.same_dims or kind in ("direct_product", "matched_pair")
+    outcomes = []
+    for tables, basis_a, basis_aprime in cases:
+        for trial in range(4):
+            t = _perturbed(tables, row.tables, rng) if trial else tables
+            ing = _keywords(kind, t, basis_a, basis_aprime)
+            got = _built(lambda: build_standard(kind, **ing))
+            assert got == _built(lambda: build_from_tables(
+                kind, t, _scalars(kind), basis_a,
+                basis_aprime if named else None))
+            outcomes.append(got)
+    assert not isinstance(outcomes[0], str), outcomes[0]
+    assert all(o[-1] for o in outcomes if not isinstance(o, str))
+
+
+def test_an_algebra_on_either_label_is_the_same_ingredient():
+    # the algebra keywords read the product on the A or the A' label alike:
+    # the same components, store for store; a representation acts on A'
+    # only, so the regular representation of an A'-label algebra is refused
+    on_a = dual_numbers()
+    on_aprime = AssociativeAlgebra.from_table(
+        DUAL_TABLE, 2, basis_names=on_a.basis_names, label=APRIME)
+    for kind, keywords in (
+            ("modified_direct_sum", {"algebra": None, "weight": 3}),
+            ("reynolds", {"algebra": None}),
+            ("direct_product", {"algebra": None, "algebra_prime": None})):
+        builds = [
+            _built(lambda: build_standard(kind, **{
+                key: alg if value is None else value
+                for key, value in keywords.items()}))
+            for alg in (on_a, on_aprime)]
+        assert not isinstance(builds[0], str)
+        assert builds[0] == builds[1], kind
+    with pytest.raises(DimensionError):
+        build_standard("semidirect", rep=regular_representation(on_aprime))
 
 
 def test_basis_names_must_match_dims():

@@ -13,10 +13,13 @@ in process through `qta.cli.main`.  The corpus is:
 * `classify`, `twist`, `mc` and `cohomology --max-degree 3` on every
   catalog (map, side) pair;
 * `jacobi` at arities 0-4 for seeds 0 and 1 on every catalog side;
-* failure documents: a structure that is not quasi-twilled; builder
-  documents whose ingredient fails (a Reynolds product that is not
-  associative, a semidirect representation, a matched-pair compatibility
-  and an abelian-extension cocycle); a map that is not a deformation map,
+* failure documents: a structure that is not quasi-twilled; a builder
+  document of every kind whose ingredient fails (a Reynolds product and a
+  modified-direct-sum product that are not associative, a semidirect
+  representation, the prime product of a `semidirect_assoc` and the
+  second product of a `direct_product` that are not associative, a
+  matched-pair compatibility and an abelian-extension cocycle); a Reynolds
+  document with dim A != dim Aprime; a map that is not a deformation map,
   malformed documents and a missing file;
 * usage errors: no command, an unknown command, a missing `--map`, a bad
   `--side`, a non-integer `--max-degree`, an extra token, `-h` on each
@@ -49,6 +52,10 @@ GOLDEN = ROOT / "tests" / "golden"
 COMMANDS = ("validate", "classify", "twist", "mc", "cohomology", "jacobi",
             "example")
 
+# e1.e1 = e2, e2.e1 = e1 on K^2: not associative, since (e2.e1).e1 = e2
+# but e2.(e1.e1) = 0
+NONASSOCIATIVE = [[["0", "1"], ["0", "0"]], [["1", "0"], ["0", "0"]]]
+
 FAILURE_DOCUMENTS = {
     # pi = mu = 1, rho = 2 on dims (1, 1): not quasi-twilled
     "invalid": {"field": "rational",
@@ -56,12 +63,11 @@ FAILURE_DOCUMENTS = {
                 "components": {"pi": [[["1"]]], "mu": [[["1"]]],
                                "rho": [[["2"]]]},
                 "maps": {"D": [["0"]], "B": [["0"]]}},
-    # e1.e1 = e2, e2.e1 = e1: the Reynolds product is not associative
+    # the Reynolds product is not associative
     "nonassociative": {"field": "rational",
                        "spaces": {"A": {"dim": 2}, "Aprime": {"dim": 2}},
                        "builder": {"kind": "reynolds", "tables": {
-                           "product": [[["0", "1"], ["0", "0"]],
-                                       [["1", "0"], ["0", "0"]]]}},
+                           "product": NONASSOCIATIVE}},
                        "maps": {"B": [["0", "0"], ["0", "0"]]}},
     # e.e = e with rho = 2: rho(e.e) = 2 but rho(e)rho(e) = 4
     "bad-representation": {
@@ -88,6 +94,36 @@ FAILURE_DOCUMENTS = {
             "product": [[["1"]]], "rho": [[["1"]]], "mu": [[["0"]]],
             "omega": [[["1"]]]}},
         "maps": {"B": [["0"]]}},
+    # the non-associative product above, in a modified direct sum
+    "bad-modified-algebra": {
+        "field": "rational",
+        "spaces": {"A": {"dim": 2}, "Aprime": {"dim": 2}},
+        "builder": {"kind": "modified_direct_sum", "weight": "3/2",
+                    "tables": {"product": NONASSOCIATIVE}},
+        "maps": {"D": [["0", "0"], ["0", "0"]]}},
+    # e.e = e acting by zero on A' = K^2, whose product is not associative
+    "bad-module-algebra": {
+        "field": "rational",
+        "spaces": {"A": {"dim": 1}, "Aprime": {"dim": 2}},
+        "builder": {"kind": "semidirect_assoc", "tables": {
+            "product": [[["1"]]], "product_prime": NONASSOCIATIVE,
+            "rho": [[["0", "0"], ["0", "0"]]],
+            "mu": [[["0", "0"]], [["0", "0"]]]}},
+        "maps": {"D": [["0"], ["0"]]}},
+    # e.e = e times the same non-associative A' = K^2
+    "bad-second-algebra": {
+        "field": "rational",
+        "spaces": {"A": {"dim": 1}, "Aprime": {"dim": 2}},
+        "builder": {"kind": "direct_product", "tables": {
+            "product": [[["1"]]], "product_prime": NONASSOCIATIVE}},
+        "maps": {"D": [["0"], ["0"]]}},
+    # a Reynolds document needs dim A == dim Aprime
+    "reynolds-other-dims": {
+        "field": "rational",
+        "spaces": {"A": {"dim": 2}, "Aprime": {"dim": 1}},
+        "builder": {"kind": "reynolds", "tables": {
+            "product": [[["1", "0"], ["0", "1"]], [["0", "1"], ["0", "0"]]]}},
+        "maps": {"B": [["0"], ["0"]]}},
 }
 SIDES = {"D": "right", "B": "left"}
 
