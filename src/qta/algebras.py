@@ -139,18 +139,6 @@ class MatchedPairData:
         self.rho, self.mu, self.eta, self.xi = rho, mu, eta, xi
         self.dims = dims
 
-    def representation_on_prime(self):
-        return RepresentationPair(
-            AssociativeAlgebra(self.alg_a.product.with_dims(self.dims),
-                               self.alg_a.basis_names),
-            self.rho, self.mu)
-
-    def representation_on_a(self):
-        return RepresentationPair(
-            AssociativeAlgebra(self.alg_prime.product.with_dims(self.dims),
-                               self.alg_prime.basis_names),
-            self.eta, self.xi)
-
 
 def regular_representation(alg):
     """Left/right multiplication of an algebra on itself.

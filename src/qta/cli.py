@@ -37,10 +37,15 @@ from .quasitwilled import (
 
 def _load(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        # unbuffered bytes, decoded as text mode reads them: UTF-8 with
+        # universal newlines
+        with open(path, "rb", buffering=0) as fh:
+            data = fh.read()
     except OSError as exc:
         raise QtaError(f"cannot read {path}: {exc}") from exc
+    text = data.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     doc = parse(text)
     return doc, build_quasi_twilled(doc)
 
@@ -202,10 +207,44 @@ def _cmd_example(args):
     return rep
 
 
+# Each command's help and its arguments in `add_argument` order, each an
+# (option string or positional name, `add_argument` keywords) pair: the one
+# table that `make_parser` builds the subparsers from and `_read_call`
+# reads a well-formed call off.
+_JSON = ("--json", {"action": "store_true",
+                    # accepted after the command too; SUPPRESS keeps the
+                    # top-level value when the flag is absent here
+                    "default": argparse.SUPPRESS,
+                    "help": "machine-readable output only"})
+_MAP = ("--map", {"required": True,
+                  "help": "name of a linear map from the document"})
+_SIDE = ("--side", {"choices": ("right", "left"), "required": True})
+_FILE = ("file", {"metavar": "FILE"})
+
+COMMANDS = {
+    "validate": ("check the structure equations", (_JSON, _FILE)),
+    "classify": ("name the operator a map realizes",
+                 (_JSON, _MAP, _SIDE, _FILE)),
+    "twist": ("twist the structure by a linear map",
+              (_JSON, _MAP, _SIDE, _FILE)),
+    "mc": ("Maurer-Cartan residual of a map", (_JSON, _MAP, _SIDE, _FILE)),
+    "cohomology": ("cohomology table of a deformation map",
+                   (_JSON, _MAP, _SIDE, _FILE,
+                    ("--max-degree", {"type": int, "default": 3}))),
+    "jacobi": ("sample the generalized Jacobi identity",
+               (_JSON, _SIDE, ("--arity", {"type": int, "required": True}),
+                ("--samples", {"type": int, "default": 10}),
+                ("--seed", {"type": int, "default": 0}), _FILE)),
+    "example": ("print a built-in example document",
+                (_JSON, ("name", {"nargs": "?", "default": None}),
+                 ("--list", {"action": "store_true"}))),
+}
+
+
 @functools.cache
 def make_parser():
-    """The argument parser, built once per process and shared by every
-    `main` call; callers must not change it."""
+    """The argument parser, built once per process from `COMMANDS` and
+    shared by every `main` call; callers must not change it."""
     p = argparse.ArgumentParser(
         prog="qta",
         description="exact-arithmetic calculator for split associative "
@@ -213,79 +252,102 @@ def make_parser():
     p.add_argument("--json", action="store_true",
                    help="machine-readable output only")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add_json(sp):
-        # accepted after the subcommand too; SUPPRESS keeps the top-level
-        # value when the flag is absent here
-        sp.add_argument("--json", action="store_true",
-                        default=argparse.SUPPRESS,
-                        help="machine-readable output only")
-
-    def add_common(sp, with_map=True):
-        add_json(sp)
-        if with_map:
-            sp.add_argument("--map", required=True,
-                            help="name of a linear map from the document")
-        sp.add_argument("--side", choices=("right", "left"), required=True)
-        sp.add_argument("file", metavar="FILE")
-
-    sp = sub.add_parser("validate", help="check the structure equations")
-    add_json(sp)
-    sp.add_argument("file", metavar="FILE")
-
-    sp = sub.add_parser("classify", help="name the operator a map realizes")
-    add_common(sp)
-
-    sp = sub.add_parser("twist", help="twist the structure by a linear map")
-    add_common(sp)
-
-    sp = sub.add_parser("mc", help="Maurer-Cartan residual of a map")
-    add_common(sp)
-
-    sp = sub.add_parser("cohomology",
-                        help="cohomology table of a deformation map")
-    add_common(sp)
-    sp.add_argument("--max-degree", type=int, default=3)
-
-    sp = sub.add_parser("jacobi",
-                        help="sample the generalized Jacobi identity")
-    add_json(sp)
-    sp.add_argument("--side", choices=("right", "left"), required=True)
-    sp.add_argument("--arity", type=int, required=True)
-    sp.add_argument("--samples", type=int, default=10)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("file", metavar="FILE")
-
-    sp = sub.add_parser("example", help="print a built-in example document")
-    add_json(sp)
-    sp.add_argument("name", nargs="?", default=None)
-    sp.add_argument("--list", action="store_true")
-
-    p.commands = sub.choices  # command name -> its parser, for parse_args
+    for command, (text, arguments) in COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        for name, keywords in arguments:
+            sp.add_argument(name, **keywords)
     return p
 
 
-def parse_args(argv=None):
-    """`make_parser().parse_args(argv)`, parsing a well-formed call once.
+def _reader(arguments):
+    """(options by option string, each (dest, `type`, `choices`) with
+    `type` None for a flag; the required dests; the defaults; the
+    positional's dest, with its default if it may be left out) of one
+    command's arguments."""
+    options, required, defaults, positional = {}, set(), {}, None
+    for name, keywords in arguments:
+        if not name.startswith("-"):
+            positional = name
+            if keywords.get("nargs") == "?":
+                defaults[name] = keywords.get("default")
+            continue
+        dest = name[2:].replace("-", "_")
+        flag = keywords.get("action") == "store_true"
+        options[name] = (dest, None if flag else keywords.get("type", str),
+                         keywords.get("choices"))
+        if keywords.get("required"):
+            required.add(dest)
+        elif keywords.get("default") is not argparse.SUPPRESS:
+            defaults[dest] = keywords.get("default", False if flag else None)
+    return options, required, defaults, positional
 
-    A call that is an optional leading `--json`, a command name and that
-    command's own arguments is parsed by the command's parser alone; the
-    top-level parser would scan every token and then hand them to it.
-    Anything else (no or an unknown command, a leading flag other than
-    `--json`, a `--` token, tokens the command leaves over) goes to the
-    full parser, so every usage message and exit is argparse's own.
+
+_READERS = {command: _reader(arguments)
+            for command, (_, arguments) in COMMANDS.items()}
+
+
+def _read_call(argv):
+    """The `Namespace` argparse gives a well-formed call, read straight off
+    `COMMANDS`; None for any other call.
+
+    A call is well-formed when it is an optional `--json`, a command name,
+    then exact `--opt VALUE` pairs and flags of that command, each at most
+    once, whose values do not start with `-` and pass their `type` and
+    `choices`, every required option, and exactly one positional argument
+    (or none, for `example`, whose NAME may be left out).
     """
-    parser = make_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
     lead = 1 if argv[:1] == ["--json"] else 0
-    command = parser.commands.get(argv[lead]) if len(argv) > lead else None
-    if command is not None and "--" not in argv:
-        args, extra = command.parse_known_args(argv[lead + 1:])
-        if not extra:
-            return argparse.Namespace(**{"json": bool(lead),
-                                         "command": argv[lead],
-                                         **vars(args)})
-    return parser.parse_args(argv)
+    reader = _READERS.get(argv[lead]) if len(argv) > lead else None
+    if reader is None:
+        return None
+    options, required, defaults, positional = reader
+    values = {"json": bool(lead), "command": argv[lead], **defaults}
+    given, operands = set(), []
+    tokens = iter(argv[lead + 1:])
+    for token in tokens:
+        if token[:1] != "-":
+            operands.append(token)
+            continue
+        option = options.get(token)
+        if option is None or token in given:
+            return None
+        given.add(token)
+        dest, kind, choices = option
+        if kind is None:
+            values[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value is declined as "-"
+        if value[:1] == "-":
+            return None
+        if kind is not str:
+            try:
+                value = kind(value)
+            except (TypeError, ValueError):
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if len(operands) == 1:
+        values[positional] = operands[0]
+    elif operands or positional not in values:
+        return None
+    if not required.issubset(values):
+        return None
+    return argparse.Namespace(**values)
+
+
+def parse_args(argv=None):
+    """`make_parser().parse_args(argv)`, reading a well-formed call
+    (`_read_call`) without argparse.
+
+    Every other call (no or an unknown command, `-h`, `--opt=value`, an
+    abbreviation, a repeated option, `--`, a bad or missing value, a value
+    that starts with `-`) goes to the parser, so every usage message and
+    exit is argparse's own.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_call(argv)
+    return make_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None):

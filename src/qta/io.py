@@ -52,15 +52,24 @@ from math import prod
 
 from .deformation import side_spec
 from .errors import DimensionError, ParseError, SchemaError, UnknownKind
-from .multilinear import _adopt, _label_size, linear_map_from_matrix
+from .multilinear import _adopt, _label_size
 from .quasitwilled import (
-    _KINDS, BUILDER_KINDS, COMPONENT_SIGNATURES, QuasiTwilledAlgebra,
-    build_from_tables, table_signature,
+    _KINDS, BUILDER_KINDS, COMPONENT_SIGNATURES, _adopt_structure,
+    _build_adopted, table_shape,
 )
 
 
 # an error report quotes at most this many characters of an offending string
 _ECHO_CAP = 40
+
+# the largest dim a document may declare: `validate` alone takes seconds
+# on dense data of dims (12, 12), and the bound is checked before any
+# default basis name is made
+MAX_DIM = 64
+
+_TOP_KEYS = frozenset(("field", "spaces", "builder", "components", "maps"))
+_SPACE_NAMES = frozenset(("A", "Aprime"))
+_SPACE_KEYS = frozenset(("dim", "basis"))
 
 
 def parse_fraction(text, path):
@@ -129,13 +138,11 @@ def _parse_table(node, shape, path, seen, out):
 
 def _parse_map(node, name, dims, path, seen):
     """A builder or components table, checked entry by entry, as the map
-    of its signature (`table_signature`)."""
-    dom, cod = table_signature(name)
-    shape = tuple(_label_size(label, dims) for label in (*dom, cod))
+    of its signature (`table_shape`)."""
+    shape = table_shape(name, dims)
     flat = []
-    _parse_table(node, shape, path, seen, flat)
-    return _adopt(dom, cod, dims, shape[:-1], shape[-1],
-                  {i: v for i, v in enumerate(flat) if v})
+    _parse_table(node, (*shape[3], shape[4]), path, seen, flat)
+    return _adopt(*shape, {i: v for i, v in enumerate(flat) if v})
 
 
 def _table_strings(m):
@@ -186,31 +193,33 @@ def parse(text):
                          "too deeply") from exc
     if not isinstance(raw, dict):
         raise SchemaError("top level must be a JSON object")
-    allowed = {"field", "spaces", "builder", "components", "maps"}
-    extra = set(raw) - allowed
+    extra = raw.keys() - _TOP_KEYS
     if extra:
         raise SchemaError(f"unknown top-level keys: {sorted(extra)}")
     if raw.get("field") != "rational":
         raise SchemaError('field tag must be "rational"')
     spaces = raw.get("spaces")
-    if not isinstance(spaces, dict) or set(spaces) != {"A", "Aprime"}:
+    if not isinstance(spaces, dict) or spaces.keys() != _SPACE_NAMES:
         raise SchemaError('spaces must declare exactly "A" and "Aprime"')
 
     def space(name):
         s = spaces[name]
-        if not isinstance(s, dict) or set(s) - {"dim", "basis"}:
+        if not isinstance(s, dict) or s.keys() - _SPACE_KEYS:
             raise SchemaError(f"spaces.{name}: expected dim and optional basis")
         dim = s.get("dim")
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
             raise SchemaError(f"spaces.{name}.dim: expected a count")
-        prefix = "e" if name == "A" else "f"
-        if "basis" in s:
-            basis = s["basis"]
-        else:
-            basis = [f"{prefix}{i+1}" for i in range(dim)]
-        if (not isinstance(basis, list) or len(basis) != dim
-                or not all(isinstance(b, str) for b in basis)):
+        basis = s.get("basis")
+        if "basis" in s and (not isinstance(basis, list) or len(basis) != dim
+                             or not all(isinstance(b, str) for b in basis)):
             raise SchemaError(f"spaces.{name}.basis: need {dim} names")
+        if dim > MAX_DIM:
+            # before any default basis name is made
+            raise SchemaError(f"spaces.{name}.dim: {dim} is over the limit "
+                              f"of {MAX_DIM}")
+        if basis is None:
+            prefix = "e" if name == "A" else "f"
+            basis = [f"{prefix}{i+1}" for i in range(dim)]
         return dim, basis
 
     dim_a, basis_a = space("A")
@@ -233,12 +242,12 @@ def parse(text):
             raise SchemaError(f"builder.kind must be one of {BUILDER_KINDS}")
         row = _KINDS[kind]
         wanted = row.tables
-        allowed_keys = {"kind", "tables", *row.scalars}
-        if set(b) - allowed_keys:
-            raise SchemaError(
-                f"builder: unknown keys {sorted(set(b) - allowed_keys)}")
+        extra = b.keys() - {"kind", "tables", *row.scalars}
+        if extra:
+            raise SchemaError(f"builder: unknown keys {sorted(extra)}")
         tables_node = b.get("tables")
-        if not isinstance(tables_node, dict) or set(tables_node) != set(wanted):
+        if (not isinstance(tables_node, dict)
+                or tables_node.keys() != set(wanted)):
             raise SchemaError(
                 f"builder.tables for {kind} must be exactly {sorted(wanted)}")
         tables = {}
@@ -255,7 +264,7 @@ def parse(text):
         c = raw["components"]
         if not isinstance(c, dict):
             raise SchemaError("components must be an object")
-        extra = set(c) - set(COMPONENT_SIGNATURES)
+        extra = c.keys() - COMPONENT_SIGNATURES.keys()
         if extra:
             raise SchemaError(f"components: unknown names {sorted(extra)}")
         doc.components = {
@@ -272,15 +281,14 @@ def parse(text):
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise SchemaError(f"maps.{name}: ragged matrix")
-        shapes_ok = (len(rows), ncols) in {(dim_ap, dim_a), (dim_a, dim_ap)}
-        if not shapes_ok:
+        if (len(rows), ncols) not in ((dim_ap, dim_a), (dim_a, dim_ap)):
             raise SchemaError(
                 f"maps.{name}: shape {len(rows)}x{ncols} matches neither "
                 f"A->A' ({dim_ap}x{dim_a}) nor A'->A ({dim_a}x{dim_ap})")
-        flat = []
-        _parse_table(rows, (len(rows), ncols), f"maps.{name}", seen, flat)
-        doc.maps[name] = [flat[r * ncols:(r + 1) * ncols]
-                          for r in range(len(rows))]
+        matrix = doc.maps[name] = []
+        for r, row in enumerate(rows):
+            matrix.append([])
+            _parse_table(row, (ncols,), f"maps.{name}[{r}]", seen, matrix[r])
     return doc
 
 
@@ -317,14 +325,17 @@ def print_document(doc):
 
 
 def build_quasi_twilled(doc):
-    """Assemble the split structure a document describes, from the maps
-    its tables already are: a builder document's tables, scalars and
-    basis names go straight to `build_from_tables`."""
+    """Assemble the split structure a document from `parse` (or
+    `document_from_components`) describes, from the maps its tables
+    already are, checking nothing that `parse` checked: the components
+    are adopted as they are (`quasitwilled._adopt_structure`), and a
+    builder document's tables, scalars and basis names go straight to the
+    one build of its kind, validated once (`quasitwilled._build_adopted`).
+    A components document is validated by the command that reads it."""
     dims = (doc.dim_a, doc.dim_aprime)
     if doc.components is not None:
-        return QuasiTwilledAlgebra.from_components(
-            dims, basis_a=doc.basis_a, basis_aprime=doc.basis_aprime,
-            **doc.components)
+        return _adopt_structure(dims, doc.components, doc.basis_a,
+                                doc.basis_aprime)
 
     kind = doc.builder["kind"]
     if kind not in BUILDER_KINDS:
@@ -332,10 +343,10 @@ def build_quasi_twilled(doc):
     row = _KINDS[kind]
     if row.same_dims and doc.dim_a != doc.dim_aprime:
         raise SchemaError(f"{kind} needs dim A == dim Aprime")
-    return build_from_tables(
+    return _build_adopted(
         kind, doc.builder["tables"],
         {key: doc.builder[key] for key in row.scalars},
-        doc.basis_a, doc.basis_aprime)
+        dims, doc.basis_a, doc.basis_aprime)
 
 
 def document_from_components(q, maps=None):
@@ -362,7 +373,16 @@ def side_map(doc, q, name, side):
         raise DimensionError(
             f"map {name!r} has shape {shape[0]}x{shape[1]}, a {side} "
             f"map needs {want[0]}x{want[1]}")
-    return linear_map_from_matrix(rows, spec.slot, spec.cod, q.dims)
+    # the parser checked every entry: the columns are read straight off
+    # the rows into index order, as `linear_map_from_matrix` reads them
+    cod, dom = want
+    store = {}
+    for j in range(dom):
+        for k in range(cod):
+            v = rows[k][j]
+            if v:
+                store[j * cod + k] = v
+    return _adopt((spec.slot,), spec.cod, q.dims, (dom,), cod, store)
 
 
 # -- reports ------------------------------------------------------------------

@@ -62,6 +62,14 @@ COMPONENT_SIGNATURES = {
 
 COMPONENT_NAMES = tuple(COMPONENT_SIGNATURES)
 
+_OTHER_FIELDS = ("dims", "kind", "ingredients", "basis_a", "basis_aprime",
+                 "_delta", "verified")
+
+# each component's slot and codomain sizes, as indices into dims
+_SIZE_INDICES = {name: (tuple(int(label is APRIME) for label in dom),
+                        int(cod is APRIME))
+                 for name, (dom, cod) in COMPONENT_SIGNATURES.items()}
+
 
 class QuasiTwilledAlgebra:
     """The seven structure components, plus builder provenance.
@@ -72,8 +80,7 @@ class QuasiTwilledAlgebra:
     records a pass of `require_quasi_twilled`.
     """
 
-    __slots__ = COMPONENT_NAMES + ("dims", "kind", "ingredients", "basis_a",
-                                   "basis_aprime", "_delta", "verified")
+    __slots__ = COMPONENT_NAMES + _OTHER_FIELDS
 
     def __init__(self, pi, xi, eta, beta, rho, mu, theta,
                  kind=None, ingredients=None,
@@ -100,12 +107,8 @@ class QuasiTwilledAlgebra:
             raise DimensionError(
                 f"basis names ({len(basis_a)}, {len(basis_aprime)}) do not "
                 f"match dims {dims}")
-        fields = dict(
-            comps, dims=dims, kind=kind, ingredients=ingredients,
-            basis_a=basis_a, basis_aprime=basis_aprime,
-            _delta=None, verified=False)
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+        _set_fields(self, comps, dims, kind, ingredients, basis_a,
+                    basis_aprime)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuasiTwilledAlgebra is immutable")
@@ -142,6 +145,36 @@ class QuasiTwilledAlgebra:
     def __repr__(self):
         return (f"QuasiTwilledAlgebra(dims={self.dims}, "
                 f"kind={self.kind or 'custom'})")
+
+
+def _set_fields(q, comps, dims, kind, ingredients, basis_a, basis_aprime):
+    for name in COMPONENT_NAMES:
+        object.__setattr__(q, name, comps[name])
+    for name, value in zip(_OTHER_FIELDS, (
+            dims, kind, ingredients, basis_a, basis_aprime, None, False)):
+        object.__setattr__(q, name, value)
+
+
+def _adopt_structure(dims, given, basis_a, basis_aprime, kind=None,
+                     scalars=None):
+    """The trusted entrance, as `multilinear._adopt` is for maps: the
+    structure of components that `qta.io.parse` has checked (or that a
+    checked structure holds), with no check again.
+
+    `given` maps component names to maps on their own signatures and on
+    `dims`; an absent component is the empty store on its signature.
+    The basis names must number the dims, and `scalars` must hold the
+    kind's scalars.
+    """
+    comps = {}
+    for name in COMPONENT_NAMES:
+        m = given.get(name)
+        comps[name] = m if m is not None else _adopt(
+            *table_shape(name, dims), {})
+    q = object.__new__(QuasiTwilledAlgebra)
+    _set_fields(q, comps, dims, kind, MappingProxyType(dict(scalars or {})),
+                tuple(basis_a), tuple(basis_aprime))
+    return q
 
 
 def _require_scalars(kind, ingredients):
@@ -277,12 +310,22 @@ def table_signature(name):
     return COMPONENT_SIGNATURES[_TABLE_COMPONENTS.get(name, name)]
 
 
+def table_shape(name, dims):
+    """(domain labels, codomain label, dims, slot sizes, codomain size) of
+    a builder table or a component on `dims`: the shape `_adopt` takes."""
+    name = _TABLE_COMPONENTS.get(name, name)
+    (i, j), k = _SIZE_INDICES[name]
+    return (*COMPONENT_SIGNATURES[name], dims, (dims[i], dims[j]), dims[k])
+
+
 def fill_components(kind, tables, scalars):
     """The components, by name, that the builder tables of a kind fill.
 
     A table fills its own component as it is, or else each component that
-    the kind's `fills` names for it: the table relabeled onto that
+    the kind's `fills` names for it: the table's store adopted onto that
     component's signature, times the scalar of `scalars` named with it.
+    Such a kind needs dim A' = dim A (`same_dims`), so the sizes stay the
+    table's own.
     """
     row = _KINDS[kind]
     comps = {}
@@ -291,10 +334,15 @@ def fill_components(kind, tables, scalars):
         if name not in row.fills:
             comps[_TABLE_COMPONENTS.get(name, name)] = m
             continue
+        if m.dims[0] != m.dims[1]:
+            raise DimensionError(f"{kind} needs dim A == dim Aprime")
         for comp, scalar in row.fills[name]:
-            filled = m.relabel(*COMPONENT_SIGNATURES[comp])
-            comps[comp] = (filled if scalar is None
-                           else filled.scale(scalars[scalar]))
+            store = m.store
+            if scalar is not None:
+                s = Fraction(scalars[scalar])
+                store = {i: s * v for i, v in store.items()} if s else {}
+            comps[comp] = _adopt(*COMPONENT_SIGNATURES[comp], m.dims,
+                                 m.slot_sizes, m.cod_size, store)
     return comps
 
 
@@ -319,14 +367,30 @@ def build_from_tables(kind, tables, scalars, basis_a=None, basis_aprime=None):
     if kind not in BUILDER_KINDS:
         raise UnknownKind(f"unknown builder kind {kind!r}")
     _require_scalars(kind, scalars)
-    q = QuasiTwilledAlgebra.from_components(
+    return _validated(QuasiTwilledAlgebra.from_components(
         tables["product"].dims, kind=kind, ingredients=scalars,
         basis_a=basis_a, basis_aprime=basis_aprime,
-        **fill_components(kind, tables, scalars))
+        **fill_components(kind, tables, scalars)))
+
+
+def _build_adopted(kind, tables, scalars, dims, basis_a, basis_aprime):
+    """`build_from_tables` on tables, scalars and basis names that
+    `qta.io.parse` has checked: the structure is adopted
+    (`_adopt_structure`), with no signature or scalar checked again, and
+    validated once."""
+    return _validated(_adopt_structure(
+        dims, fill_components(kind, tables, scalars), basis_a, basis_aprime,
+        kind, scalars))
+
+
+def _validated(q):
+    """q, with the pass of its one validation; else IngredientError naming
+    the first failing ingredient of its kind, read off the same
+    half-bracket (see `build_from_tables`)."""
     half = validate(q)
     if _passes(q, half):
         return q
-    for message, identities in _KINDS[kind].ingredient_rows:
+    for message, identities in _KINDS[q.kind].ingredient_rows:
         failed = [name for i, name in identities
                   if not project(half, *EQUATIONS[i][1]).is_zero()]
         if failed:

@@ -49,7 +49,9 @@ triple, against the full bracket and the sparse matrix of d.
 
 from fractions import Fraction
 
-from qta.algebras import check_associative
+from qta.algebras import (
+    AssociativeAlgebra, RepresentationPair, check_associative,
+)
 from qta.cohomology import _check_cochain, coboundary_matrix
 from qta import deformation
 from qta.deformation import (
@@ -475,6 +477,22 @@ def check_associative_representation(ar):
         ("u.(rho(x)v) - (mu(x)u).v", c2),
         ("u.(mu(x)v) - mu(x)(u.v)", c3),
     ])
+
+
+def representation_on_prime(mp):
+    """The representation (rho, mu) of A on A' of a `MatchedPairData`."""
+    return RepresentationPair(
+        AssociativeAlgebra(mp.alg_a.product.with_dims(mp.dims),
+                           mp.alg_a.basis_names),
+        mp.rho, mp.mu)
+
+
+def representation_on_a(mp):
+    """The representation (eta, xi) of A' on A of a `MatchedPairData`."""
+    return RepresentationPair(
+        AssociativeAlgebra(mp.alg_prime.product.with_dims(mp.dims),
+                           mp.alg_prime.basis_names),
+        mp.eta, mp.xi)
 
 
 def check_matched_pair(mp):

@@ -163,6 +163,48 @@ def test_given_basis_builds_no_default_names():
     assert peak < 1 << 20
 
 
+def test_a_dim_over_the_limit_fails_before_any_basis_name():
+    # without "basis", a dim of 10^9 used to build a billion default names
+    text = json.dumps({
+        "field": "rational",
+        "spaces": {"A": {"dim": 10 ** 9}, "Aprime": {"dim": 1}},
+        "components": {},
+    })
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaError, match=rf"spaces\.A\.dim: 1000000000 "
+                                              rf"is over the limit of "
+                                              rf"{qta.io.MAX_DIM}$"):
+            parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the largest dim allowed still loads
+    limit = qta.io.MAX_DIM
+    doc = parse(json.dumps({
+        "field": "rational",
+        "spaces": {"A": {"dim": limit}, "Aprime": {"dim": 1}},
+        "components": {},
+    }))
+    assert len(doc.basis_a) == limit and doc.basis_a[-1] == f"e{limit}"
+
+
+def test_cli_dim_over_the_limit_exits_2(tmp_path, capsys):
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps({
+        "field": "rational",
+        "spaces": {"A": {"dim": 1}, "Aprime": {"dim": 10 ** 9}},
+        "components": {},
+    }), encoding="utf-8")
+    assert cli_main(["--json", "validate", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["details"]["error"] == (
+        f"SchemaError: spaces.Aprime.dim: 1000000000 is over the limit of "
+        f"{qta.io.MAX_DIM}")
+    assert err == ""
+
+
 def test_builder_and_components_mutually_exclusive():
     doc = {
         "field": "rational",

@@ -27,7 +27,7 @@ from conftest import (
 )
 from oracles import (
     check_associative_representation, check_matched_pair,
-    check_representation,
+    check_representation, representation_on_a, representation_on_prime,
 )
 
 
@@ -342,8 +342,8 @@ def test_matched_pair_oracle_equivalence():
         return (check_associative(mp_data.alg_a).is_zero()
                 and check_associative(mp_data.alg_prime).is_zero()
                 and check_representation(
-                    mp_data.representation_on_prime()).is_zero
-                and check_representation(mp_data.representation_on_a()).is_zero
+                    representation_on_prime(mp_data)).is_zero
+                and check_representation(representation_on_a(mp_data)).is_zero
                 and check_matched_pair(mp_data).is_zero)
 
     assert validate(assemble(mp)).is_zero() == full_check(mp) == True
@@ -487,9 +487,9 @@ def _upfront_checks(kind, ing, raw):
         mp = ing["matched_pair"]
         assoc(mp.alg_a, "algebra A")
         assoc(mp.alg_prime, "algebra A'")
-        req(check_representation(mp.representation_on_prime()),
+        req(check_representation(representation_on_prime(mp)),
             "(A'; rho, mu) representation")
-        req(check_representation(mp.representation_on_a()),
+        req(check_representation(representation_on_a(mp)),
             "(A; eta, xi) representation")
         req(check_matched_pair(mp), "matched pair compatibility")
 
@@ -518,8 +518,8 @@ def _ingredient_identities(kind, ing):
                 list(check_associative_representation(ar))]
     mp = ing["matched_pair"]
     return [assoc(mp.alg_a), assoc(mp.alg_prime),
-            list(check_representation(mp.representation_on_prime())),
-            list(check_representation(mp.representation_on_a())),
+            list(check_representation(representation_on_prime(mp))),
+            list(check_representation(representation_on_a(mp))),
             list(check_matched_pair(mp))]
 
 

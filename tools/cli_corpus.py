@@ -24,6 +24,11 @@ in process through `qta.cli.main`.  The corpus is:
 * usage errors: no command, an unknown command, a missing `--map`, a bad
   `--side`, a non-integer `--max-degree`, an extra token, `-h` on each
   command, `--js` and a repeated `--json`;
+* the edges of `qta.cli`'s direct argv reader, which reads a well-formed
+  call without argparse: `--map=NAME` and `--side=left`, an abbreviated
+  `--max 3`, a repeated `--side`, options after FILE, `--` before FILE,
+  `--max-degree -1`, `jacobi --seed -3`, `--json` after the command and
+  `-` as FILE;
 * a few calls without `--json`.
 
 For every call it compares the exit code, stderr and stdout bytes, with
@@ -248,6 +253,31 @@ def corpus(docs):
     ]
     calls += [([cmd, "-h"], None) for cmd in COMMANDS]
     calls += [(["--json", cmd, "-h"], None) for cmd in COMMANDS]
+    # the edges of qta.cli's direct argv reader: forms it reads itself
+    # (options after FILE, --json after the command) and forms it leaves
+    # to argparse (--opt=value, an abbreviation, a repeat, --, a value or
+    # FILE that starts with "-", such as "-", which argparse reads as FILE)
+    for cmd in ("classify", "mc", "cohomology"):
+        calls += [
+            (["--json", cmd, "--map=B", "--side=left", path], None),
+            (["--json", cmd, "--side", "left", "--side", "left", "--map",
+              "B", path], None),
+            (["--json", cmd, path, "--map", "B", "--side", "left"], None),
+            (["--json", cmd, "--map", "B", "--side", "left", "--", path],
+             None),
+            ([cmd, "--json", "--map", "B", "--side", "left", path], None),
+        ]
+    calls += [
+        (["--json", "cohomology", "--max", "3", *left], None),
+        (["--json", "cohomology", "--max-degree=1", *left], None),
+        (["--json", "cohomology", "--max-degree", "-1", *left], None),
+        (["--json", "jacobi", "--side", "left", "--arity", "2", "--samples",
+          "1", "--seed", "-3", path], None),
+        (["--json", "jacobi", "--side=left", "--arity=2", "--samples=1",
+          path], None),
+        (["--json", "validate", "-"], None),
+        (["--json", "classify", "--map", "B", "--side", "left", "-"], None),
+    ]
     return calls
 
 
