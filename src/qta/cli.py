@@ -13,6 +13,17 @@ check fails / the residual is nonzero, 2 on input errors, and 2 with
 InvalidQTA from `twist`, `mc`, `cohomology` and `jacobi` on a structure
 that is not quasi-twilled.  `--json` selects machine-readable output.
 QTA_MAX_DEGREE caps the cohomology degree (default 3, hard maximum 5).
+
+Each command's options are declared once, in `COMMANDS`.  `make_parser`
+builds the argparse parser from that table, and `parse_args` reads a
+well-formed call straight off it (an optional `--json`, the command,
+exact `--opt VALUE` pairs and flags given at most once, values that do
+not start with `-` and pass their type and choices, every required
+option and one FILE or NAME), giving the `Namespace` argparse would give.
+Every other call (`-h`, `--opt=value`, an abbreviation, a repeat, `--`,
+a bad or missing value) goes to argparse, so every usage message and
+exit is argparse's own.  A document is read as bytes and decoded as text
+mode would decode it, then parsed and built once (`qta.io`).
 """
 
 from __future__ import annotations

@@ -31,17 +31,24 @@ because whether it is read as A -> A' or A' -> A depends on the side it
 is asked for (`side_map`).
 
 Exactly one of "builder" / "components" must be present.  Missing
-component tables in the "components" form default to zero.
+component tables in the "components" form default to zero.  A dim may
+be at most `MAX_DIM`; a larger one is refused before any default basis
+name is made.
 
 The tables and scalars a builder kind takes, the components its tables
 fill and whether dim A' must equal dim A are read from the kind's row of
 the builder-kind table in `qta.quasitwilled`.  A builder table has the
 shape of the component it is named for (`table_signature`): `product` is
 pi, `product_prime` is beta, `omega` is theta, and rho, mu, eta, xi keep
-their names.  A builder document is built straight from its tables
-(`build_from_tables`), with no ingredient objects in between; the
-structure keeps the document's basis names, and the kind's scalars as
-`q.ingredients`.
+their names.  `build_quasi_twilled` checks nothing that `parse` checked:
+a builder document's tables are filled into the components of its kind
+(`quasitwilled.fill_components`, each filled one adopted onto its own
+signature), the structure is adopted with no signature or scalar checked
+again, an absent component is the empty store, and the build is
+validated once, with no ingredient objects in between.  The structure
+keeps the document's basis names, and the kind's scalars as
+`q.ingredients`.  A components document is adopted the same way and is
+validated by the command that reads it.
 """
 
 from __future__ import annotations
@@ -140,8 +147,9 @@ def _parse_map(node, name, dims, path, seen):
     """A builder or components table, checked entry by entry, as the map
     of its signature (`table_shape`)."""
     shape = table_shape(name, dims)
+    slot_sizes, cod_size = shape[3:]
     flat = []
-    _parse_table(node, (*shape[3], shape[4]), path, seen, flat)
+    _parse_table(node, (*slot_sizes, cod_size), path, seen, flat)
     return _adopt(*shape, {i: v for i, v in enumerate(flat) if v})
 
 
@@ -285,10 +293,10 @@ def parse(text):
             raise SchemaError(
                 f"maps.{name}: shape {len(rows)}x{ncols} matches neither "
                 f"A->A' ({dim_ap}x{dim_a}) nor A'->A ({dim_a}x{dim_ap})")
-        matrix = doc.maps[name] = []
-        for r, row in enumerate(rows):
-            matrix.append([])
-            _parse_table(row, (ncols,), f"maps.{name}[{r}]", seen, matrix[r])
+        flat = []
+        _parse_table(rows, (len(rows), ncols), f"maps.{name}", seen, flat)
+        doc.maps[name] = [flat[r * ncols:(r + 1) * ncols]
+                          for r in range(len(rows))]
     return doc
 
 

@@ -23,11 +23,13 @@ equation is a test oracle.  `require_quasi_twilled` is the one validity
 verdict, kept on the structure as `verified`, that the controlling
 algebra, the cohomology, the induced structures and the CLI read.
 
-Each stock structure is built by `build_from_tables` from the builder
-tables of its kind (`product`, `rho`, `mu`, ...), which one fill rule
-turns into the components (`fill_components`).  A document's tables go
-there straight; `build_standard` turns its ingredient objects into
-tables first.  A build reads its ingredient verdicts off the same rows:
+Each stock structure is built from the builder tables of its kind
+(`product`, `rho`, `mu`, ...), which one fill rule turns into the
+components (`fill_components`).  `build_standard` turns its ingredient
+objects into tables and builds through the checked constructor
+(`build_from_tables`); a document's tables, which `qta.io.parse` has
+checked entry by entry, are adopted into the structure with nothing
+checked again (`_build_adopted`, `_adopt_structure`).  A build reads its ingredient verdicts off the same rows:
 for the zero blocks of a kind, each of its ingredient identities
 (associativity, the representation, associative-representation and
 matched-pair identities, the cocycle condition) is one row times a fixed
@@ -47,7 +49,7 @@ from .algebras import AssociativeAlgebra
 from .errors import DimensionError, IngredientError, InvalidQTA, UnknownKind
 from .linalg import _denominator, _ints
 from .multilinear import (
-    A, APRIME, MultilinearMap, _adopt, lift_blocks, project,
+    A, APRIME, MultilinearMap, _adopt, _label_size, lift_blocks, project,
 )
 
 COMPONENT_SIGNATURES = {
@@ -62,14 +64,6 @@ COMPONENT_SIGNATURES = {
 
 COMPONENT_NAMES = tuple(COMPONENT_SIGNATURES)
 
-_OTHER_FIELDS = ("dims", "kind", "ingredients", "basis_a", "basis_aprime",
-                 "_delta", "verified")
-
-# each component's slot and codomain sizes, as indices into dims
-_SIZE_INDICES = {name: (tuple(int(label is APRIME) for label in dom),
-                        int(cod is APRIME))
-                 for name, (dom, cod) in COMPONENT_SIGNATURES.items()}
-
 
 class QuasiTwilledAlgebra:
     """The seven structure components, plus builder provenance.
@@ -80,7 +74,8 @@ class QuasiTwilledAlgebra:
     records a pass of `require_quasi_twilled`.
     """
 
-    __slots__ = COMPONENT_NAMES + _OTHER_FIELDS
+    __slots__ = COMPONENT_NAMES + ("dims", "kind", "ingredients", "basis_a",
+                                   "basis_aprime", "_delta", "verified")
 
     def __init__(self, pi, xi, eta, beta, rho, mu, theta,
                  kind=None, ingredients=None,
@@ -148,10 +143,10 @@ class QuasiTwilledAlgebra:
 
 
 def _set_fields(q, comps, dims, kind, ingredients, basis_a, basis_aprime):
-    for name in COMPONENT_NAMES:
-        object.__setattr__(q, name, comps[name])
-    for name, value in zip(_OTHER_FIELDS, (
-            dims, kind, ingredients, basis_a, basis_aprime, None, False)):
+    for name, value in dict(
+            comps, dims=dims, kind=kind, ingredients=ingredients,
+            basis_a=basis_a, basis_aprime=basis_aprime,
+            _delta=None, verified=False).items():
         object.__setattr__(q, name, value)
 
 
@@ -313,9 +308,10 @@ def table_signature(name):
 def table_shape(name, dims):
     """(domain labels, codomain label, dims, slot sizes, codomain size) of
     a builder table or a component on `dims`: the shape `_adopt` takes."""
-    name = _TABLE_COMPONENTS.get(name, name)
-    (i, j), k = _SIZE_INDICES[name]
-    return (*COMPONENT_SIGNATURES[name], dims, (dims[i], dims[j]), dims[k])
+    (left, right), cod = table_signature(name)
+    return ((left, right), cod, dims,
+            (_label_size(left, dims), _label_size(right, dims)),
+            _label_size(cod, dims))
 
 
 def fill_components(kind, tables, scalars):
