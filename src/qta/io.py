@@ -59,7 +59,7 @@ from math import prod
 
 from .deformation import side_spec
 from .errors import DimensionError, ParseError, SchemaError, UnknownKind
-from .multilinear import _adopt, _label_size
+from .multilinear import _adopt, _label_size, linear_map_from_matrix
 from .quasitwilled import (
     _KINDS, BUILDER_KINDS, COMPONENT_SIGNATURES, _adopt_structure,
     _build_adopted, table_shape,
@@ -69,14 +69,10 @@ from .quasitwilled import (
 # an error report quotes at most this many characters of an offending string
 _ECHO_CAP = 40
 
-# the largest dim a document may declare: `validate` alone takes seconds
-# on dense data of dims (12, 12), and the bound is checked before any
-# default basis name is made
+# the largest dim a document may declare, checked before any default
+# basis name is made; far above what can be computed (`validate` alone
+# takes about 17 s on random data of dims (16, 16))
 MAX_DIM = 64
-
-_TOP_KEYS = frozenset(("field", "spaces", "builder", "components", "maps"))
-_SPACE_NAMES = frozenset(("A", "Aprime"))
-_SPACE_KEYS = frozenset(("dim", "basis"))
 
 
 def parse_fraction(text, path):
@@ -201,18 +197,19 @@ def parse(text):
                          "too deeply") from exc
     if not isinstance(raw, dict):
         raise SchemaError("top level must be a JSON object")
-    extra = raw.keys() - _TOP_KEYS
+    allowed = {"field", "spaces", "builder", "components", "maps"}
+    extra = set(raw) - allowed
     if extra:
         raise SchemaError(f"unknown top-level keys: {sorted(extra)}")
     if raw.get("field") != "rational":
         raise SchemaError('field tag must be "rational"')
     spaces = raw.get("spaces")
-    if not isinstance(spaces, dict) or spaces.keys() != _SPACE_NAMES:
+    if not isinstance(spaces, dict) or set(spaces) != {"A", "Aprime"}:
         raise SchemaError('spaces must declare exactly "A" and "Aprime"')
 
     def space(name):
         s = spaces[name]
-        if not isinstance(s, dict) or s.keys() - _SPACE_KEYS:
+        if not isinstance(s, dict) or set(s) - {"dim", "basis"}:
             raise SchemaError(f"spaces.{name}: expected dim and optional basis")
         dim = s.get("dim")
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
@@ -250,12 +247,12 @@ def parse(text):
             raise SchemaError(f"builder.kind must be one of {BUILDER_KINDS}")
         row = _KINDS[kind]
         wanted = row.tables
-        extra = b.keys() - {"kind", "tables", *row.scalars}
-        if extra:
-            raise SchemaError(f"builder: unknown keys {sorted(extra)}")
+        allowed_keys = {"kind", "tables", *row.scalars}
+        if set(b) - allowed_keys:
+            raise SchemaError(
+                f"builder: unknown keys {sorted(set(b) - allowed_keys)}")
         tables_node = b.get("tables")
-        if (not isinstance(tables_node, dict)
-                or tables_node.keys() != set(wanted)):
+        if not isinstance(tables_node, dict) or set(tables_node) != set(wanted):
             raise SchemaError(
                 f"builder.tables for {kind} must be exactly {sorted(wanted)}")
         tables = {}
@@ -272,7 +269,7 @@ def parse(text):
         c = raw["components"]
         if not isinstance(c, dict):
             raise SchemaError("components must be an object")
-        extra = c.keys() - COMPONENT_SIGNATURES.keys()
+        extra = set(c) - set(COMPONENT_SIGNATURES)
         if extra:
             raise SchemaError(f"components: unknown names {sorted(extra)}")
         doc.components = {
@@ -289,7 +286,8 @@ def parse(text):
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise SchemaError(f"maps.{name}: ragged matrix")
-        if (len(rows), ncols) not in ((dim_ap, dim_a), (dim_a, dim_ap)):
+        shapes_ok = (len(rows), ncols) in {(dim_ap, dim_a), (dim_a, dim_ap)}
+        if not shapes_ok:
             raise SchemaError(
                 f"maps.{name}: shape {len(rows)}x{ncols} matches neither "
                 f"A->A' ({dim_ap}x{dim_a}) nor A'->A ({dim_a}x{dim_ap})")
@@ -381,16 +379,7 @@ def side_map(doc, q, name, side):
         raise DimensionError(
             f"map {name!r} has shape {shape[0]}x{shape[1]}, a {side} "
             f"map needs {want[0]}x{want[1]}")
-    # the parser checked every entry: the columns are read straight off
-    # the rows into index order, as `linear_map_from_matrix` reads them
-    cod, dom = want
-    store = {}
-    for j in range(dom):
-        for k in range(cod):
-            v = rows[k][j]
-            if v:
-                store[j * cod + k] = v
-    return _adopt((spec.slot,), spec.cod, q.dims, (dom,), cod, store)
+    return linear_map_from_matrix(rows, spec.slot, spec.cod, q.dims)
 
 
 # -- reports ------------------------------------------------------------------

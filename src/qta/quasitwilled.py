@@ -29,13 +29,14 @@ components (`fill_components`).  `build_standard` turns its ingredient
 objects into tables and builds through the checked constructor
 (`build_from_tables`); a document's tables, which `qta.io.parse` has
 checked entry by entry, are adopted into the structure with nothing
-checked again (`_build_adopted`, `_adopt_structure`).  A build reads its ingredient verdicts off the same rows:
-for the zero blocks of a kind, each of its ingredient identities
-(associativity, the representation, associative-representation and
-matched-pair identities, the cocycle condition) is one row times a fixed
-nonzero scalar.  A build computes the half-bracket once; if it fails, the
-rows of that same bracket name the first ingredient whose rows are
-nonzero.  The per-identity checks are test oracles.
+checked again (`_build_adopted`, `_adopt_structure`).  A build reads its
+ingredient verdicts off the same rows: for the zero blocks of a kind,
+each of its ingredient identities (associativity, the representation,
+associative-representation and matched-pair identities, the cocycle
+condition) is one row times a fixed nonzero scalar.  A build computes
+the half-bracket once; if it fails, the rows of that same bracket name
+the first ingredient whose rows are nonzero.  The per-identity checks
+are test oracles.
 """
 
 from __future__ import annotations
@@ -333,12 +334,10 @@ def fill_components(kind, tables, scalars):
         if m.dims[0] != m.dims[1]:
             raise DimensionError(f"{kind} needs dim A == dim Aprime")
         for comp, scalar in row.fills[name]:
-            store = m.store
-            if scalar is not None:
-                s = Fraction(scalars[scalar])
-                store = {i: s * v for i, v in store.items()} if s else {}
-            comps[comp] = _adopt(*COMPONENT_SIGNATURES[comp], m.dims,
-                                 m.slot_sizes, m.cod_size, store)
+            filled = _adopt(*COMPONENT_SIGNATURES[comp], m.dims,
+                            m.slot_sizes, m.cod_size, m.store)
+            comps[comp] = (filled if scalar is None
+                           else filled.scale(scalars[scalar]))
     return comps
 
 
