@@ -21,9 +21,8 @@ from .algebras import (
 )
 from .closed_formulas import explicit_formula, explicit_formula_check
 from .deformation import (
-    TwistResult, conjugation_twist, induced_left_structures,
-    induced_right_structures, left_residual, operator_name, right_residual,
-    twist_blocks, twist_left, twist_right,
+    TwistResult, conjugation_twist, left_residual, operator_name,
+    right_residual, twist_blocks, twist_left, twist_right,
 )
 from .errors import (
     ArityError, BlockError, DegreeError, DimensionError, IngredientError,

@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import DimensionError, InvalidQTA, NotDeformationMap, UnknownKind
-from .algebras import AssociativeAlgebra, RepresentationPair
 from .multilinear import (
     A, APRIME, TOTAL, MultilinearMap, insert, lift, lift_blocks,
 )
@@ -33,7 +32,6 @@ class _Side(namedtuple("_Side", (
         "cod",              # codomain of the map and of its cochains
         "residual_part",    # twisted block equal to the residual
         "triple",           # twisted (product, left action, right action)
-        "basis",            # attribute holding the basis of the slot space
         "plan",             # block name -> (inner terms, block subtracted)
         "orders",           # block name -> the l_k it feeds (`_orders`)
 ))):
@@ -120,9 +118,9 @@ def _orders(x, y):
 
 _SIDES = {
     "right": _Side("right", A, APRIME, "theta", ("pi", "rho", "mu"),
-                   "basis_a", _plan(A, APRIME), _orders(A, APRIME)),
+                   _plan(A, APRIME), _orders(A, APRIME)),
     "left": _Side("left", APRIME, A, "gamma", ("beta", "eta", "xi"),
-                  "basis_aprime", _plan(APRIME, A), _orders(APRIME, A)),
+                  _plan(APRIME, A), _orders(APRIME, A)),
 }
 
 
@@ -249,29 +247,6 @@ def conjugation_twist(q, f, side):
     e_plus = ident + fhat
     e_minus = ident - fhat
     return insert(e_minus, insert(insert(omega, e_plus, 0), e_plus, 1), 0)
-
-
-def _induced_structures(q, m, side):
-    spec = side_spec(side)
-    prod, act_l, act_r = spec.checked_triple(q, m)
-    alg = AssociativeAlgebra(prod, getattr(q, spec.basis))
-    return alg, RepresentationPair(alg, act_l, act_r)
-
-
-def induced_right_structures(q, d):
-    """(A, pi^D) and the representation (A'; rho^D, mu^D) it acts through.
-
-    Requires a vanishing right residual.
-    """
-    return _induced_structures(q, d, "right")
-
-
-def induced_left_structures(q, b):
-    """(A', beta^B) and the representation (A; eta^B, xi^B).
-
-    Requires a vanishing left residual.
-    """
-    return _induced_structures(q, b, "left")
 
 
 def operator_name(q, side, residual):

@@ -40,15 +40,16 @@ fill and whether dim A' must equal dim A are read from the kind's row of
 the builder-kind table in `qta.quasitwilled`.  A builder table has the
 shape of the component it is named for (`table_signature`): `product` is
 pi, `product_prime` is beta, `omega` is theta, and rho, mu, eta, xi keep
-their names.  `build_quasi_twilled` checks nothing that `parse` checked:
-a builder document's tables are filled into the components of its kind
-(`quasitwilled.fill_components`, each filled one adopted onto its own
-signature), the structure is adopted with no signature or scalar checked
-again, an absent component is the empty store, and the build is
-validated once, with no ingredient objects in between.  The structure
-keeps the document's basis names, and the kind's scalars as
-`q.ingredients`.  A components document is adopted the same way and is
-validated by the command that reads it.
+their names.  `parse` checks all of it, whether dim A' = dim A last,
+and is one of the two checked doors of the one build of a stock
+structure (`quasitwilled._build_adopted`); the keyword objects of
+`build_standard` are the other.  `build_quasi_twilled` checks nothing
+that `parse` checked: the build fills a builder document's tables into
+the components of its kind, adopts the structure, an absent component
+the empty store, and validates it once, with no ingredient objects in
+between.  The structure keeps the document's basis names, and the
+kind's scalars as `q.ingredients`.  A components document is adopted
+the same way and is validated by the command that reads it.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from fractions import Fraction
 from math import prod
 
 from .deformation import side_spec
-from .errors import DimensionError, ParseError, SchemaError, UnknownKind
+from .errors import DimensionError, ParseError, SchemaError
 from .multilinear import _adopt, _label_size, linear_map_from_matrix
 from .quasitwilled import (
     _KINDS, BUILDER_KINDS, COMPONENT_SIGNATURES, _adopt_structure,
@@ -295,6 +296,9 @@ def parse(text):
         _parse_table(rows, (len(rows), ncols), f"maps.{name}", seen, flat)
         doc.maps[name] = [flat[r * ncols:(r + 1) * ncols]
                           for r in range(len(rows))]
+    if has_builder and row.same_dims and dim_a != dim_ap:
+        # last: every other error of the document is reported first
+        raise SchemaError(f"{kind} needs dim A == dim Aprime")
     return doc
 
 
@@ -335,23 +339,19 @@ def build_quasi_twilled(doc):
     `document_from_components`) describes, from the maps its tables
     already are, checking nothing that `parse` checked: the components
     are adopted as they are (`quasitwilled._adopt_structure`), and a
-    builder document's tables, scalars and basis names go straight to the
-    one build of its kind, validated once (`quasitwilled._build_adopted`).
-    A components document is validated by the command that reads it."""
+    builder document's tables, scalars and basis names go to the one
+    build that `build_standard` also runs, validated once
+    (`quasitwilled._build_adopted`).  A components document is validated
+    by the command that reads it."""
     dims = (doc.dim_a, doc.dim_aprime)
     if doc.components is not None:
         return _adopt_structure(dims, doc.components, doc.basis_a,
                                 doc.basis_aprime)
 
     kind = doc.builder["kind"]
-    if kind not in BUILDER_KINDS:
-        raise UnknownKind(kind)
-    row = _KINDS[kind]
-    if row.same_dims and doc.dim_a != doc.dim_aprime:
-        raise SchemaError(f"{kind} needs dim A == dim Aprime")
     return _build_adopted(
         kind, doc.builder["tables"],
-        {key: doc.builder[key] for key in row.scalars},
+        {key: doc.builder[key] for key in _KINDS[kind].scalars},
         dims, doc.basis_a, doc.basis_aprime)
 
 

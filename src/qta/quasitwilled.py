@@ -25,11 +25,11 @@ algebra, the cohomology, the induced structures and the CLI read.
 
 Each stock structure is built from the builder tables of its kind
 (`product`, `rho`, `mu`, ...), which one fill rule turns into the
-components (`fill_components`).  `build_standard` turns its ingredient
-objects into tables and builds through the checked constructor
-(`build_from_tables`); a document's tables, which `qta.io.parse` has
-checked entry by entry, are adopted into the structure with nothing
-checked again (`_build_adopted`, `_adopt_structure`).  A build reads its
+components (`fill_components`).  One build (`_build_adopted`) has two
+checked doors: `qta.io.parse` checks a document's tables, and
+`build_standard` turns its ingredient objects into tables and checks
+each once; the build adopts the structure with nothing checked again
+(`_adopt_structure`).  A build reads its
 ingredient verdicts off the same rows: for the zero blocks of a kind,
 each of its ingredient identities (associativity, the representation,
 associative-representation and matched-pair identities, the cocycle
@@ -84,18 +84,15 @@ class QuasiTwilledAlgebra:
         comps = {"pi": pi, "xi": xi, "eta": eta, "beta": beta,
                  "rho": rho, "mu": mu, "theta": theta}
         dims = pi.dims
-        for name, m in comps.items():
-            dom, cod = COMPONENT_SIGNATURES[name]
-            if m.domain != dom or m.codomain != cod:
-                raise DimensionError(f"component {name} has wrong signature")
-            if m.dims != dims:
-                raise DimensionError(f"component {name} has dims {m.dims}, "
-                                     f"expected {dims}")
+        _check_components(comps, dims)
         ingredients = MappingProxyType(dict(ingredients or {}))
-        if kind is not None and kind not in BUILDER_KINDS:
-            raise UnknownKind(f"unknown builder kind {kind!r}")
         if kind is not None:
-            _require_scalars(kind, ingredients)
+            if kind not in BUILDER_KINDS:
+                raise UnknownKind(f"unknown builder kind {kind!r}")
+            for key in _KINDS[kind].scalars:
+                if key not in ingredients:
+                    raise IngredientError(
+                        f"{kind} needs the ingredient {key!r}")
         basis_a = tuple(basis_a or (f"e{i+1}" for i in range(dims[0])))
         basis_aprime = tuple(
             basis_aprime or (f"f{i+1}" for i in range(dims[1])))
@@ -152,14 +149,14 @@ def _set_fields(q, comps, dims, kind, ingredients, basis_a, basis_aprime):
 
 
 def _adopt_structure(dims, given, basis_a, basis_aprime, kind=None,
-                     scalars=None):
+                     ingredients=None):
     """The trusted entrance, as `multilinear._adopt` is for maps: the
-    structure of components that `qta.io.parse` has checked (or that a
-    checked structure holds), with no check again.
+    structure of components that `qta.io.parse` or `build_standard` has
+    checked (or that a checked structure holds), with no check again.
 
     `given` maps component names to maps on their own signatures and on
     `dims`; an absent component is the empty store on its signature.
-    The basis names must number the dims, and `scalars` must hold the
+    The basis names must number the dims, and `ingredients` must hold the
     kind's scalars.
     """
     comps = {}
@@ -168,17 +165,26 @@ def _adopt_structure(dims, given, basis_a, basis_aprime, kind=None,
         comps[name] = m if m is not None else _adopt(
             *table_shape(name, dims), {})
     q = object.__new__(QuasiTwilledAlgebra)
-    _set_fields(q, comps, dims, kind, MappingProxyType(dict(scalars or {})),
+    _set_fields(q, comps, dims, kind,
+                MappingProxyType(dict(ingredients or {})),
                 tuple(basis_a), tuple(basis_aprime))
     return q
 
 
-def _require_scalars(kind, ingredients):
-    """Raise IngredientError unless `ingredients` holds each scalar
-    ingredient of the kind."""
-    for key in _KINDS[kind].scalars:
-        if key not in ingredients:
-            raise IngredientError(f"{kind} needs the ingredient {key!r}")
+def _check_components(comps, dims):
+    """Raise DimensionError, naming the component, unless each map of
+    `comps` (by component name) has its component's signature and the
+    dims `dims`; components are checked in `COMPONENT_NAMES` order."""
+    for name in COMPONENT_NAMES:
+        m = comps.get(name)
+        if m is None:
+            continue
+        dom, cod = COMPONENT_SIGNATURES[name]
+        if m.domain != dom or m.codomain != cod:
+            raise DimensionError(f"component {name} has wrong signature")
+        if m.dims != dims:
+            raise DimensionError(f"component {name} has dims {m.dims}, "
+                                 f"expected {dims}")
 
 
 def total_product(q):
@@ -321,8 +327,8 @@ def fill_components(kind, tables, scalars):
     A table fills its own component as it is, or else each component that
     the kind's `fills` names for it: the table's store adopted onto that
     component's signature, times the scalar of `scalars` named with it.
-    Such a kind needs dim A' = dim A (`same_dims`), so the sizes stay the
-    table's own.
+    Such a kind needs dim A' = dim A (`same_dims`, which `qta.io.parse`
+    and `build_standard` see to), so the sizes stay the table's own.
     """
     row = _KINDS[kind]
     comps = {}
@@ -331,8 +337,6 @@ def fill_components(kind, tables, scalars):
         if name not in row.fills:
             comps[_TABLE_COMPONENTS.get(name, name)] = m
             continue
-        if m.dims[0] != m.dims[1]:
-            raise DimensionError(f"{kind} needs dim A == dim Aprime")
         for comp, scalar in row.fills[name]:
             filled = _adopt(*COMPONENT_SIGNATURES[comp], m.dims,
                             m.slot_sizes, m.cod_size, m.store)
@@ -341,14 +345,14 @@ def fill_components(kind, tables, scalars):
     return comps
 
 
-def build_from_tables(kind, tables, scalars, basis_a=None, basis_aprime=None):
+def _build_adopted(kind, tables, ingredients, dims, basis_a, basis_aprime):
     """The structure of a builder kind, from its tables, validated once.
 
-    `tables` maps each table name of the kind to its map, on the
-    signature `table_signature` gives and on the dims of the structure;
-    `scalars` holds the kind's scalar ingredients by name, and the
-    structure keeps it as `q.ingredients`.  A document is built here, and
-    so is every `build_standard` structure.
+    `qta.io.parse` or `build_standard` has checked the input, so nothing
+    is checked again: `tables` maps each table name of the kind to its
+    map, on the signature `table_signature` gives and on `dims`;
+    `ingredients` holds the kind's scalars, and the structure keeps it as
+    `q.ingredients`.  The filled components are adopted as they are.
 
     The output carries the pass of its one validation.  For the shape of
     its kind, each ingredient identity is one row of `EQUATIONS`, so a
@@ -359,33 +363,12 @@ def build_from_tables(kind, tables, scalars, basis_a=None, basis_aprime=None):
     `ingredient_rows`); only the kind's rows are projected, up to that
     ingredient.
     """
-    if kind not in BUILDER_KINDS:
-        raise UnknownKind(f"unknown builder kind {kind!r}")
-    _require_scalars(kind, scalars)
-    return _validated(QuasiTwilledAlgebra.from_components(
-        tables["product"].dims, kind=kind, ingredients=scalars,
-        basis_a=basis_a, basis_aprime=basis_aprime,
-        **fill_components(kind, tables, scalars)))
-
-
-def _build_adopted(kind, tables, scalars, dims, basis_a, basis_aprime):
-    """`build_from_tables` on tables, scalars and basis names that
-    `qta.io.parse` has checked: the structure is adopted
-    (`_adopt_structure`), with no signature or scalar checked again, and
-    validated once."""
-    return _validated(_adopt_structure(
-        dims, fill_components(kind, tables, scalars), basis_a, basis_aprime,
-        kind, scalars))
-
-
-def _validated(q):
-    """q, with the pass of its one validation; else IngredientError naming
-    the first failing ingredient of its kind, read off the same
-    half-bracket (see `build_from_tables`)."""
+    q = _adopt_structure(dims, fill_components(kind, tables, ingredients),
+                         basis_a, basis_aprime, kind, ingredients)
     half = validate(q)
     if _passes(q, half):
         return q
-    for message, identities in _KINDS[q.kind].ingredient_rows:
+    for message, identities in _KINDS[kind].ingredient_rows:
         failed = [name for i, name in identities
                   if not project(half, *EQUATIONS[i][1]).is_zero()]
         if failed:
@@ -410,9 +393,11 @@ def build_standard(kind, **ingredients):
       reynolds              algebra
       matched_pair          matched_pair (MatchedPairData)
 
-    The keywords become the kind's builder tables and basis names
-    (`_keyword_tables`), from which `build_from_tables` builds and
-    validates the structure, as it does a document's.  The result
+    The keywords become the kind's builder tables, dims and basis names
+    (`_keyword_tables`).  Each table is checked once against the
+    signature and the dims of its component (a DimensionError names the
+    component), and the structure is built and validated once, by the
+    build a document's tables take (`_build_adopted`).  The result
     records the kind as `q.kind` and the keywords as given, scalars as
     Fractions, as `q.ingredients`.
     """
@@ -429,8 +414,11 @@ def build_standard(kind, **ingredients):
         raise IngredientError(f"{kind} needs the ingredient {missing[0]!r}")
     ingredients = {key: Fraction(value) if key in row.scalars else value
                    for key, value in ingredients.items()}
-    tables, basis_a, basis_aprime = _keyword_tables(row, ingredients)
-    return build_from_tables(kind, tables, ingredients, basis_a, basis_aprime)
+    tables, dims, basis_a, basis_aprime = _keyword_tables(row, ingredients)
+    _check_components({_TABLE_COMPONENTS.get(name, name): m
+                       for name, m in tables.items()}, dims)
+    return _build_adopted(kind, tables, ingredients, dims, basis_a,
+                          basis_aprime)
 
 
 # the builder tables a `build_standard` keyword holds: (table, algebra or
@@ -450,15 +438,16 @@ _KEYWORD_TABLES = {
 
 
 def _keyword_tables(row, ingredients):
-    """The builder tables, and the basis names of A and of A' (None for
-    the default names), of the `build_standard` keywords of a kind.
+    """The builder tables, the dims, and the basis names of A and of A'
+    of the `build_standard` keywords of a kind.
 
     An algebra is read through one adapter: its product relabeled onto
     the signature of its table, pi or beta, so an algebra given on either
     label is the same ingredient; its basis names name that space, and
-    A' is named after A, primed, where the kind needs dim A' = dim A.
-    Every other table is a map the keyword holds, as it is, and the
-    first of these gives the dims (else the algebras do).
+    A' is named after A, primed, where the kind needs dim A' = dim A, and
+    f1, f2, ... otherwise.  Every other table is a map the keyword holds,
+    as it is, and the first of these gives the dims (else the algebras
+    do).
     """
     parts = {}
     for key in row.keywords:
@@ -477,8 +466,8 @@ def _keyword_tables(row, ingredients):
     elif row.same_dims:
         basis_aprime = [n + "'" for n in alg.basis_names]
     else:
-        basis_aprime = None
-    return tables, alg.basis_names, basis_aprime
+        basis_aprime = [f"f{i+1}" for i in range(dims[1])]
+    return tables, dims, alg.basis_names, basis_aprime
 
 
 # -- ingredient identities as rows of the one bracket -------------------------

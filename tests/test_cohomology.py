@@ -10,8 +10,7 @@ from qta import (
     A, APRIME, DegreeError, DimensionError, ExactMatrix, InvalidQTA,
     MultilinearMap, NotDeformationMap, QuasiTwilledAlgebra, build_standard,
     coboundary_apply, coboundary_matrix, cochain_complex, cohomology_dims,
-    hochschild_complex, emit_example, induced_left_structures,
-    induced_right_structures, random_map, regular_representation,
+    hochschild_complex, emit_example, random_map, regular_representation,
     seeded_rng,
 )
 from qta.cli import main as cli_main
@@ -165,14 +164,12 @@ def test_nondeformation_message_names_the_first_witness(side, tmp_path,
     witness = residual(q, m).first_witness()
     assert witness is not None
     message = f"{side} residual nonzero at {witness}"
-    induced = {"right": induced_right_structures,
-               "left": induced_left_structures}[side]
     f = MultilinearMap.unit(*cochain_space(q, side, 1), q.dims, 0)
     for call in (lambda: cohomology_dims(q, m, side, 2),
                  lambda: cochain_complex(q, m, side, 0),
                  lambda: coboundary_matrix(q, m, side, 1),
                  lambda: l1_vs_d(q, m, side, f),
-                 lambda: induced(q, m)):
+                 lambda: side_spec(side).checked_triple(q, m)):
         with pytest.raises(NotDeformationMap) as info:
             call()
         assert str(info.value) == message
@@ -227,8 +224,7 @@ def test_one_twist_and_one_residual_per_call(monkeypatch, side):
     for fn_name, (at0, at5) in extracted.items():
         assert at0 == at5 > 0, fn_name
     calls.clear()
-    {"right": induced_right_structures,
-     "left": induced_left_structures}[side](q, m)
+    side_spec(side).checked_triple(q, m)
     assert calls == {"twist_blocks": 1}
 
 
@@ -493,13 +489,11 @@ def test_invalid_structure_has_no_cohomology(side):
     q = invalid_structure()
     m = (right_map if side == "right" else left_map)(q, [[0]])
     f = MultilinearMap.unit(*cochain_space(q, side, 1), q.dims, 0)
-    induced = {"right": induced_right_structures,
-               "left": induced_left_structures}[side]
     for call in (lambda: cohomology_dims(q, m, side, 2),
                  lambda: cochain_complex(q, m, side, 2),
                  lambda: coboundary_matrix(q, m, side, 0),
                  lambda: coboundary_matrix(q, m, side, 1),
-                 lambda: induced(q, m),
+                 lambda: side_spec(side).checked_triple(q, m),
                  lambda: l1_vs_d(q, m, side, f)):
         with pytest.raises(InvalidQTA, match="not a quasi-twilled algebra"):
             call()

@@ -5,11 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from qta import (
     A, APRIME, AssociativeAlgebra, DimensionError, NotDeformationMap,
-    SingularMap, UnknownKind, build_standard, catalog_names,
+    RepresentationPair, SingularMap, UnknownKind, build_standard, catalog_names,
     check_associative, coboundary_apply, coboundary_matrix, cohomology_dims,
     conjugation_twist, controlling_structure, emit_example,
-    explicit_formula, get_entry, induced_left_structures,
-    induced_right_structures, left_residual, mc_residual, operator_name,
+    explicit_formula, get_entry, left_residual, mc_residual, operator_name,
     random_map, regular_representation, right_residual, seeded_rng,
     twist_left, twist_right, validate,
 )
@@ -226,41 +225,47 @@ def test_duality_singular_rejected():
 
 
 # -- induced structures ------------------------------------------------------------
+#
+# A deformation map's induced algebra and representation are its checked
+# twisted triple (product, left action, right action); the oracles that
+# take objects get it wrapped in the test.
 
 def test_induced_right_modified():
     # weight 4, D = 2 id on the 1-dim algebra: pi^D(e,e) = 4e, rho^D = 0
     q = build_standard("modified_direct_sum", algebra=one_dim_algebra(),
                        weight=4)
     d = right_map(q, [[2]])
-    alg, rep = induced_right_structures(q, d)
-    assert alg.product.value((0, 0)) == (4,)
-    assert rep.rho.is_zero() and rep.mu.is_zero()
+    prod, rho, mu = side_spec("right").checked_triple(q, d)
+    assert prod.value((0, 0)) == (4,)
+    assert rho.is_zero() and mu.is_zero()
+    alg = AssociativeAlgebra(prod)
     assert check_associative(alg).is_zero()
-    assert check_representation(rep).is_zero
+    assert check_representation(RepresentationPair(alg, rho, mu)).is_zero
 
 
 def test_induced_right_derivation_keeps_structure():
     q = build_standard("semidirect", rep=regular_representation(dual_numbers()))
     d = right_map(q, [[0, 0], [0, 1]])
-    alg, rep = induced_right_structures(q, d)
-    assert alg.product == q.pi
-    assert rep.rho == q.rho and rep.mu == q.mu
+    prod, rho, mu = side_spec("right").checked_triple(q, d)
+    assert prod == q.pi
+    assert rho == q.rho and mu == q.mu
 
 
 def test_induced_right_requires_deformation_map():
     q = build_standard("modified_direct_sum", algebra=one_dim_algebra(),
                        weight=4)
     with pytest.raises(NotDeformationMap):
-        induced_right_structures(q, right_map(q, [[1]]))
+        side_spec("right").checked_triple(q, right_map(q, [[1]]))
 
 
 def test_induced_left_relative_rota_baxter():
     # beta^B(u,v) = rho(Bu)v + mu(Bv)u for the semidirect structure
     q = build_standard("semidirect", rep=regular_representation(dual_numbers()))
     b = left_map(q, [[0, 0], [0, 0]])
-    alg, rep = induced_left_structures(q, b)
-    assert alg.product.is_zero()
-    assert check_representation(rep).is_zero
+    prod, eta, xi = side_spec("left").checked_triple(q, b)
+    assert prod.is_zero()
+    alg = AssociativeAlgebra(prod)
+    assert check_representation(RepresentationPair(alg, eta, xi)).is_zero
 
 
 def test_induced_left_reynolds_minus_identity():
@@ -268,12 +273,13 @@ def test_induced_left_reynolds_minus_identity():
     # Reynolds structure
     q = build_standard("reynolds", algebra=one_dim_algebra())
     b = left_map(q, [[-1]])
-    alg, rep = induced_left_structures(q, b)
-    assert alg.product.value((0, 0)) == (-1,)
+    prod, eta, xi = side_spec("left").checked_triple(q, b)
+    assert prod.value((0, 0)) == (-1,)
+    alg = AssociativeAlgebra(prod)
     assert check_associative(alg).is_zero()
-    assert rep.rho.value((0, 0)) == (-1,)  # eta^B(e')(e) = -e
-    assert rep.mu.value((0, 0)) == (-1,)
-    assert check_representation(rep).is_zero
+    assert eta.value((0, 0)) == (-1,)  # eta^B(e')(e) = -e
+    assert xi.value((0, 0)) == (-1,)
+    assert check_representation(RepresentationPair(alg, eta, xi)).is_zero
 
 
 # -- classification ------------------------------------------------------------------

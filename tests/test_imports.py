@@ -43,6 +43,10 @@ MOVED = [
     ("linfty", "VData", "basis_cochain", "basis_cochain"),
     ("linfty", None, "derived_bracket", "derived_bracket"),
     ("cohomology", None, "_structural_terms", None),
+    ("quasitwilled", None, "build_from_tables", None),
+    ("deformation", None, "induced_right_structures", None),
+    ("deformation", None, "induced_left_structures", None),
+    ("deformation", None, "_induced_structures", None),
 ]
 
 

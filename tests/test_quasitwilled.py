@@ -1,4 +1,6 @@
 import re
+import types
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,17 +8,17 @@ import pytest
 from qta import (
     A, APRIME, AssociativeAlgebra, AssociativeRepresentation, Cocycle2,
     DimensionError, IngredientError, MatchedPairData, MultilinearMap,
-    QuasiTwilledAlgebra, RepresentationPair, UnknownKind, build_standard,
-    catalog_names, circle, emit_example, lift, msum, project,
+    QuasiTwilledAlgebra, RepresentationPair, SchemaError, UnknownKind,
+    build_standard, catalog_names, circle, emit_example, lift, msum, project,
     regular_representation, seeded_rng, structure_residuals, total_product,
     validate,
 )
 from qta import TOTAL, check_associative, quasitwilled
-from qta.io import build_quasi_twilled, parse
+from qta.io import InputDocument, build_quasi_twilled, parse, print_document
 from qta.linalg import _denominator
 from qta.multilinear import lift_blocks
 from qta.quasitwilled import (
-    _KINDS, BUILDER_KINDS, build_from_tables, equation_rows, fill_components,
+    _KINDS, BUILDER_KINDS, equation_rows, fill_components,
 )
 
 import oracles
@@ -71,10 +73,15 @@ def test_missing_scalar_ingredient_is_refused_at_construction():
         QuasiTwilledAlgebra(kind="modified_direct_sum",
                             ingredients={"algebra": q.ingredients["algebra"]},
                             **q.components())
-    # and so is a build from tables without it
+    # and so is a build from the keywords without it, and a document
+    # without it
     with pytest.raises(IngredientError, match="weight"):
-        build_from_tables("modified_direct_sum",
-                          {"product": q.ingredients["algebra"].product}, {})
+        build_standard("modified_direct_sum",
+                       algebra=q.ingredients["algebra"])
+    with pytest.raises(SchemaError, match="builder.weight required"):
+        _document_build("modified_direct_sum",
+                        {"product": q.ingredients["algebra"].product
+                         .with_dims(q.dims)}, {}, q.basis_a, q.basis_aprime)
 
 
 def test_total_product_examples():
@@ -571,10 +578,10 @@ def _perturbed(tables, names, rng):
     tables = dict(tables)
     name = rng.choice(names)
     m = tables[name]
-    store = dict(m.store)
-    i = rng.randrange(len(m.coeffs))
-    store[i] = store.get(i, 0) + rng.choice([-2, -1, 1, Fraction(1, 2)])
-    tables[name] = MultilinearMap(m.domain, m.codomain, m.dims, store)
+    coeffs = list(m.coeffs)
+    i = rng.randrange(len(coeffs))
+    coeffs[i] += rng.choice([-2, -1, 1, Fraction(1, 2)])
+    tables[name] = MultilinearMap(m.domain, m.codomain, m.dims, coeffs)
     return tables
 
 
@@ -605,6 +612,17 @@ def _keywords(kind, t, basis_a, basis_aprime):
             alg, AssociativeAlgebra(t["product_prime"], basis_aprime),
             t["rho"], t["mu"], t["eta"], t["xi"])}
     return {**ing, **_scalars(kind)}
+
+
+def _document_build(kind, tables, scalars, basis_a, basis_aprime):
+    """The structure of the builder document of the kind's tables among
+    `tables`, its scalars and these basis names, written out and loaded
+    as the CLI loads it."""
+    builder = {"kind": kind, **scalars, "tables": {
+        name: tables[name] for name in _KINDS[kind].tables}}
+    doc = InputDocument(*tables["product"].dims, basis_a, basis_aprime,
+                        builder=builder)
+    return build_quasi_twilled(parse(print_document(doc)))
 
 
 def _unvalidated(kind, tables):
@@ -641,7 +659,7 @@ def test_failed_validation_names_the_upfront_ingredient_error(kind):
             want = _error_text(lambda: _upfront_checks(kind, ing, raw))
             assert _error_text(lambda: build_standard(kind, **ing)) == want
             # the document entrance raises the same text
-            assert _error_text(lambda: build_from_tables(
+            assert _error_text(lambda: _document_build(
                 kind, t, _scalars(kind), basis_a, basis_aprime)) == want
             assert (want is None) == validate(raw).is_zero()
             texts.append(want)
@@ -706,8 +724,8 @@ def _built(build):
 
 @pytest.mark.parametrize("kind", BUILDER_KINDS)
 def test_both_entrances_build_the_same_structure(kind):
-    # build_standard on the keyword objects and build_from_tables on their
-    # tables give one structure, valid or not: A' is named after its
+    # build_standard on the keyword objects and a builder document of
+    # their tables give one structure, valid or not: A' is named after its
     # algebra, or after A, primed, where the dims must agree, and by
     # default otherwise
     row = _KINDS[kind]
@@ -722,12 +740,59 @@ def test_both_entrances_build_the_same_structure(kind):
             t = _perturbed(tables, row.tables, rng) if trial else tables
             ing = _keywords(kind, t, basis_a, basis_aprime)
             got = _built(lambda: build_standard(kind, **ing))
-            assert got == _built(lambda: build_from_tables(
+            default = [f"f{i+1}" for i in range(t["product"].dims[1])]
+            assert got == _built(lambda: _document_build(
                 kind, t, _scalars(kind), basis_a,
-                basis_aprime if named else None))
+                basis_aprime if named else default))
             outcomes.append(got)
     assert not isinstance(outcomes[0], str), outcomes[0]
     assert all(o[-1] for o in outcomes if not isinstance(o, str))
+
+
+@pytest.mark.parametrize("kind", BUILDER_KINDS)
+def test_build_standard_checks_each_input_once(monkeypatch, kind):
+    # the keywords are checked once, by build_standard, and go to the
+    # build a document takes: the structure is adopted, not constructed,
+    # so no checked constructor runs and no absent component is made
+    # through MultilinearMap.zero; it is validated once, with one Delta
+    alg = dual_numbers()
+    ing = _keywords(kind, _regular_tables(alg), alg.basis_names,
+                    [n + "'" for n in alg.basis_names])
+    calls = Counter()
+
+    def counting(owner, name, wrap=lambda fn: fn):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrap(counted))
+
+    counting(QuasiTwilledAlgebra, "__init__")
+    counting(MultilinearMap, "zero", staticmethod)
+    counting(quasitwilled, "validate")
+    counting(quasitwilled, "lift_blocks")
+    q = build_standard(kind, **ing)
+    assert q.verified and q.kind == kind
+    assert calls == {"validate": 1, "lift_blocks": 1}
+
+
+def test_a_keyword_map_of_the_wrong_shape_names_its_component():
+    # a map a keyword holds is checked against its component's signature,
+    # then against the dims of the structure, with the texts of the checked
+    # constructor; a duck-typed representation is read like any other
+    alg = one_dim_algebra()
+    dims = (1, 1)
+    rho = MultilinearMap((A, APRIME), APRIME, dims, [1])
+    for mu, text in (
+            (MultilinearMap((A, APRIME), APRIME, dims, [1]),
+             "component mu has wrong signature"),
+            (MultilinearMap((APRIME, A), APRIME, (1, 2), [1, 0, 0, 0]),
+             "component mu has dims (1, 2), expected (1, 1)")):
+        rep = types.SimpleNamespace(algebra=alg, rho=rho, mu=mu)
+        with pytest.raises(DimensionError) as info:
+            build_standard("semidirect", rep=rep)
+        assert str(info.value) == text
 
 
 def test_an_algebra_on_either_label_is_the_same_ingredient():
